@@ -2,7 +2,7 @@
 //! vs corpus size, and checkpoint write amplification. Writes
 //! `BENCH_store.json`.
 //!
-//! Three sections:
+//! Four sections:
 //!
 //! * **wal_append** — records/s and MB/s appending realistic insert
 //!   records (encoded single-table batches), with and without per-record
@@ -16,6 +16,13 @@
 //!   checkpoint vs an incremental one after a single-shard dirty op. The
 //!   bin *asserts* the incremental checkpoint rewrote exactly one of the
 //!   four shards — the dirty-only guarantee, in numbers.
+//! * **write_stall** — 64 single-table inserts with fsync on and a
+//!   checkpoint handed off every 16: insert p50 / p95 / max, and what the
+//!   four triggering inserts paid for the hand-off (WAL rotation + state
+//!   pin, from `lcdd_store_checkpoint_handoff_us`). Checkpoints run on
+//!   the store's checkpointer thread, so no insert should wait for one:
+//!   the bin warns — and fails under `LCDD_BENCH_STRICT=1` — when the
+//!   slowest insert exceeds 5 × the median.
 //!
 //! Usage: `cargo run --release -p lcdd-bench --bin bench_store [-- out.json]`
 //! (defaults to `BENCH_store.json` in the current directory).
@@ -118,6 +125,70 @@ fn recovery_row(tmp: &TempDir, n_tables: usize) -> RecoveryRow {
     }
 }
 
+struct WriteStall {
+    tables: usize,
+    p50_us: f64,
+    p95_us: f64,
+    max_us: f64,
+    handoffs: u64,
+    handoff_mean_us: f64,
+}
+
+/// 64 single-table inserts through the default durability policy (fsync
+/// every record) with a checkpoint handed off every 16.
+fn write_stall(tmp: &TempDir) -> WriteStall {
+    const INSERTS: usize = 64;
+    const TABLES: usize = 1536;
+    let base = corpus(&CorpusSpec {
+        seed: 0x57a11,
+        n_tables: TABLES,
+        series_len: 90,
+        near_dup_every: 5,
+    });
+    let opts = StoreOptions {
+        sync_writes: true,
+        checkpoint_every_ops: 16,
+        checkpoint_every_bytes: 0,
+        ..StoreOptions::default()
+    };
+    let durable = DurableEngine::create(tmp.subdir("stall"), tiny_engine(base, N_SHARDS), opts)
+        .expect("stall store");
+    // Get-or-register: the store's own registration (with the help text)
+    // wins whichever side touches the name first.
+    let handoff = lcdd_obs::registry::global().histogram("lcdd_store_checkpoint_handoff_us", "");
+    let (handoffs_before, handoff_sum_before) = (handoff.count(), handoff.sum());
+    let mut us: Vec<f64> = delta_tables(7, INSERTS)
+        .into_iter()
+        .map(|table| {
+            let t = Instant::now();
+            durable.insert_tables(vec![table]).expect("stall insert");
+            t.elapsed().as_secs_f64() * 1e6
+        })
+        .collect();
+    durable.wait_checkpoint_idle();
+    assert_eq!(
+        durable.last_checkpoint_error(),
+        None,
+        "background checkpoints must succeed"
+    );
+    assert_eq!(
+        durable.ops_since_checkpoint(),
+        0,
+        "the 64th insert's hand-off must have committed"
+    );
+    us.sort_by(f64::total_cmp);
+    let pct = |q: f64| us[((us.len() - 1) as f64 * q).round() as usize];
+    let handoffs = handoff.count() - handoffs_before;
+    WriteStall {
+        tables: TABLES,
+        p50_us: pct(0.5),
+        p95_us: pct(0.95),
+        max_us: us[us.len() - 1],
+        handoffs,
+        handoff_mean_us: (handoff.sum() - handoff_sum_before) as f64 / handoffs.max(1) as f64,
+    }
+}
+
 fn main() {
     let out_path = std::env::args()
         .nth(1)
@@ -185,6 +256,26 @@ fn main() {
         full.bytes_written, full.shards_written, incr.bytes_written
     );
 
+    // ---- write stall --------------------------------------------------------
+    let stall = write_stall(&tmp);
+    eprintln!(
+        "[bench_store] write stall at {} tables / {N_SHARDS} shards (fsync on, checkpoint every 16): \
+         insert p50 {:.0} us, p95 {:.0} us, max {:.0} us; {} hand-offs at {:.0} us mean",
+        stall.tables, stall.p50_us, stall.p95_us, stall.max_us, stall.handoffs, stall.handoff_mean_us
+    );
+    assert_eq!(stall.handoffs, 4, "64 inserts at a cadence of 16");
+    if stall.max_us > 5.0 * stall.p50_us {
+        let msg = format!(
+            "slowest insert {:.0} us is more than 5 x the median {:.0} us — a write waited \
+             for something other than its own WAL append",
+            stall.max_us, stall.p50_us
+        );
+        if std::env::var("LCDD_BENCH_STRICT").as_deref() == Ok("1") {
+            panic!("[bench_store] {msg}");
+        }
+        eprintln!("[bench_store] WARNING: {msg} (set LCDD_BENCH_STRICT=1 to fail)");
+    }
+
     // ---- emit -------------------------------------------------------------
     let recovery_json: Vec<String> = recovery
         .iter()
@@ -206,12 +297,24 @@ fn main() {
          \"write_amplification\": {{\n    \"tables\": 384,\n    \"shards\": {N_SHARDS},\n    \
          \"full_checkpoint_bytes\": {},\n    \"full_shards_written\": {},\n    \
          \"incremental_checkpoint_bytes\": {},\n    \"incremental_shards_written\": {},\n    \
-         \"full_over_incremental_x\": {amp_ratio:.2}\n  }}\n}}\n",
+         \"full_over_incremental_x\": {amp_ratio:.2}\n  }},\n  \
+         \"write_stall\": {{\n    \"tables\": {},\n    \"inserts\": 64,\n    \
+         \"checkpoint_every_ops\": 16,\n    \"sync_writes\": true,\n    \
+         \"insert_p50_us\": {:.0},\n    \"insert_p95_us\": {:.0},\n    \
+         \"insert_max_us\": {:.0},\n    \"max_over_p50_x\": {:.2},\n    \
+         \"handoffs\": {},\n    \"handoff_mean_us\": {:.0}\n  }}\n}}\n",
         recovery_json.join(",\n"),
         full.bytes_written,
         full.shards_written,
         incr.bytes_written,
         incr.shards_written,
+        stall.tables,
+        stall.p50_us,
+        stall.p95_us,
+        stall.max_us,
+        stall.max_us / stall.p50_us,
+        stall.handoffs,
+        stall.handoff_mean_us,
     );
     std::fs::write(&out_path, &json).expect("write BENCH_store.json");
     eprintln!("[bench_store] wrote {out_path}");

@@ -485,88 +485,132 @@ impl MappedSegment {
 
 // ---- writing -------------------------------------------------------------
 
-/// Builds an `LCDDSEG2` image from slot data, consuming the slots one at
-/// a time (peak memory is the image itself plus one slot — bulk corpus
-/// writers stream millions of tables through here without ever holding a
-/// shard's worth of `SlotData`).
+/// Reusable build buffers for one `LCDDSEG2` image: the summary and blob
+/// regions grow once to the largest shard they have held and are refilled
+/// in place afterwards, so a long-lived checkpointer allocates per
+/// checkpoint only what a single slot clone costs. The image is exposed
+/// as the byte runs a writer streams out in order
+/// ([`SegmentImage::parts`]) rather than as one concatenated buffer.
+#[derive(Default)]
+pub struct SegmentImage {
+    header: Vec<u8>,
+    summary: Vec<u8>,
+    /// Zero bytes between the summary and the 64-byte-aligned blob.
+    pad: usize,
+    blob: Vec<u8>,
+}
+
+impl SegmentImage {
+    /// Empty buffers; nothing is allocated until the first fill.
+    pub fn new() -> SegmentImage {
+        SegmentImage::default()
+    }
+
+    /// The image as consecutive byte runs: header, summary, alignment
+    /// padding, blob.
+    pub fn parts(&self) -> [&[u8]; 4] {
+        const ZEROS: [u8; 64] = [0; 64];
+        [&self.header, &self.summary, &ZEROS[..self.pad], &self.blob]
+    }
+
+    /// Rebuilds the image from slot data, consuming the slots one at a
+    /// time (peak memory is the image itself plus one slot — bulk corpus
+    /// writers stream millions of tables through here without ever
+    /// holding a shard's worth of `SlotData`).
+    pub(crate) fn fill(
+        &mut self,
+        slots: impl Iterator<Item = SlotData>,
+        embed_dim: usize,
+    ) -> Result<(), EngineError> {
+        let SegmentImage {
+            header,
+            summary,
+            pad,
+            blob,
+        } = self;
+        header.clear();
+        summary.clear();
+        blob.clear();
+        let mut n_slots = 0u64;
+        for slot in slots {
+            n_slots += 1;
+            let blob_start = blob.len();
+            summary.extend_from_slice(&slot.meta.id.to_le_bytes());
+            let name = slot.meta.name.as_bytes();
+            summary.extend_from_slice(&(name.len() as u32).to_le_bytes());
+            summary.extend_from_slice(name);
+            let n_cols = slot.table.column_segments.len();
+            if slot.encodings.len() != n_cols || slot.table.column_ranges.len() != n_cols {
+                return Err(EngineError::Store(format!(
+                    "segment image: table {} has {} segments, {} ranges, {} encodings",
+                    slot.meta.id,
+                    n_cols,
+                    slot.table.column_ranges.len(),
+                    slot.encodings.len()
+                )));
+            }
+            summary.extend_from_slice(&(n_cols as u64).to_le_bytes());
+            for c in 0..n_cols {
+                let (lo, hi) = slot.table.column_ranges[c];
+                summary.extend_from_slice(&lo.to_le_bytes());
+                summary.extend_from_slice(&hi.to_le_bytes());
+                let seg = &slot.table.column_segments[c];
+                let enc = &slot.encodings[c];
+                for m in [seg, enc] {
+                    summary.extend_from_slice(&(m.rows() as u32).to_le_bytes());
+                    summary.extend_from_slice(&(m.cols() as u32).to_le_bytes());
+                }
+                for &v in column_embedding_of(enc).iter() {
+                    summary.extend_from_slice(&v.to_le_bytes());
+                }
+            }
+            let pooled = PooledStat::of(&slot.encodings, embed_dim);
+            summary.extend_from_slice(&pooled.rows.to_le_bytes());
+            for &v in &pooled.sum {
+                summary.extend_from_slice(&v.to_le_bytes());
+            }
+            summary.extend_from_slice(&(slot.intervals.len() as u64).to_le_bytes());
+            for &(lo, hi) in &slot.intervals {
+                summary.extend_from_slice(&lo.to_le_bytes());
+                summary.extend_from_slice(&hi.to_le_bytes());
+            }
+            for m in slot
+                .table
+                .column_segments
+                .iter()
+                .chain(slot.encodings.iter())
+            {
+                for &v in m.as_slice() {
+                    blob.extend_from_slice(&v.to_le_bytes());
+                }
+            }
+            let extent = &blob[blob_start..];
+            summary.extend_from_slice(&((extent.len() / 4) as u64).to_le_bytes());
+            summary.extend_from_slice(&fnv1a64(extent).to_le_bytes());
+        }
+        let blob_off = (HEADER_LEN + summary.len()).div_ceil(64) * 64;
+        *pad = blob_off - HEADER_LEN - summary.len();
+        header.extend_from_slice(IMAGE_MAGIC);
+        header.extend_from_slice(&IMAGE_FORMAT.to_le_bytes());
+        header.extend_from_slice(&(embed_dim as u32).to_le_bytes());
+        header.extend_from_slice(&n_slots.to_le_bytes());
+        header.extend_from_slice(&(summary.len() as u64).to_le_bytes());
+        header.extend_from_slice(&fnv1a64(summary).to_le_bytes());
+        header.extend_from_slice(&(blob_off as u64).to_le_bytes());
+        header.extend_from_slice(&(blob.len() as u64).to_le_bytes());
+        header.extend_from_slice(&0u64.to_le_bytes());
+        Ok(())
+    }
+}
+
+/// Builds an `LCDDSEG2` image from slot data as one contiguous buffer.
 pub(crate) fn write_segment_image(
     slots: impl Iterator<Item = SlotData>,
     embed_dim: usize,
 ) -> Result<Vec<u8>, EngineError> {
-    let mut summary: Vec<u8> = Vec::new();
-    let mut blob: Vec<u8> = Vec::new();
-    let mut n_slots = 0u64;
-    for slot in slots {
-        n_slots += 1;
-        let blob_start = blob.len();
-        summary.extend_from_slice(&slot.meta.id.to_le_bytes());
-        let name = slot.meta.name.as_bytes();
-        summary.extend_from_slice(&(name.len() as u32).to_le_bytes());
-        summary.extend_from_slice(name);
-        let n_cols = slot.table.column_segments.len();
-        if slot.encodings.len() != n_cols || slot.table.column_ranges.len() != n_cols {
-            return Err(EngineError::Store(format!(
-                "segment image: table {} has {} segments, {} ranges, {} encodings",
-                slot.meta.id,
-                n_cols,
-                slot.table.column_ranges.len(),
-                slot.encodings.len()
-            )));
-        }
-        summary.extend_from_slice(&(n_cols as u64).to_le_bytes());
-        for c in 0..n_cols {
-            let (lo, hi) = slot.table.column_ranges[c];
-            summary.extend_from_slice(&lo.to_le_bytes());
-            summary.extend_from_slice(&hi.to_le_bytes());
-            let seg = &slot.table.column_segments[c];
-            let enc = &slot.encodings[c];
-            for m in [seg, enc] {
-                summary.extend_from_slice(&(m.rows() as u32).to_le_bytes());
-                summary.extend_from_slice(&(m.cols() as u32).to_le_bytes());
-            }
-            for &v in column_embedding_of(enc).iter() {
-                summary.extend_from_slice(&v.to_le_bytes());
-            }
-        }
-        let pooled = PooledStat::of(&slot.encodings, embed_dim);
-        summary.extend_from_slice(&pooled.rows.to_le_bytes());
-        for &v in &pooled.sum {
-            summary.extend_from_slice(&v.to_le_bytes());
-        }
-        summary.extend_from_slice(&(slot.intervals.len() as u64).to_le_bytes());
-        for &(lo, hi) in &slot.intervals {
-            summary.extend_from_slice(&lo.to_le_bytes());
-            summary.extend_from_slice(&hi.to_le_bytes());
-        }
-        for m in slot
-            .table
-            .column_segments
-            .iter()
-            .chain(slot.encodings.iter())
-        {
-            for &v in m.as_slice() {
-                blob.extend_from_slice(&v.to_le_bytes());
-            }
-        }
-        let extent = &blob[blob_start..];
-        summary.extend_from_slice(&((extent.len() / 4) as u64).to_le_bytes());
-        summary.extend_from_slice(&fnv1a64(extent).to_le_bytes());
-    }
-    let blob_off = (HEADER_LEN + summary.len()).div_ceil(64) * 64;
-    let mut image = Vec::with_capacity(blob_off + blob.len());
-    image.extend_from_slice(IMAGE_MAGIC);
-    image.extend_from_slice(&IMAGE_FORMAT.to_le_bytes());
-    image.extend_from_slice(&(embed_dim as u32).to_le_bytes());
-    image.extend_from_slice(&n_slots.to_le_bytes());
-    image.extend_from_slice(&(summary.len() as u64).to_le_bytes());
-    image.extend_from_slice(&fnv1a64(&summary).to_le_bytes());
-    image.extend_from_slice(&(blob_off as u64).to_le_bytes());
-    image.extend_from_slice(&(blob.len() as u64).to_le_bytes());
-    image.extend_from_slice(&0u64.to_le_bytes());
-    image.extend_from_slice(&summary);
-    image.resize(blob_off, 0);
-    image.extend_from_slice(&blob);
-    Ok(image)
+    let mut image = SegmentImage::new();
+    image.fill(slots, embed_dim)?;
+    Ok(image.parts().concat())
 }
 
 // ---- parsing -------------------------------------------------------------

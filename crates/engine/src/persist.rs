@@ -15,7 +15,7 @@
 //! * **The meta section** ([`meta_bytes`]) — FCM config + hybrid-index
 //!   config + model weights. Immutable for the lifetime of a store (the
 //!   serving model never mutates), so it is written once.
-//! * **Shard segments** ([`segment_bytes`]) — one shard's live slots, the
+//! * **Shard segments** ([`segment_bytes_into`]) — one shard's live slots, the
 //!   unit of incremental checkpointing: a checkpoint rewrites only the
 //!   shards dirtied since the previous one and reuses the rest by file
 //!   reference. Segment files double as the cold tier: a store opened
@@ -38,6 +38,7 @@ use lcdd_tensor::Matrix;
 use lcdd_vision::VisualElementExtractor;
 
 use crate::engine::Engine;
+pub use crate::mapped::SegmentImage;
 use crate::mapped::{parse_segment_slots, write_segment_image, MappedSegment};
 use crate::shard::{EngineShard, SlotData};
 use crate::snapshot::{
@@ -51,6 +52,11 @@ use crate::state::{EngineShared, EngineState};
 /// truncation and accidental corruption.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     crate::snapshot::fnv1a64(bytes)
+}
+
+/// [`fnv1a64`] of the concatenation of `parts`, without concatenating.
+pub fn fnv1a64_parts(parts: &[&[u8]]) -> u64 {
+    crate::snapshot::fnv1a64_parts(parts)
 }
 
 /// An ingest delta after the FCM dataset encoder ran: everything the
@@ -214,14 +220,23 @@ pub fn meta_bytes(engine: &Engine) -> Result<Vec<u8>, EngineError> {
 /// [`crate::mapped`]) — fixed-layout summary up front, aligned f32 blob
 /// behind, so the store can later serve the file without decoding it.
 /// Slots are cloned out one at a time (cold slots materialize from their
-/// mapping transiently), so peak memory is the image plus one slot.
-pub fn segment_bytes(state: &EngineState, shard: usize) -> Result<Vec<u8>, EngineError> {
+/// mapping transiently), so peak memory is the image plus one slot. The
+/// image lands in `image`'s reusable buffers and is read back as
+/// [`SegmentImage::parts`] — a long-lived checkpointer writes every
+/// segment of every checkpoint through one allocation. A pure function
+/// of the `Arc`-pinned, copy-on-write `state`: it needs no lock against
+/// readers or the writer.
+pub fn segment_bytes_into(
+    state: &EngineState,
+    shard: usize,
+    image: &mut SegmentImage,
+) -> Result<(), EngineError> {
     let sh = state
         .shards
         .get(shard)
-        .ok_or_else(|| EngineError::Store(format!("segment_bytes: no shard {shard}")))?;
+        .ok_or_else(|| EngineError::Store(format!("segment_bytes_into: no shard {shard}")))?;
     let live = (0..sh.len()).filter(|&s| !sh.is_dead(s));
-    write_segment_image(live.map(|s| sh.clone_slot(s)), sh.embed_dim)
+    image.fill(live.map(|s| sh.clone_slot(s)), sh.embed_dim)
 }
 
 /// One pre-encoded table, public shape: what external corpus generators
@@ -281,7 +296,7 @@ pub fn live_order(state: &EngineState) -> Result<Vec<(u32, u32)>, EngineError> {
 
 /// Rebuilds an [`Engine`] from store pieces: the meta section, one segment
 /// per shard, the persisted global order, and the epoch to resume
-/// counting from. The inverse of [`meta_bytes`] + [`segment_bytes`] +
+/// counting from. The inverse of [`meta_bytes`] + [`segment_bytes_into`] +
 /// [`live_order`]; corrupt input surfaces as typed [`EngineError`]s,
 /// never a panic.
 ///

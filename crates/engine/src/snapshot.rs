@@ -174,10 +174,18 @@ pub(crate) fn rmat<R: Read>(r: &mut R) -> Result<Matrix, EngineError> {
 /// cryptographic; it guards against truncation and accidental corruption,
 /// which is the snapshot threat model.
 pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
+    fnv1a64_parts(&[bytes])
+}
+
+/// [`fnv1a64`] of the concatenation of `parts`, without concatenating —
+/// lets a writer checksum a payload it streams out as several runs.
+pub(crate) fn fnv1a64_parts(parts: &[&[u8]]) -> u64 {
     let mut h = 0xcbf29ce484222325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
+    for part in parts {
+        for &b in *part {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x100000001b3);
+        }
     }
     h
 }

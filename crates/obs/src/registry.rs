@@ -69,6 +69,18 @@ impl Gauge {
         self.0.store(v, Relaxed);
     }
 
+    /// Raises the value by `n` (pair with [`Gauge::sub`] for a level
+    /// several owners move, e.g. jobs in flight across every store in the
+    /// process).
+    pub fn add(&self, n: u64) {
+        self.0.fetch_add(n, Relaxed);
+    }
+
+    /// Lowers the value by `n`.
+    pub fn sub(&self, n: u64) {
+        self.0.fetch_sub(n, Relaxed);
+    }
+
     /// Raises the value to at least `v` (high-water marks).
     pub fn record_max(&self, v: u64) {
         self.0.fetch_max(v, Relaxed);

@@ -104,6 +104,9 @@ pub enum Stage {
     ExactScore = 12,
     /// Total-order sort + hit assembly.
     Merge = 13,
+    /// One background store checkpoint, hand-off to commit (root span of
+    /// its own trace; meta = segment bytes written).
+    Checkpoint = 14,
 }
 
 impl Stage {
@@ -124,6 +127,7 @@ impl Stage {
             Stage::PageIn => "page_in",
             Stage::ExactScore => "exact_score",
             Stage::Merge => "merge",
+            Stage::Checkpoint => "checkpoint",
         }
     }
 
@@ -143,6 +147,7 @@ impl Stage {
             11 => Stage::PageIn,
             12 => Stage::ExactScore,
             13 => Stage::Merge,
+            14 => Stage::Checkpoint,
             _ => return None,
         })
     }
@@ -324,6 +329,20 @@ impl SpanRing {
             link: (link != 0).then_some(TraceId(link)),
             meta: words[9],
         })
+    }
+
+    /// Every retained span tagged `stage`, across traces, ordered by
+    /// start offset then span id — how work that no request caused
+    /// (background checkpoints) is found without knowing its trace id.
+    pub fn replay_stage(&self, stage: Stage) -> Vec<Span> {
+        let mut spans: Vec<Span> = self
+            .slots
+            .iter()
+            .filter_map(Self::read_slot)
+            .filter(|s| s.stage == stage)
+            .collect();
+        spans.sort_by_key(|s| (s.start_ns, s.id));
+        spans
     }
 
     /// Every retained span of `trace`, ordered by start offset then span

@@ -5,9 +5,10 @@
 //! contract instead of inventing a consensus protocol. Every candidate
 //! directory (the crashed leader's store, each follower's live
 //! generation) is probed for its **recoverable epoch**: the newest valid
-//! manifest plus however far that checkpoint's WAL tail replays (a torn
-//! final record counts for nothing, exactly as recovery would truncate
-//! it). The candidate with the highest recoverable epoch wins;
+//! manifest plus however far that checkpoint's WAL chain replays (the
+//! manifest's log, then every log a later checkpoint hand-off rotated
+//! to; a torn final record counts for nothing, exactly as recovery would
+//! truncate it). The candidate with the highest recoverable epoch wins;
 //! [`promote`] then simply opens it — the same code path as any crash
 //! restart — and the caller wraps the store in a [`crate::Leader`].
 //!
@@ -30,12 +31,12 @@ pub struct Candidate {
     /// Epoch a [`DurableEngine::open`] of this directory would recover.
     pub recoverable_epoch: u64,
     /// Epoch of the newest valid manifest (recoverable history beyond it
-    /// came from the WAL tail).
+    /// came from the WAL chain).
     pub checkpoint_epoch: u64,
 }
 
 /// Probes one store directory without opening it: newest valid manifest,
-/// then a scan of that manifest's WAL tail for the last complete record.
+/// then a scan of that manifest's WAL chain for the last complete record.
 /// Mirrors what [`DurableEngine::open`] would recover, at directory-scan
 /// cost instead of a full engine assembly.
 pub fn probe(dir: impl AsRef<Path>) -> Result<Candidate, EngineError> {
@@ -43,12 +44,7 @@ pub fn probe(dir: impl AsRef<Path>) -> Result<Candidate, EngineError> {
     let (_, manifest) = latest_manifest(&dir)?.ok_or_else(|| {
         EngineError::Replication(format!("{}: no manifest (not a store)", dir.display()))
     })?;
-    let scan = wal::scan(&dir.join(&manifest.wal_file), manifest.wal_offset)?;
-    let recoverable_epoch = scan
-        .records
-        .last()
-        .map(|(_, r)| r.epoch_after)
-        .unwrap_or(manifest.epoch);
+    let recoverable_epoch = wal::chain_end(&dir, &manifest)?.epoch;
     Ok(Candidate {
         dir,
         recoverable_epoch,

@@ -4,6 +4,10 @@
 //! contracts, and failover election. The deeper scripted-schedule
 //! property suite lives in `lcdd-testkit/tests/replication.rs`; this
 //! file pins each mechanism in isolation.
+//!
+//! Every test that builds a store holds `encode_gate()`: the
+//! zero-re-encode assertions read a process-wide counter, so a sibling
+//! test's inserts must not run inside their window.
 
 use std::sync::Arc;
 
@@ -14,9 +18,9 @@ use lcdd_repl::{
     FaultyTransport, FileTransport, Follower, Frame, Leader, ReadConsistency, RetryPolicy,
     Transport,
 };
-use lcdd_store::{DurableEngine, StoreOptions};
+use lcdd_store::{latest_manifest, DurableEngine, FaultPlan, FaultPoint, StoreOptions};
 use lcdd_table::Table;
-use lcdd_testkit::crash::{assert_same_hits_bitwise, TempDir};
+use lcdd_testkit::crash::{assert_same_hits_bitwise, encode_gate, TempDir};
 use lcdd_testkit::{corpus, queries_for, tiny_engine, CorpusSpec};
 
 fn opts(checkpoint_every_ops: u64) -> StoreOptions {
@@ -114,6 +118,7 @@ fn channel_transport_is_fifo() {
 
 #[test]
 fn file_transport_spools_across_restart() {
+    let _gate = encode_gate();
     let tmp = TempDir::new("ft");
     let spool = tmp.subdir("spool");
     let t = FileTransport::new(&spool).expect("file transport");
@@ -135,6 +140,7 @@ fn file_transport_spools_across_restart() {
 
 #[test]
 fn clean_stream_replicates_hit_for_hit_without_reencoding() {
+    let _gate = encode_gate();
     let tmp = TempDir::new("repl-clean");
     // Huge cadence: single WAL file, pure record streaming.
     let (leader, follower, base) = pair(&tmp, opts(10_000));
@@ -168,6 +174,7 @@ fn clean_stream_replicates_hit_for_hit_without_reencoding() {
 
 #[test]
 fn streaming_follows_the_wal_chain_across_checkpoints() {
+    let _gate = encode_gate();
     let tmp = TempDir::new("repl-chain");
     // Checkpoint every 2 ops: the leader rotates WAL files mid-stream and
     // the cursor has to walk the chain across rotations.
@@ -189,10 +196,11 @@ fn streaming_follows_the_wal_chain_across_checkpoints() {
 
 #[test]
 fn gc_overtaken_follower_degrades_to_checkpoint_resync() {
+    let _gate = encode_gate();
     let tmp = TempDir::new("repl-gc");
-    // Checkpoint every op, keep 2: by the time the follower attaches, the
+    // Checkpoint every batch, keep 2: by the time the follower syncs, the
     // WAL history covering its epoch is garbage-collected.
-    let (leader, follower, base) = pair(&tmp, opts(1));
+    let (leader, follower, base) = pair(&tmp, opts(10_000));
     assert_eq!(
         leader.attach("f", follower.epoch()),
         Attach::Resumed,
@@ -202,6 +210,7 @@ fn gc_overtaken_follower_degrades_to_checkpoint_resync() {
     let mut next_id = 1000;
     for batch in 0..3 {
         churn_batch(leader.store(), batch, &mut next_id);
+        leader.store().checkpoint().expect("checkpoint");
     }
     let stats = sync_to_convergence(&leader, "f", &transport, &follower, 16).expect("converge");
     assert!(
@@ -211,10 +220,108 @@ fn gc_overtaken_follower_degrades_to_checkpoint_resync() {
     assert_replica_matches("post-resync", &leader, &follower, &base);
 }
 
+#[test]
+fn follower_tails_across_rotations_whose_manifests_have_not_committed() {
+    let _gate = encode_gate();
+    let tmp = TempDir::new("repl-uncommitted");
+    // Every op hands a checkpoint off and rotates the log; the follower
+    // pumps right behind each op without waiting for the checkpointer, so
+    // it tails logs the newest manifest does not name yet.
+    let (leader, follower, base) = pair(&tmp, opts_keeping(1, 8));
+    leader.attach("f", follower.epoch());
+    let transport = ChannelTransport::default();
+    let mut next_id = 1000;
+    for batch in 0..4 {
+        churn_batch(leader.store(), batch, &mut next_id);
+        // The live log is the one the last hand-off rotated to, whatever
+        // the manifest on disk says at this instant.
+        assert_eq!(
+            leader.store().wal_tail_cursor().file,
+            format!("wal-{:016x}.log", leader.store().epoch()),
+            "batch {batch}: the tail cursor must name the live log"
+        );
+        let encodes_before = table_encode_count();
+        sync_to_convergence(&leader, "f", &transport, &follower, 16).expect("converge");
+        assert_eq!(table_encode_count(), encodes_before, "follower re-encoded");
+        assert_replica_matches(&format!("after batch {batch}"), &leader, &follower, &base);
+    }
+    assert_eq!(follower.stats().resyncs, 0, "pure record streaming");
+}
+
+#[test]
+fn follower_tails_across_a_rotation_whose_checkpoint_failed() {
+    let _gate = encode_gate();
+    let tmp = TempDir::new("repl-failed-ckpt");
+    let base = corpus(&CorpusSpec::sized(0x9e97, 6));
+    let plan = FaultPlan::new();
+    let leader_store = DurableEngine::create(
+        tmp.subdir("leader"),
+        tiny_engine(base.clone(), 2),
+        StoreOptions {
+            fault: Some(plan.clone()),
+            ..opts_keeping(4, 8)
+        },
+    )
+    .expect("leader store");
+    let leader = Leader::new(Arc::new(leader_store), RetryPolicy::immediate());
+    let follower = Follower::create(
+        tmp.subdir("follower"),
+        tiny_engine(base.clone(), 2),
+        opts(10_000),
+    )
+    .expect("follower");
+    leader.attach("f", follower.epoch());
+    let transport = ChannelTransport::default();
+    let mut next_id = 1000;
+
+    // The hand-off inside this batch rotates the log; its checkpoint dies
+    // at the first segment write, so the manifest keeps naming the old log
+    // while the writer is on the new one.
+    plan.fail_at(
+        FaultPoint::SegmentWrite,
+        plan.count(FaultPoint::SegmentWrite) + 1,
+    );
+    for batch in 0..2 {
+        churn_batch(leader.store(), batch, &mut next_id);
+    }
+    leader.store().wait_checkpoint_idle();
+    let stashed = leader
+        .store()
+        .last_checkpoint_error()
+        .expect("stashed failure");
+    assert!(stashed.contains("injected fault"), "stashed: {stashed}");
+    let (_, manifest) = latest_manifest(leader.store().dir())
+        .expect("manifest readable")
+        .expect("manifest present");
+    let tail = leader.store().wal_tail_cursor();
+    assert_ne!(
+        tail.file, manifest.wal_file,
+        "the failed checkpoint must leave the manifest behind the live log"
+    );
+    assert!(
+        tail.offset > lcdd_store::WAL_HEADER_LEN,
+        "ops landed in the rotated log"
+    );
+
+    let encodes_before = table_encode_count();
+    sync_to_convergence(&leader, "f", &transport, &follower, 16).expect("converge");
+    assert_eq!(table_encode_count(), encodes_before, "follower re-encoded");
+    assert_eq!(follower.stats().resyncs, 0, "the chain covers the follower");
+    assert_replica_matches("across the failed rotation", &leader, &follower, &base);
+
+    // A fresh attach at the follower's epoch resolves into the rotated
+    // log too (the cursor lookup walks the same chain).
+    assert_eq!(leader.attach("f", follower.epoch()), Attach::Resumed);
+    churn_batch(leader.store(), 2, &mut next_id);
+    sync_to_convergence(&leader, "f", &transport, &follower, 16).expect("converge again");
+    assert_replica_matches("after re-attach", &leader, &follower, &base);
+}
+
 // ------------------------------------------------------------ fault reactions
 
 #[test]
 fn duplicate_and_reordered_frames_are_absorbed() {
+    let _gate = encode_gate();
     let tmp = TempDir::new("repl-dup");
     let (leader, follower, base) = pair(&tmp, opts(10_000));
     leader.attach("f", follower.epoch());
@@ -238,6 +345,7 @@ fn duplicate_and_reordered_frames_are_absorbed() {
 
 #[test]
 fn dropped_frames_resume_from_offset() {
+    let _gate = encode_gate();
     let tmp = TempDir::new("repl-drop");
     let (leader, follower, base) = pair(&tmp, opts(10_000));
     leader.attach("f", follower.epoch());
@@ -261,6 +369,7 @@ fn dropped_frames_resume_from_offset() {
 
 #[test]
 fn delayed_frames_arrive_after_ticks() {
+    let _gate = encode_gate();
     let tmp = TempDir::new("repl-delay");
     let (leader, follower, base) = pair(&tmp, opts(10_000));
     leader.attach("f", follower.epoch());
@@ -280,6 +389,7 @@ fn delayed_frames_arrive_after_ticks() {
 
 #[test]
 fn corrupt_frame_quarantines_then_resyncs() {
+    let _gate = encode_gate();
     let tmp = TempDir::new("repl-corrupt");
     let (leader, follower, base) = pair(&tmp, opts(10_000));
     leader.attach("f", follower.epoch());
@@ -309,6 +419,7 @@ fn corrupt_frame_quarantines_then_resyncs() {
 
 #[test]
 fn truncated_frame_quarantines_then_resyncs() {
+    let _gate = encode_gate();
     let tmp = TempDir::new("repl-trunc");
     let (leader, follower, base) = pair(&tmp, opts(10_000));
     leader.attach("f", follower.epoch());
@@ -325,6 +436,7 @@ fn truncated_frame_quarantines_then_resyncs() {
 
 #[test]
 fn transient_send_failures_retry_and_succeed() {
+    let _gate = encode_gate();
     let tmp = TempDir::new("repl-retry");
     let (leader, follower, base) = pair(&tmp, opts(10_000));
     leader.attach("f", follower.epoch());
@@ -350,6 +462,7 @@ fn transient_send_failures_retry_and_succeed() {
 
 #[test]
 fn permanent_send_failure_is_typed_and_recoverable() {
+    let _gate = encode_gate();
     let tmp = TempDir::new("repl-perm");
     let (leader, follower, base) = pair(&tmp, opts(10_000));
     leader.attach("f", follower.epoch());
@@ -374,6 +487,7 @@ fn permanent_send_failure_is_typed_and_recoverable() {
 
 #[test]
 fn follower_restart_recovers_and_resumes_streaming() {
+    let _gate = encode_gate();
     let tmp = TempDir::new("repl-restart");
     let root = tmp.subdir("follower");
     let base = corpus(&CorpusSpec::sized(0x9e97, 6));
@@ -413,6 +527,7 @@ fn follower_restart_recovers_and_resumes_streaming() {
 
 #[test]
 fn staleness_contracts_are_enforced() {
+    let _gate = encode_gate();
     let tmp = TempDir::new("repl-stale");
     let (leader, follower, base) = pair(&tmp, opts(10_000));
     leader.attach("f", follower.epoch());
@@ -469,6 +584,7 @@ fn staleness_contracts_are_enforced() {
 
 #[test]
 fn failover_elects_newest_recoverable_replica_and_promotes_it() {
+    let _gate = encode_gate();
     let tmp = TempDir::new("repl-failover");
     let base = corpus(&CorpusSpec::sized(0x9e97, 6));
     let leader_store = DurableEngine::create(

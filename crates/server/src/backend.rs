@@ -266,12 +266,21 @@ impl Backend {
         }
     }
 
-    /// Last background-checkpoint failure, when a store sits underneath.
-    pub fn last_checkpoint_error(&self) -> Option<String> {
+    /// Background-checkpoint health of the store underneath, when there
+    /// is one: `(checkpoint queued or being written, logged ops no
+    /// committed checkpoint covers yet, last checkpoint failure)`.
+    pub fn checkpoint_health(&self) -> Option<(bool, u64, Option<String>)> {
+        let health = |d: &DurableEngine| {
+            (
+                d.checkpoint_in_flight(),
+                d.ops_since_checkpoint(),
+                d.last_checkpoint_error(),
+            )
+        };
         match self {
             Backend::Serving(_) => None,
-            Backend::Durable(d) => d.last_checkpoint_error(),
-            Backend::Replica(f) => f.store().last_checkpoint_error(),
+            Backend::Durable(d) => Some(health(d)),
+            Backend::Replica(f) => Some(health(&f.store())),
         }
     }
 

@@ -664,10 +664,15 @@ fn handle_healthz(
     ));
     if let Some(wal) = backend.wal_len() {
         body.push_str(&format!(",\"wal_bytes\":{wal}"));
-        match backend.last_checkpoint_error() {
-            Some(e) => body.push_str(&format!(",\"checkpoint_error\":{}", crate::json::quote(&e))),
-            None => body.push_str(",\"checkpoint_error\":null"),
-        }
+    }
+    if let Some((in_flight, ops_since, error)) = backend.checkpoint_health() {
+        body.push_str(&format!(
+            ",\"checkpoint_in_flight\":{in_flight},\"ops_since_checkpoint\":{ops_since},\"checkpoint_error\":{}",
+            match error {
+                Some(e) => crate::json::quote(&e),
+                None => "null".to_string(),
+            }
+        ));
     }
     if let Some((leader_epoch_seen, lag, quarantine)) = backend.replica_health() {
         body.push_str(&format!(

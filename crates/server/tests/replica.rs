@@ -74,6 +74,15 @@ fn staleness_token_round_trips_412_then_200_after_sync() {
         .request("GET", "/healthz", &[], "")
         .expect("leader health");
     assert!(lh.body.contains("\"wal_bytes\":"), "body: {}", lh.body);
+    // One op logged, no checkpoint due yet (default cadence): the
+    // checkpointer is idle and that op is still WAL-only.
+    for field in [
+        "\"checkpoint_in_flight\":false",
+        "\"ops_since_checkpoint\":1",
+        "\"checkpoint_error\":null",
+    ] {
+        assert!(lh.body.contains(field), "{field} missing: {}", lh.body);
+    }
 
     // The follower has not synced: the token is unservable → 412 with
     // the replica's current epoch for recalibration.

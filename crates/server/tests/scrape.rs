@@ -90,6 +90,23 @@ fn prometheus_exposition_is_lint_clean_across_the_stack() {
     assert_eq!(s.status, 200);
     sync_to_convergence(&leader, "replica", &transport, &follower, 32)
         .expect("replication must converge");
+    // The 4th insert handed a checkpoint to the store's checkpointer
+    // thread; its instruments and span land when it commits.
+    leader_store.wait_checkpoint_idle();
+    let checkpoint_spans = lcdd_obs::trace::ring().replay_stage(lcdd_obs::trace::Stage::Checkpoint);
+    assert!(
+        checkpoint_spans.iter().any(|s| s.parent == 0 && s.meta > 0),
+        "a background checkpoint must leave a root span carrying its bytes written: \
+         {checkpoint_spans:?}"
+    );
+    let h = c.request("GET", "/healthz", &[], "").expect("healthz");
+    for field in [
+        "\"checkpoint_in_flight\":false",
+        "\"ops_since_checkpoint\":2",
+        "\"checkpoint_error\":null",
+    ] {
+        assert!(h.body.contains(field), "{field} missing: {}", h.body);
+    }
 
     let m = c
         .request("GET", "/metrics", &[("Accept", "text/plain")], "")
@@ -115,6 +132,9 @@ fn prometheus_exposition_is_lint_clean_across_the_stack() {
         "lcdd_store_wal_appends_total",
         "lcdd_store_wal_rotations_total",
         "lcdd_store_checkpoints_total",
+        "lcdd_store_checkpoint_inflight",
+        "lcdd_store_checkpoint_handoff_us",
+        "lcdd_store_wal_chain_files",
         "lcdd_repl_records_shipped_total",
         "lcdd_repl_frames_applied_total",
         "lcdd_repl_lag_epochs",
@@ -130,6 +150,7 @@ fn prometheus_exposition_is_lint_clean_across_the_stack() {
     // tests in this binary, so assert floors, never exact values.
     assert!(prom_value(&m.body, "lcdd_store_wal_appends_total").unwrap_or(0.0) >= 6.0);
     assert!(prom_value(&m.body, "lcdd_store_wal_rotations_total").unwrap_or(0.0) >= 1.0);
+    assert!(prom_value(&m.body, "lcdd_store_checkpoint_handoff_us_count").unwrap_or(0.0) >= 1.0);
     assert!(prom_value(&m.body, "lcdd_repl_frames_applied_total").unwrap_or(0.0) >= 1.0);
 
     // The JSON default is untouched by content negotiation.

@@ -23,12 +23,11 @@ use lcdd_engine::{EncodedSlot, Engine, EngineError};
 
 use crate::codec::write_framed;
 use crate::durable::{
-    segment_file_name, wal_file_name, META_FILE, META_MAGIC, SEGMENT_MAGIC, SEGMENT_VERSION,
-    STORE_FILE_VERSION,
+    segment_file_name, META_FILE, META_MAGIC, SEGMENT_MAGIC, SEGMENT_VERSION, STORE_FILE_VERSION,
 };
 use crate::fault::FaultPoint;
 use crate::manifest::{latest_manifest, write_manifest, Manifest};
-use crate::wal::{WalWriter, WAL_HEADER_LEN};
+use crate::wal::{wal_file_name, WalWriter, WAL_HEADER_LEN};
 
 /// Creates a store at `dir` holding `n_tables` generated tables spread
 /// round-robin over `n_shards` shards. `template` supplies the serving

@@ -17,10 +17,10 @@
 //! implementation); that bit-compatibility is pinned by the round-trip
 //! and corruption suites.
 
-use std::io::Read;
+use std::io::{Read, Write};
 use std::path::Path;
 
-use lcdd_engine::persist::fnv1a64;
+use lcdd_engine::persist::{fnv1a64, fnv1a64_parts};
 use lcdd_fcm::EngineError;
 
 use crate::fault::{self, FaultHook, FaultPoint};
@@ -121,18 +121,52 @@ pub(crate) fn write_framed(
     hook: &FaultHook,
     point: FaultPoint,
 ) -> Result<(), EngineError> {
-    fault::check(hook, point)?;
-    let mut buf = Vec::with_capacity(payload.len() + 28);
-    buf.extend_from_slice(magic);
-    wu32(&mut buf, version);
-    wu64(&mut buf, payload.len() as u64);
-    wu64(&mut buf, fnv1a64(payload));
-    buf.extend_from_slice(payload);
-    let mut f = std::fs::File::create(path)?;
-    std::io::Write::write_all(&mut f, &buf)?;
-    f.sync_all()?;
-    Ok(())
+    write_framed_parts(path, magic, version, &[payload], hook, point).map(|_| ())
 }
+
+/// [`write_framed`] for a payload held as consecutive byte runs (a
+/// [`lcdd_engine::persist::SegmentImage`]): checksummed and written run
+/// by run, never concatenated. Returns the payload length.
+pub(crate) fn write_framed_parts(
+    path: &Path,
+    magic: &[u8; 8],
+    version: u32,
+    parts: &[&[u8]],
+    hook: &FaultHook,
+    point: FaultPoint,
+) -> Result<u64, EngineError> {
+    fault::check(hook, point)?;
+    let payload_len: u64 = parts.iter().map(|p| p.len() as u64).sum();
+    let mut head = Vec::with_capacity(28);
+    head.extend_from_slice(magic);
+    wu32(&mut head, version);
+    wu64(&mut head, payload_len);
+    wu64(&mut head, fnv1a64_parts(parts));
+    let mut f = std::fs::File::create(path)?;
+    f.write_all(&head)?;
+    for part in parts {
+        for chunk in part.chunks(SYNC_CHUNK_BYTES) {
+            f.write_all(chunk)?;
+            if chunk.len() == SYNC_CHUNK_BYTES {
+                f.sync_data()?;
+            }
+        }
+    }
+    f.sync_all()?;
+    Ok(payload_len)
+}
+
+/// A framed write flushes after every run of this many bytes instead of
+/// once at the end. Segments are written while writers keep appending to
+/// the WAL on the same filesystem, and on a journaling filesystem (ext4
+/// `data=ordered`) the WAL's `fdatasync` commits a transaction that must
+/// first flush *every* dirty page written since the last commit — a whole
+/// 10 MB segment sitting in the page cache turns a 0.4 ms WAL sync into
+/// 8–35 ms. Keeping the dirty backlog under 256 KiB bounds that wait
+/// (measured on the bench host: WAL sync p95 beside a segment writer
+/// 7.8 ms unchunked, 2.5 ms at 1 MiB, 1.1 ms at 256 KiB) for ~0.3 ms of
+/// extra sync per chunk, paid off the write path.
+const SYNC_CHUNK_BYTES: usize = 256 << 10;
 
 /// Reads and verifies a framed file, returning its payload. Bad magic,
 /// version, truncation or checksum mismatch surface as

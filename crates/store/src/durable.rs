@@ -19,7 +19,8 @@
 //!   '- writer lock ─ encode delta (inserts only)
 //!        '- WAL append (+ fdatasync)      <- durability point
 //!             '- apply + publish epoch    <- visibility point
-//!                  '- checkpoint policy (ops/bytes since last)
+//!                  '- checkpoint policy (ops/bytes since last hand-off)
+//!                       '- hand off: rotate WAL, pin state, enqueue
 //! ```
 //!
 //! No-ops are not logged: an insert of zero tables, a removal matching no
@@ -30,43 +31,69 @@
 //!
 //! ## Checkpoints
 //!
-//! A checkpoint writes **only the shards dirtied since the previous
-//! checkpoint** (detected by `Arc` identity — the serving engine's
-//! copy-on-write mutation replaces the `Arc` of every shard it touches),
-//! plus a fresh WAL file and a small manifest committed by atomic rename.
-//! Clean shards are carried forward by file reference, so checkpoint cost
-//! is proportional to the write working set, not the corpus.
+//! Checkpoints run on a **checkpointer thread the store owns**, never on
+//! a writer. When the policy fires (or [`DurableEngine::checkpoint`] is
+//! called) the writer, still under the store lock, only *hands off*: it
+//! rotates the WAL to `wal-<E>.log` at the record boundary for the
+//! current epoch `E`, pins the published state (an `Arc` clone — epoch
+//! publication is copy-on-write, so the pinned state never changes) and
+//! enqueues it. The checkpointer, holding no lock, writes **only the
+//! shards dirtied since the previous checkpoint** (detected by `Arc`
+//! identity — the serving engine's copy-on-write mutation replaces the
+//! `Arc` of every shard it touches) from one reused buffer, commits
+//! `MANIFEST-<E>` — which names `wal-<E>.log` as its log — by atomic
+//! rename, then takes the store lock just long enough to adopt the new
+//! manifest and garbage-collect. Clean shards are carried forward by file
+//! reference, so checkpoint cost is proportional to the write working
+//! set, not the corpus. At most one checkpoint is in flight; hand-offs
+//! that arrive meanwhile coalesce into a single follow-up at the newest
+//! state. A failed checkpoint is stashed
+//! ([`DurableEngine::last_checkpoint_error`]) and retried at the next
+//! trigger; the ops it would have covered stay in the WAL chain.
 //!
 //! ## Recovery
 //!
 //! [`DurableEngine::open`] loads the newest valid manifest, reassembles
-//! the engine from its segments, replays the WAL tail (pinning each
-//! replayed epoch to the logged `epoch_after`), truncates a torn final
-//! record if the crash left one, and resumes serving. Corrupt files
-//! surface as typed [`EngineError::Wal`] / [`EngineError::Store`] /
+//! the engine from its segments and replays the **WAL chain**: the
+//! manifest's log to its end, then `wal-<epoch reached>.log` while one
+//! exists — the newest manifest may trail the live log by any number of
+//! rotations (a checkpoint in flight or failed when the process died).
+//! Each replayed epoch is pinned to the logged `epoch_after`; a torn
+//! final record of the *last* log is truncated away, a torn or missing
+//! link anywhere earlier is typed corruption. Corrupt files surface as
+//! typed [`EngineError::Wal`] / [`EngineError::Store`] /
 //! [`EngineError::Snapshot`] values — never a panic.
 
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
+use std::time::Instant;
 
 use lcdd_engine::persist::{
-    self, assemble_engine, encode_batch, live_order, meta_bytes, segment_bytes, EncodedTableBatch,
+    self, assemble_engine, encode_batch, live_order, meta_bytes, segment_bytes_into,
+    EncodedTableBatch, SegmentImage,
 };
 use lcdd_engine::{
     CacheStats, EngineError, EngineShard, EngineState, Query, SearchOptions, SearchResponse,
     ServingEngine, DEFAULT_COMPACTION_THRESHOLD,
 };
 use lcdd_fcm::FcmModel;
+use lcdd_obs::trace;
 use lcdd_table::Table;
 
-use crate::codec::{read_framed, sync_dir, write_framed, wstr, wu64, SliceReader};
+use crate::codec::{
+    read_framed, sync_dir, write_framed, write_framed_parts, wstr, wu64, SliceReader,
+};
 use crate::fault::{FaultHook, FaultPoint};
 use crate::instruments;
 use crate::manifest::{
     latest_manifest, latest_manifest_impl, read_manifest, write_manifest, Manifest, MANIFEST_PREFIX,
 };
-use crate::wal::{self, WalOp, WalRecord, WalWriter, WAL_HEADER_LEN};
+use crate::wal::{
+    self, chain_successor, wal_file_epoch, wal_file_name, WalOp, WalRecord, WalWriter,
+    WAL_HEADER_LEN,
+};
 
 pub(crate) const META_MAGIC: &[u8; 8] = b"LCDDMET1";
 pub(crate) const SEGMENT_MAGIC: &[u8; 8] = b"LCDDSEG1";
@@ -89,11 +116,11 @@ pub struct StoreOptions {
     /// writeback can instead surface as a typed corruption error at
     /// recovery — never a silently wrong corpus.
     pub sync_writes: bool,
-    /// Checkpoint automatically after this many logged ops (0 disables
-    /// the op trigger).
+    /// Hand a checkpoint to the store's checkpointer thread after this
+    /// many logged ops (0 disables the op trigger).
     pub checkpoint_every_ops: u64,
-    /// Checkpoint automatically once this many WAL bytes accumulate since
-    /// the last checkpoint (0 disables the byte trigger).
+    /// Hand a checkpoint off once this many WAL bytes accumulate since
+    /// the last hand-off (0 disables the byte trigger).
     pub checkpoint_every_bytes: u64,
     /// How many checkpoints (manifest + referenced files) to retain for
     /// fallback; older ones are garbage-collected. Clamped to at least 1.
@@ -149,20 +176,26 @@ pub struct CheckpointStats {
 pub struct RecoveryReport {
     /// Epoch of the checkpoint recovery started from.
     pub checkpoint_epoch: u64,
-    /// WAL records replayed on top of the checkpoint.
+    /// WAL records replayed on top of the checkpoint, across the whole
+    /// chain of rotated logs.
     pub replayed_ops: usize,
+    /// Log files the replay walked: 1 when the checkpoint's own log was
+    /// the live one, more when the process died with checkpoints in
+    /// flight or failing (each hand-off rotates the log).
+    pub wal_files: usize,
     /// Epoch the recovered engine serves at (equals the crashed engine's
     /// last acknowledged epoch).
     pub recovered_epoch: u64,
     /// Present when a torn final record was truncated away; describes
     /// what was dropped.
     pub truncated_tail: Option<String>,
-    /// True when the newest manifest failed validation and recovery fell
-    /// back to an older checkpoint. **Acknowledged ops logged after the
-    /// newer (corrupt) checkpoint are NOT recovered** — they live in that
-    /// checkpoint's WAL/segment files, which GC deliberately preserves
-    /// (never deleting files newer than the retained manifests) so an
-    /// operator can attempt manual salvage.
+    /// True when the newest manifest failed validation and recovery
+    /// started from an older checkpoint. Nothing acknowledged is lost:
+    /// the ops the corrupt checkpoint covered, and every op logged after
+    /// it, replay from the older checkpoint's WAL chain, which GC retains
+    /// for as long as that checkpoint is retained. The flag says the
+    /// recovery was longer than it should have been and that a manifest
+    /// on disk is damaged (the next successful checkpoint sweeps it).
     pub fallback: bool,
 }
 
@@ -270,27 +303,333 @@ impl CheckpointPackage {
 }
 
 struct StoreInner {
+    /// The live log. Its [`WalWriter::file_name`] — not
+    /// `current.wal_file` — says which file that is: the manifest trails
+    /// it by one rotation per checkpoint in flight or failed.
     wal: WalWriter,
-    /// Ops logged since the last checkpoint.
+    /// Ops logged since the last checkpoint hand-off (policy counter).
     ops_since: u64,
-    /// WAL bytes appended since the last checkpoint.
+    /// WAL bytes appended since the last hand-off (policy counter).
     bytes_since: u64,
-    /// The authoritative (newest durable) manifest.
+    /// WAL rotations since this handle was opened, and the value it had
+    /// when `current`'s log became the live one: the difference, plus
+    /// one, is how many log files recovery would walk right now.
+    rotations: u64,
+    current_rotation: u64,
+    /// The authoritative (newest committed) manifest.
     current: Manifest,
-    /// The shard `Arc`s as of the last checkpoint — `Arc::ptr_eq` against
-    /// the live state identifies dirty shards. `None` forces the next
-    /// checkpoint to rewrite everything (recovery with replayed ops).
+    /// The shard `Arc`s as of the last committed checkpoint —
+    /// `Arc::ptr_eq` against a pinned state identifies dirty shards.
+    /// `None` forces the next checkpoint to rewrite everything.
     ckpt_shards: Option<Vec<Arc<EngineShard>>>,
-    /// The failure of the most recent *automatic* checkpoint attempt, if
-    /// any. Auto-checkpoints are best-effort: the triggering op is already
+    /// The failure of the most recent checkpoint attempt, if any.
+    /// Checkpoints are best-effort: the op that triggered one is already
     /// logged and durable, so its result must not report a checkpoint
     /// problem as an op failure (see [`DurableEngine::last_checkpoint_error`]).
     checkpoint_error: Option<String>,
 }
 
+/// One hand-off: the published state the writer pinned right after
+/// rotating the log to `wal-<state.epoch()>.log`.
+struct CheckpointJob {
+    seq: u64,
+    state: Arc<EngineState>,
+    /// `StoreInner::rotations` at hand-off.
+    rotation: u64,
+    handed_off: Instant,
+}
+
+/// The hand-off slot between writers and the checkpointer thread.
+#[derive(Default)]
+struct CheckpointQueue {
+    /// The newest hand-off not yet started. A later hand-off replaces it:
+    /// its state is newer and its checkpoint covers the replaced one's.
+    pending: Option<CheckpointJob>,
+    in_flight: bool,
+    /// Set by [`Checkpointer`]'s drop: the thread finishes the job in
+    /// flight, discards `pending` and exits.
+    closed: bool,
+    /// Sequence number of the latest hand-off / the latest finished job.
+    submitted: u64,
+    finished: u64,
+    /// Outcome of the latest finished job (error as its display string —
+    /// it fans out to every waiter the job covered).
+    outcome: Option<Result<CheckpointStats, String>>,
+}
+
+/// Everything the writers and the checkpointer thread share.
+struct StoreShared {
+    dir: PathBuf,
+    opts: StoreOptions,
+    inner: Mutex<StoreInner>,
+    queue: Mutex<CheckpointQueue>,
+    /// Signalled on every queue change: hand-off, job finished, close.
+    queue_changed: Condvar,
+}
+
+/// Owns the checkpointer thread; dropping it closes the queue and joins,
+/// so once a [`DurableEngine`] is gone nothing writes to its directory.
+struct Checkpointer {
+    shared: Arc<StoreShared>,
+    thread: Option<JoinHandle<()>>,
+}
+
+impl Checkpointer {
+    fn spawn(shared: Arc<StoreShared>) -> Result<Checkpointer, EngineError> {
+        let worker = Arc::clone(&shared);
+        let thread = std::thread::Builder::new()
+            .name("lcdd-checkpointer".into())
+            .spawn(move || worker.checkpointer_loop())?;
+        Ok(Checkpointer {
+            shared,
+            thread: Some(thread),
+        })
+    }
+}
+
+impl Drop for Checkpointer {
+    fn drop(&mut self) {
+        self.shared.queue().closed = true;
+        self.shared.queue_changed.notify_all();
+        if let Some(thread) = self.thread.take() {
+            // The loop catches a panicking checkpoint itself; a join error
+            // here has nothing left to report to.
+            let _ = thread.join();
+        }
+    }
+}
+
+impl StoreShared {
+    fn lock(&self) -> MutexGuard<'_, StoreInner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn queue(&self) -> MutexGuard<'_, CheckpointQueue> {
+        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn wait<'a>(&self, queue: MutexGuard<'a, CheckpointQueue>) -> MutexGuard<'a, CheckpointQueue> {
+        self.queue_changed
+            .wait(queue)
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The checkpointer thread: take the pending hand-off, write it with
+    /// no lock held, publish the outcome, repeat until closed. One reused
+    /// [`SegmentImage`] serves every segment of every checkpoint.
+    fn checkpointer_loop(&self) {
+        let mut image = SegmentImage::new();
+        loop {
+            let job = {
+                let mut queue = self.queue();
+                loop {
+                    if queue.closed {
+                        return;
+                    }
+                    if let Some(job) = queue.pending.take() {
+                        queue.in_flight = true;
+                        break job;
+                    }
+                    queue = self.wait(queue);
+                }
+            };
+            instruments::checkpoint_inflight().add(1);
+            let start = Instant::now();
+            // A panic must not strand waiters on a job that never
+            // finishes: it becomes that job's failure.
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                self.write_checkpoint(&job, &mut image)
+            }))
+            .unwrap_or_else(|_| Err(EngineError::Store("checkpointer panicked".into())));
+            let outcome = match outcome {
+                Ok(stats) => {
+                    instruments::checkpoints_total().inc();
+                    instruments::checkpoint_bytes_written_total().add(stats.bytes_written);
+                    instruments::checkpoint_duration_ms()
+                        .record(start.elapsed().as_millis() as u64);
+                    trace::ring().record(
+                        trace::TraceId::mint(),
+                        0,
+                        trace::Stage::Checkpoint,
+                        job.handed_off,
+                        job.handed_off.elapsed(),
+                        None,
+                        stats.bytes_written,
+                    );
+                    Ok(stats)
+                }
+                Err(e) => {
+                    instruments::checkpoint_failures_total().inc();
+                    let message = e.to_string();
+                    self.lock().checkpoint_error = Some(message.clone());
+                    Err(message)
+                }
+            };
+            instruments::checkpoint_inflight().sub(1);
+            let mut queue = self.queue();
+            queue.in_flight = false;
+            queue.finished = job.seq;
+            queue.outcome = Some(outcome);
+            drop(queue);
+            self.queue_changed.notify_all();
+        }
+    }
+
+    /// Writes one checkpoint from the pinned state of `job`: dirty
+    /// segments, then the manifest (the commit point), with no lock held
+    /// — the state is immutable and only this thread ever replaces
+    /// `current` / `ckpt_shards`. The store lock is taken twice, briefly:
+    /// to read the base checkpoint, and to adopt the new one and collect
+    /// garbage.
+    fn write_checkpoint(
+        &self,
+        job: &CheckpointJob,
+        image: &mut SegmentImage,
+    ) -> Result<CheckpointStats, EngineError> {
+        let state = &job.state;
+        let epoch = state.epoch();
+        let shards = state.shards();
+        let mut stats = CheckpointStats {
+            epoch,
+            shards_total: shards.len(),
+            shards_written: 0,
+            bytes_written: 0,
+            bytes_reused: 0,
+        };
+        let (base_epoch, base_segments, meta_file, base_shards) = {
+            let inner = self.lock();
+            (
+                inner.current.epoch,
+                inner.current.segments.clone(),
+                inner.current.meta_file.clone(),
+                inner.ckpt_shards.clone(),
+            )
+        };
+        if epoch == base_epoch {
+            // Nothing was logged since the last checkpoint captured this
+            // epoch; the manifest on disk is already exact.
+            self.lock().checkpoint_error = None;
+            return Ok(stats);
+        }
+        let mut segments = Vec::with_capacity(shards.len());
+        for (i, sh) in shards.iter().enumerate() {
+            let clean = base_shards.as_ref().is_some_and(|old| {
+                old.len() == shards.len()
+                    && base_segments.len() == shards.len()
+                    && Arc::ptr_eq(&old[i], sh)
+            });
+            if clean {
+                let name = base_segments[i].clone();
+                stats.bytes_reused += std::fs::metadata(self.dir.join(&name))
+                    .map(|m| m.len())
+                    .unwrap_or(0);
+                segments.push(name);
+            } else {
+                let name = segment_file_name(epoch, i);
+                segment_bytes_into(state, i, image)?;
+                stats.bytes_written += write_framed_parts(
+                    &self.dir.join(&name),
+                    SEGMENT_MAGIC,
+                    SEGMENT_VERSION,
+                    &image.parts(),
+                    &self.opts.fault,
+                    FaultPoint::SegmentWrite,
+                )?;
+                stats.shards_written += 1;
+                segments.push(name);
+            }
+        }
+        // The hand-off already rotated the live log to `wal-<epoch>.log`,
+        // so this manifest's replay starts at an empty file.
+        let manifest = Manifest {
+            epoch,
+            meta_file,
+            segments,
+            wal_file: wal_file_name(epoch),
+            wal_offset: WAL_HEADER_LEN,
+            order: live_order(state)?,
+        };
+        write_manifest(&self.dir, &manifest, &self.opts.fault)?;
+        let mut inner = self.lock();
+        inner.current = manifest;
+        inner.current_rotation = job.rotation;
+        inner.ckpt_shards = Some(shards.to_vec());
+        inner.checkpoint_error = None;
+        instruments::wal_chain_files().set(inner.rotations - inner.current_rotation + 1);
+        self.collect_garbage(&inner);
+        Ok(stats)
+    }
+
+    /// Deletes manifests beyond the retention count and any `seg-` /
+    /// `wal-` / temp file no retained manifest needs. Only manifests that
+    /// *validate* count toward retention — an unreadable manifest cannot
+    /// protect its data files, so keeping it would silently evict an
+    /// older, still-usable fallback checkpoint. A retained manifest needs
+    /// its segments and **every log from its own onward**: recovery from
+    /// it replays the whole chain up to the live log, so no `wal-` file
+    /// at or above the oldest retained manifest's log is ever deleted.
+    /// Segments from epochs **newer** than the newest retained manifest
+    /// are left alone too (after a manifest-corruption fallback they
+    /// belong to the damaged checkpoint; the next checkpoint past that
+    /// epoch sweeps them). Runs under the store lock (`inner` witnesses
+    /// it): a rotation, an export or a chain read never sees files vanish
+    /// mid-way. Best effort: GC failures never fail the checkpoint that
+    /// triggered them.
+    fn collect_garbage(&self, inner: &StoreInner) {
+        let keep = self.opts.keep_checkpoints.max(1);
+        let Ok(entries) = std::fs::read_dir(&self.dir) else {
+            return;
+        };
+        let names: Vec<String> = entries
+            .filter_map(|e| e.ok()?.file_name().into_string().ok())
+            .collect();
+        let mut valid_manifests: Vec<(String, Manifest)> = names
+            .iter()
+            .filter(|n| n.starts_with(MANIFEST_PREFIX))
+            .filter_map(|n| {
+                read_manifest(&self.dir.join(n))
+                    .ok()
+                    .map(|m| (n.clone(), m))
+            })
+            .collect();
+        // Newest first (names embed the epoch in fixed-width hex).
+        valid_manifests.sort_by(|a, b| b.0.cmp(&a.0));
+        let mut referenced: HashSet<String> = HashSet::new();
+        referenced.insert(inner.current.meta_file.clone());
+        let mut retained: HashSet<&String> = HashSet::new();
+        let mut newest_retained_epoch = 0u64;
+        let mut oldest_retained_wal = u64::MAX;
+        if valid_manifests.is_empty() {
+            // Nothing readable to measure staleness against.
+            return;
+        }
+        for (name, man) in valid_manifests.iter().take(keep) {
+            retained.insert(name);
+            newest_retained_epoch = newest_retained_epoch.max(man.epoch);
+            oldest_retained_wal =
+                oldest_retained_wal.min(wal_file_epoch(&man.wal_file).unwrap_or(0));
+            referenced.insert(man.meta_file.clone());
+            referenced.extend(man.segments.iter().cloned());
+        }
+        let superseded = |name: &str| file_epoch(name).is_some_and(|e| e <= newest_retained_epoch);
+        for name in &names {
+            let stale_manifest =
+                name.starts_with(MANIFEST_PREFIX) && !retained.contains(name) && superseded(name);
+            let stale_segment =
+                name.starts_with("seg-") && !referenced.contains(name) && superseded(name);
+            let stale_wal = wal_file_epoch(name).is_some_and(|e| e < oldest_retained_wal);
+            let stale_tmp = name.starts_with(".tmp-");
+            if stale_manifest || stale_segment || stale_wal || stale_tmp {
+                let _ = std::fs::remove_file(self.dir.join(name));
+            }
+        }
+        sync_dir(&self.dir);
+    }
+}
+
 /// A [`ServingEngine`] whose corpus mutations are durable: WAL-logged
-/// before publication, checkpointed incrementally, crash-recoverable via
-/// [`DurableEngine::open`].
+/// before publication, checkpointed incrementally in the background,
+/// crash-recoverable via [`DurableEngine::open`].
 ///
 /// All mutation must go through this handle (the wrapped serving engine is
 /// deliberately not exposed — a direct mutation would bypass the log and
@@ -298,9 +637,9 @@ struct StoreInner {
 /// on [`ServingEngine`].
 pub struct DurableEngine {
     serving: ServingEngine,
-    dir: PathBuf,
-    opts: StoreOptions,
-    inner: Mutex<StoreInner>,
+    shared: Arc<StoreShared>,
+    /// Dropped with the engine: joins the checkpointer thread.
+    checkpointer: Checkpointer,
 }
 
 impl DurableEngine {
@@ -335,13 +674,15 @@ impl DurableEngine {
         )?;
         let state = engine.state();
         let mut segments = Vec::with_capacity(state.shards().len());
+        let mut image = SegmentImage::new();
         for i in 0..state.shards().len() {
             let name = segment_file_name(epoch, i);
-            write_framed(
+            segment_bytes_into(state, i, &mut image)?;
+            write_framed_parts(
                 &dir.join(&name),
                 SEGMENT_MAGIC,
                 SEGMENT_VERSION,
-                &segment_bytes(state, i)?,
+                &image.parts(),
                 &opts.fault,
                 FaultPoint::SegmentWrite,
             )?;
@@ -361,24 +702,51 @@ impl DurableEngine {
         write_manifest(&dir, &manifest, &opts.fault)?;
         let serving = ServingEngine::new(engine);
         let ckpt_shards = Some(serving.snapshot().shards().to_vec());
-        Ok(DurableEngine {
+        DurableEngine::start(
             serving,
             dir,
             opts,
-            inner: Mutex::new(StoreInner {
+            StoreInner {
                 wal,
                 ops_since: 0,
                 bytes_since: 0,
+                rotations: 0,
+                current_rotation: 0,
                 current: manifest,
                 ckpt_shards,
                 checkpoint_error: None,
-            }),
+            },
+        )
+    }
+
+    /// Wraps the pieces `create` / `open` assembled and starts the
+    /// checkpointer thread (parked until the first hand-off; it allocates
+    /// nothing before then).
+    fn start(
+        serving: ServingEngine,
+        dir: PathBuf,
+        opts: StoreOptions,
+        inner: StoreInner,
+    ) -> Result<DurableEngine, EngineError> {
+        let shared = Arc::new(StoreShared {
+            dir,
+            opts,
+            inner: Mutex::new(inner),
+            queue: Mutex::new(CheckpointQueue::default()),
+            queue_changed: Condvar::new(),
+        });
+        let checkpointer = Checkpointer::spawn(Arc::clone(&shared))?;
+        Ok(DurableEngine {
+            serving,
+            shared,
+            checkpointer,
         })
     }
 
     /// Recovers the store at `dir`: newest valid manifest → segments →
-    /// WAL-tail replay → torn-tail truncation → serving. Replay splices
-    /// the logged encodings back in without invoking the FCM encoder
+    /// WAL-chain replay ([`wal::walk_chain`]) → torn-tail truncation of
+    /// the final log → serving. Replay splices the logged encodings back
+    /// in without invoking the FCM encoder
     /// (`lcdd_fcm::table_encode_count` is flat across this call).
     ///
     /// Like [`lcdd_engine::Engine::load`], serving configuration is not
@@ -426,55 +794,67 @@ impl DurableEngine {
         // for the shards replay is about to touch.
         let ckpt_shards: Vec<Arc<EngineShard>> = engine.state().shards().to_vec();
 
-        let wal_path = dir.join(&manifest.wal_file);
-        let scan = wal::scan(&wal_path, manifest.wal_offset)?;
-        for (offset, record) in &scan.records {
-            apply_record(&mut engine, record).map_err(|e| match e {
-                EngineError::Wal(m) => {
-                    EngineError::Wal(format!("replay of record ending at {offset}: {m}"))
-                }
-                other => other,
-            })?;
-        }
+        let chain = wal::walk_chain(
+            &dir,
+            &manifest.wal_file,
+            manifest.wal_offset,
+            manifest.epoch,
+            |file, offset, record| {
+                apply_record(&mut engine, &record).map_err(|e| match e {
+                    EngineError::Wal(m) => EngineError::Wal(format!(
+                        "{file}: replay of record ending at {offset}: {m}"
+                    )),
+                    other => other,
+                })
+            },
+        )?;
         engine.set_compaction_threshold(DEFAULT_COMPACTION_THRESHOLD);
         let recovered_epoch = engine.epoch();
-        let mut wal = WalWriter::open(&wal_path, scan.valid_len, opts.sync_writes)?;
+        let mut wal = WalWriter::open(&dir.join(&chain.file), chain.valid_len, opts.sync_writes)?;
         wal.set_fault(opts.fault.clone());
         let report = RecoveryReport {
             checkpoint_epoch: manifest.epoch,
-            replayed_ops: scan.records.len(),
+            replayed_ops: chain.records,
+            wal_files: chain.files,
             recovered_epoch,
-            truncated_tail: scan.torn.clone(),
+            truncated_tail: chain.torn,
             fallback,
         };
-        let bytes_since = scan.valid_len - manifest.wal_offset;
-        let ops_since = scan.records.len() as u64;
+        let rotations = chain.files as u64 - 1;
         instruments::recoveries_total().inc();
         instruments::replayed_records().set(report.replayed_ops as u64);
         instruments::recovery_ms().set(recovery_start.elapsed().as_millis() as u64);
-        Ok((
-            DurableEngine {
-                serving: ServingEngine::new(engine),
-                dir,
-                opts,
-                inner: Mutex::new(StoreInner {
-                    wal,
-                    ops_since,
-                    bytes_since,
-                    current: manifest,
-                    ckpt_shards: Some(ckpt_shards),
-                    checkpoint_error: None,
-                }),
+        instruments::wal_chain_files().set(chain.files as u64);
+        let durable = DurableEngine::start(
+            ServingEngine::new(engine),
+            dir,
+            opts,
+            StoreInner {
+                wal,
+                ops_since: chain.records as u64,
+                bytes_since: chain.bytes,
+                rotations,
+                current_rotation: 0,
+                current: manifest,
+                ckpt_shards: Some(ckpt_shards),
+                checkpoint_error: None,
             },
-            report,
-        ))
+        )?;
+        Ok((durable, report))
     }
 
     /// Tears the durable wrapper down to the inner serving engine (the
     /// store files stay on disk and can be [`DurableEngine::open`]ed
     /// again; further mutation through the returned engine is NOT logged).
+    /// Joins the checkpointer first, exactly as dropping the handle does.
     pub fn into_serving(self) -> ServingEngine {
-        self.serving
+        let DurableEngine {
+            serving,
+            checkpointer,
+            ..
+        } = self;
+        drop(checkpointer);
+        serving
     }
 
     // ---- read side (lock-free, delegating to the serving engine) --------
@@ -565,23 +945,25 @@ impl DurableEngine {
 
     /// The store directory.
     pub fn dir(&self) -> &Path {
-        &self.dir
+        &self.shared.dir
     }
 
-    /// Current WAL length in bytes (including the file header).
+    /// Current length of the live WAL file in bytes (including the file
+    /// header). Drops back to the header length whenever a checkpoint
+    /// hand-off rotates the log.
     pub fn wal_len(&self) -> u64 {
         self.lock().wal.len()
     }
 
     /// The durability policy in effect.
     pub fn options(&self) -> &StoreOptions {
-        &self.opts
+        &self.shared.opts
     }
 
     // ---- write side ------------------------------------------------------
 
     fn lock(&self) -> MutexGuard<'_, StoreInner> {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+        self.shared.lock()
     }
 
     /// Logs `record`, applies `apply`, updates the checkpoint policy
@@ -602,27 +984,99 @@ impl DurableEngine {
         Ok(out)
     }
 
-    /// Runs the checkpoint policy. Best-effort by design: the op that
-    /// triggered it is already logged and durable, so a checkpoint failure
-    /// is stashed (read it via [`DurableEngine::last_checkpoint_error`])
-    /// instead of being misreported as an op failure — the store keeps
-    /// running WAL-heavy and retries at the next trigger.
+    /// Runs the checkpoint policy: when it fires, hands a checkpoint to
+    /// the checkpointer thread and returns — the write never waits for a
+    /// segment or manifest to be written. Best-effort by design: the op
+    /// that triggered it is already logged and durable, so a failure
+    /// (here, rotating the log; later, on the checkpointer) is stashed
+    /// (read it via [`DurableEngine::last_checkpoint_error`]) instead of
+    /// being misreported as an op failure — the store keeps running
+    /// WAL-heavy and retries at the next trigger.
     fn maybe_checkpoint(&self, inner: &mut StoreInner) {
-        let by_ops =
-            self.opts.checkpoint_every_ops > 0 && inner.ops_since >= self.opts.checkpoint_every_ops;
-        let by_bytes = self.opts.checkpoint_every_bytes > 0
-            && inner.bytes_since >= self.opts.checkpoint_every_bytes;
+        let opts = &self.shared.opts;
+        let by_ops = opts.checkpoint_every_ops > 0 && inner.ops_since >= opts.checkpoint_every_ops;
+        let by_bytes =
+            opts.checkpoint_every_bytes > 0 && inner.bytes_since >= opts.checkpoint_every_bytes;
         if by_ops || by_bytes {
-            if let Err(e) = self.checkpoint_locked(inner) {
+            if let Err(e) = self.hand_off(inner) {
+                instruments::checkpoint_failures_total().inc();
                 inner.checkpoint_error = Some(e.to_string());
             }
         }
     }
 
-    /// The failure message of the most recent automatic checkpoint
-    /// attempt, if it failed; cleared by the next successful checkpoint.
+    /// Everything a checkpoint costs the write path. Under the store
+    /// lock: rotate the log to `wal-<E>.log` at the record boundary for
+    /// the published epoch `E` (so the manifest the checkpointer will
+    /// commit for `E` replays from an empty log, and the rotated-out file
+    /// stays untouched for recovery from the previous manifest), pin the
+    /// published state, enqueue both. Returns the hand-off's sequence
+    /// number.
+    fn hand_off(&self, inner: &mut StoreInner) -> Result<u64, EngineError> {
+        let start = Instant::now();
+        let state = self.serving.snapshot();
+        let wal_file = wal_file_name(state.epoch());
+        // Already the live log's name: nothing was logged since the last
+        // rotation, so there is no boundary to cut.
+        if inner.wal.file_name() != wal_file {
+            let opts = &self.shared.opts;
+            let mut wal = WalWriter::create(&self.shared.dir.join(&wal_file), opts.sync_writes)?;
+            wal.set_fault(opts.fault.clone());
+            inner.wal = wal;
+            inner.rotations += 1;
+            instruments::wal_rotations_total().inc();
+            instruments::wal_chain_files().set(inner.rotations - inner.current_rotation + 1);
+        }
+        inner.ops_since = 0;
+        inner.bytes_since = 0;
+        let seq = {
+            let mut queue = self.shared.queue();
+            queue.submitted += 1;
+            queue.pending = Some(CheckpointJob {
+                seq: queue.submitted,
+                state,
+                rotation: inner.rotations,
+                handed_off: start,
+            });
+            queue.submitted
+        };
+        self.shared.queue_changed.notify_all();
+        instruments::checkpoint_handoff_us().record(start.elapsed().as_micros() as u64);
+        Ok(seq)
+    }
+
+    /// The failure message of the most recent checkpoint attempt, if it
+    /// failed; cleared by the next successful checkpoint. Checkpoints
+    /// finish on the checkpointer thread — call
+    /// [`DurableEngine::wait_checkpoint_idle`] first to observe the
+    /// outcome of one a write just triggered.
     pub fn last_checkpoint_error(&self) -> Option<String> {
         self.lock().checkpoint_error.clone()
+    }
+
+    /// True while a checkpoint is queued or being written.
+    pub fn checkpoint_in_flight(&self) -> bool {
+        let queue = self.shared.queue();
+        queue.in_flight || queue.pending.is_some()
+    }
+
+    /// Logged ops the newest committed checkpoint does not cover — what
+    /// recovery would replay from the WAL chain right now.
+    pub fn ops_since_checkpoint(&self) -> u64 {
+        // Every logged record bumps the epoch by exactly one.
+        let inner = self.lock();
+        self.serving.epoch().saturating_sub(inner.current.epoch)
+    }
+
+    /// Blocks until no checkpoint is queued or in flight: every hand-off
+    /// made before this call has committed or failed (see
+    /// [`DurableEngine::last_checkpoint_error`]), and the store directory
+    /// is quiescent until the next write.
+    pub fn wait_checkpoint_idle(&self) {
+        let mut queue = self.shared.queue();
+        while queue.in_flight || queue.pending.is_some() {
+            queue = self.shared.wait(queue);
+        }
     }
 
     /// Ingests new tables durably: encodes the delta, logs the encoded
@@ -716,165 +1170,31 @@ impl DurableEngine {
         self.serving.set_compaction_threshold(frac);
     }
 
-    /// Takes a checkpoint now: writes segments for every shard dirtied
-    /// since the last checkpoint, starts a fresh WAL, and commits a new
-    /// manifest atomically. Old checkpoints beyond
-    /// [`StoreOptions::keep_checkpoints`] are garbage-collected.
+    /// Takes a checkpoint now and waits for it: hands the published state
+    /// to the checkpointer (the same path the policy uses), which writes
+    /// segments for every shard dirtied since the last checkpoint and
+    /// commits a new manifest atomically. Old checkpoints beyond
+    /// [`StoreOptions::keep_checkpoints`] are garbage-collected. Writers
+    /// are not blocked while this waits.
     pub fn checkpoint(&self) -> Result<CheckpointStats, EngineError> {
-        let mut inner = self.lock();
-        self.checkpoint_locked(&mut inner)
-    }
-
-    /// Instrumented wrapper around the checkpoint body: counts
-    /// successes/failures and records duration and bytes written into the
-    /// process-wide registry.
-    fn checkpoint_locked(&self, inner: &mut StoreInner) -> Result<CheckpointStats, EngineError> {
-        let start = std::time::Instant::now();
-        let out = self.checkpoint_body(inner);
-        match &out {
-            Ok(stats) => {
-                instruments::checkpoints_total().inc();
-                instruments::checkpoint_bytes_written_total().add(stats.bytes_written);
-                instruments::checkpoint_duration_ms().record(start.elapsed().as_millis() as u64);
-            }
-            Err(_) => instruments::checkpoint_failures_total().inc(),
-        }
-        out
-    }
-
-    fn checkpoint_body(&self, inner: &mut StoreInner) -> Result<CheckpointStats, EngineError> {
-        let state = self.serving.snapshot();
-        let epoch = state.epoch();
-        let shards = state.shards();
-        if epoch == inner.current.epoch {
-            // Nothing was logged since the last checkpoint captured this
-            // epoch; the manifest on disk is already exact.
-            inner.ops_since = 0;
-            inner.bytes_since = 0;
-            inner.checkpoint_error = None;
-            return Ok(CheckpointStats {
-                epoch,
-                shards_total: shards.len(),
-                shards_written: 0,
-                bytes_written: 0,
-                bytes_reused: 0,
-            });
-        }
-        let mut stats = CheckpointStats {
-            epoch,
-            shards_total: shards.len(),
-            shards_written: 0,
-            bytes_written: 0,
-            bytes_reused: 0,
+        let seq = {
+            let mut inner = self.lock();
+            self.hand_off(&mut inner)?
         };
-        let mut segments = Vec::with_capacity(shards.len());
-        for (i, sh) in shards.iter().enumerate() {
-            let clean = inner.ckpt_shards.as_ref().is_some_and(|old| {
-                old.len() == shards.len()
-                    && inner.current.segments.len() == shards.len()
-                    && Arc::ptr_eq(&old[i], sh)
-            });
-            if clean {
-                let name = inner.current.segments[i].clone();
-                stats.bytes_reused += std::fs::metadata(self.dir.join(&name))
-                    .map(|m| m.len())
-                    .unwrap_or(0);
-                segments.push(name);
-            } else {
-                let name = segment_file_name(epoch, i);
-                let payload = segment_bytes(&state, i)?;
-                stats.bytes_written += payload.len() as u64;
-                stats.shards_written += 1;
-                write_framed(
-                    &self.dir.join(&name),
-                    SEGMENT_MAGIC,
-                    SEGMENT_VERSION,
-                    &payload,
-                    &self.opts.fault,
-                    FaultPoint::SegmentWrite,
-                )?;
-                segments.push(name);
-            }
+        let mut queue = self.shared.queue();
+        // A later hand-off may have replaced this one in the slot; the
+        // checkpoint that ran instead captured a newer state, so its
+        // outcome answers this call too.
+        while queue.finished < seq {
+            queue = self.shared.wait(queue);
         }
-        // Fresh WAL per checkpoint: the new manifest's replay starts at an
-        // empty log, and the old WAL file stays untouched for fallback
-        // recovery from the previous manifest.
-        let wal_file = wal_file_name(epoch);
-        let mut new_wal = WalWriter::create(&self.dir.join(&wal_file), self.opts.sync_writes)?;
-        new_wal.set_fault(self.opts.fault.clone());
-        let manifest = Manifest {
-            epoch,
-            meta_file: inner.current.meta_file.clone(),
-            segments,
-            wal_file,
-            wal_offset: WAL_HEADER_LEN,
-            order: live_order(&state)?,
-        };
-        write_manifest(&self.dir, &manifest, &self.opts.fault)?;
-        inner.wal = new_wal;
-        instruments::wal_rotations_total().inc();
-        inner.ops_since = 0;
-        inner.bytes_since = 0;
-        inner.current = manifest;
-        inner.ckpt_shards = Some(shards.to_vec());
-        inner.checkpoint_error = None;
-        self.collect_garbage(inner);
-        Ok(stats)
-    }
-
-    /// Deletes manifests beyond the retention count and any `seg-` /
-    /// `wal-` / temp file no retained manifest references. Only manifests
-    /// that *validate* count toward retention — an unreadable manifest
-    /// cannot protect its data files, so keeping it would silently evict
-    /// an older, still-usable fallback checkpoint. Files from epochs
-    /// **newer** than the newest retained manifest are never deleted:
-    /// after a manifest-corruption fallback they are the only copy of
-    /// acknowledged ops, kept for manual salvage (a later checkpoint
-    /// reaching that epoch overwrites them in place). Best effort: GC
-    /// failures never fail the checkpoint that triggered them.
-    fn collect_garbage(&self, inner: &StoreInner) {
-        let keep = self.opts.keep_checkpoints.max(1);
-        let Ok(entries) = std::fs::read_dir(&self.dir) else {
-            return;
-        };
-        let names: Vec<String> = entries
-            .filter_map(|e| e.ok()?.file_name().into_string().ok())
-            .collect();
-        let mut valid_manifests: Vec<(String, Manifest)> = names
-            .iter()
-            .filter(|n| n.starts_with(MANIFEST_PREFIX))
-            .filter_map(|n| {
-                read_manifest(&self.dir.join(n))
-                    .ok()
-                    .map(|m| (n.clone(), m))
-            })
-            .collect();
-        // Newest first (names embed the epoch in fixed-width hex).
-        valid_manifests.sort_by(|a, b| b.0.cmp(&a.0));
-        let mut referenced: HashSet<String> = HashSet::new();
-        referenced.insert(inner.current.meta_file.clone());
-        let mut retained: HashSet<&String> = HashSet::new();
-        let mut newest_retained_epoch = 0u64;
-        for (name, man) in valid_manifests.iter().take(keep) {
-            retained.insert(name);
-            newest_retained_epoch = newest_retained_epoch.max(man.epoch);
-            referenced.insert(man.meta_file.clone());
-            referenced.insert(man.wal_file.clone());
-            referenced.extend(man.segments.iter().cloned());
+        match queue.outcome.clone() {
+            Some(Ok(stats)) => Ok(stats),
+            Some(Err(e)) => Err(EngineError::Store(format!("checkpoint failed: {e}"))),
+            None => Err(EngineError::Store(
+                "checkpoint finished without an outcome".into(),
+            )),
         }
-        let superseded = |name: &str| file_epoch(name).is_some_and(|e| e <= newest_retained_epoch);
-        for name in &names {
-            let stale_manifest =
-                name.starts_with(MANIFEST_PREFIX) && !retained.contains(name) && superseded(name);
-            let stale_data = (name.starts_with("seg-") || name.starts_with("wal-"))
-                && !referenced.contains(name)
-                && superseded(name);
-            let stale_tmp = name.starts_with(".tmp-");
-            if stale_manifest || stale_data || stale_tmp {
-                let _ = std::fs::remove_file(self.dir.join(name));
-            }
-        }
-        sync_dir(&self.dir);
     }
 
     // ---- replication side ------------------------------------------------
@@ -893,15 +1213,15 @@ impl DurableEngine {
     pub fn wal_tail_cursor(&self) -> WalCursor {
         let inner = self.lock();
         WalCursor {
-            file: inner.current.wal_file.clone(),
+            file: inner.wal.file_name().to_string(),
             offset: inner.wal.len(),
         }
     }
 
     /// Every record logged after `cursor`, in log order, with the cursor
     /// just past the last one. Walks the chain of rotated WAL files
-    /// (checkpoints start a fresh log), holding the store lock so
-    /// rotation and GC cannot race the read. A cursor the chain no longer
+    /// (every checkpoint hand-off starts a fresh log), holding the store
+    /// lock so rotation and GC cannot race the read. A cursor the chain no longer
     /// covers (its file was garbage-collected, or its offset does not lie
     /// on a record boundary) is [`EngineError::Replication`] — the
     /// follower needs a checkpoint transfer instead.
@@ -922,7 +1242,8 @@ impl DurableEngine {
     pub fn wal_cursor_for_epoch(&self, target: u64) -> Result<WalCursor, EngineError> {
         let inner = self.lock();
         let mut base: Option<Manifest> = None;
-        let entries = std::fs::read_dir(&self.dir)
+        let dir = &self.shared.dir;
+        let entries = std::fs::read_dir(dir)
             .map_err(|e| EngineError::Replication(format!("cannot list store dir: {e}")))?;
         for entry in entries.flatten() {
             let Ok(name) = entry.file_name().into_string() else {
@@ -931,7 +1252,7 @@ impl DurableEngine {
             if !name.starts_with(MANIFEST_PREFIX) {
                 continue;
             }
-            let Ok(m) = read_manifest(&self.dir.join(&name)) else {
+            let Ok(m) = read_manifest(&dir.join(&name)) else {
                 continue;
             };
             if m.epoch <= target && base.as_ref().is_none_or(|b| m.epoch > b.epoch) {
@@ -961,25 +1282,28 @@ impl DurableEngine {
 
     /// Walks the WAL chain from `cursor`, collecting records until the
     /// live log is exhausted or (with `stop_at`) a record reaches that
-    /// epoch. Caller holds the store lock (`inner` witnesses it), so the
-    /// chain is stable underneath.
+    /// epoch. The live log is the one the writer holds — the newest
+    /// manifest may still name an older one. Caller holds the store lock
+    /// (`inner` witnesses it), so the chain is stable underneath.
     fn collect_chain(
         &self,
         inner: &StoreInner,
         mut cursor: WalCursor,
         stop_at: Option<u64>,
     ) -> Result<(Vec<WalRecord>, WalCursor), EngineError> {
+        let dir = &self.shared.dir;
+        let repl =
+            |file: &str, e: EngineError| EngineError::Replication(format!("tailing {file}: {e}"));
         let mut out = Vec::new();
         loop {
-            let path = self.dir.join(&cursor.file);
+            let path = dir.join(&cursor.file);
             if !path.exists() {
                 return Err(EngineError::Replication(format!(
                     "WAL file {} no longer exists (chain garbage-collected past the cursor)",
                     cursor.file
                 )));
             }
-            let scan = wal::scan(&path, cursor.offset)
-                .map_err(|e| EngineError::Replication(format!("tailing {}: {e}", cursor.file)))?;
+            let scan = wal::scan(&path, cursor.offset).map_err(|e| repl(&cursor.file, e))?;
             for (end, record) in scan.records {
                 let epoch = record.epoch_after;
                 out.push(record);
@@ -988,52 +1312,30 @@ impl DurableEngine {
                     return Ok((out, cursor));
                 }
             }
-            if cursor.file == inner.current.wal_file {
+            if cursor.file == inner.wal.file_name() {
                 return Ok((out, cursor));
             }
-            // This file was rotated out by a checkpoint; move to the
-            // next log in the chain (smallest epoch above this file's).
-            let cur_epoch = file_epoch(&cursor.file).ok_or_else(|| {
-                EngineError::Replication(format!("unparseable WAL file name {}", cursor.file))
-            })?;
+            // This file was rotated out by a checkpoint hand-off; move to
+            // the next log in the chain.
+            let next = chain_successor(dir, &cursor.file).map_err(|e| repl(&cursor.file, e))?;
+            let Some((_, file)) = next else {
+                return Err(EngineError::Replication(format!(
+                    "WAL chain broken: no successor log after {}",
+                    cursor.file
+                )));
+            };
             cursor = WalCursor {
-                file: self.next_wal_file(cur_epoch)?,
+                file,
                 offset: WAL_HEADER_LEN,
             };
         }
     }
 
-    /// The WAL file with the smallest embedded epoch above `after`, or
-    /// [`EngineError::Replication`] if the chain is broken there.
-    fn next_wal_file(&self, after: u64) -> Result<String, EngineError> {
-        let entries = std::fs::read_dir(&self.dir)
-            .map_err(|e| EngineError::Replication(format!("cannot list store dir: {e}")))?;
-        let mut best: Option<(u64, String)> = None;
-        for entry in entries.flatten() {
-            let Ok(name) = entry.file_name().into_string() else {
-                continue;
-            };
-            if !name.starts_with("wal-") {
-                continue;
-            }
-            let Some(epoch) = file_epoch(&name) else {
-                continue;
-            };
-            if epoch > after && best.as_ref().is_none_or(|(b, _)| epoch < *b) {
-                best = Some((epoch, name));
-            }
-        }
-        best.map(|(_, name)| name).ok_or_else(|| {
-            EngineError::Replication(format!(
-                "WAL chain broken: no successor log after epoch {after}"
-            ))
-        })
-    }
-
     /// Captures the current checkpoint for shipping to a follower: the
     /// authoritative manifest plus the raw bytes of every file it
-    /// references, read under the store lock so a concurrent checkpoint
-    /// or GC cannot swap files out mid-read. The shipped manifest is
+    /// references, read under the store lock so the checkpointer's
+    /// commit + GC cannot swap files out mid-read (an in-flight
+    /// checkpoint that has not committed yet is simply not exported). The shipped manifest is
     /// normalized to replay from an empty WAL — records logged after the
     /// checkpoint travel through the record stream instead.
     pub fn export_checkpoint(&self) -> Result<CheckpointPackage, EngineError> {
@@ -1048,7 +1350,7 @@ impl DurableEngine {
         names.dedup();
         let mut files = Vec::with_capacity(names.len());
         for name in names {
-            let bytes = std::fs::read(self.dir.join(&name)).map_err(|e| {
+            let bytes = std::fs::read(self.shared.dir.join(&name)).map_err(|e| {
                 EngineError::Store(format!("export checkpoint: cannot read {name}: {e}"))
             })?;
             files.push((name, bytes));
@@ -1189,16 +1491,12 @@ pub(crate) fn segment_file_name(epoch: u64, shard: usize) -> String {
     format!("seg-{epoch:016x}-{shard:04}.seg")
 }
 
-pub(crate) fn wal_file_name(epoch: u64) -> String {
-    format!("wal-{epoch:016x}.log")
-}
-
-/// Extracts the 16-hex-digit epoch every store data file embeds
-/// (`seg-<epoch>-<shard>.seg`, `wal-<epoch>.log`, `MANIFEST-<epoch>`).
+/// Extracts the 16-hex-digit epoch a segment or manifest file name embeds
+/// (`seg-<epoch>-<shard>.seg`, `MANIFEST-<epoch>`; logs have
+/// [`wal_file_epoch`]).
 fn file_epoch(name: &str) -> Option<u64> {
     let hex = name
         .strip_prefix("seg-")
-        .or_else(|| name.strip_prefix("wal-"))
         .or_else(|| name.strip_prefix(MANIFEST_PREFIX))?;
     u64::from_str_radix(hex.get(..16)?, 16).ok()
 }

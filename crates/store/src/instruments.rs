@@ -38,11 +38,38 @@ pub(crate) fn wal_appends_total() -> Arc<Counter> {
     )
 }
 
-/// Fresh WAL files started by checkpoints.
+/// Fresh WAL files started by checkpoint hand-offs.
 pub(crate) fn wal_rotations_total() -> Arc<Counter> {
     global().counter(
         "lcdd_store_wal_rotations_total",
-        "Fresh WAL files started by completed checkpoints.",
+        "Fresh WAL files started by checkpoint hand-offs (the writer rotates; the checkpointer commits).",
+    )
+}
+
+/// WAL files from the newest committed manifest's log through the live
+/// log, for the store that most recently rotated or committed.
+pub(crate) fn wal_chain_files() -> Arc<Gauge> {
+    global().gauge(
+        "lcdd_store_wal_chain_files",
+        "WAL files recovery would replay: 1 when the newest manifest points at the live log, more while checkpoints are in flight or failing.",
+    )
+}
+
+/// Background checkpoints currently running, across every store in the
+/// process.
+pub(crate) fn checkpoint_inflight() -> Arc<Gauge> {
+    global().gauge(
+        "lcdd_store_checkpoint_inflight",
+        "Background checkpoints currently being written.",
+    )
+}
+
+/// Microseconds the triggering write pays for a checkpoint: WAL rotation
+/// plus pinning the state, under the store lock.
+pub(crate) fn checkpoint_handoff_us() -> Arc<Histogram> {
+    global().histogram(
+        "lcdd_store_checkpoint_handoff_us",
+        "Checkpoint hand-off cost on the write path in microseconds (WAL rotation plus state pin).",
     )
 }
 
@@ -74,7 +101,7 @@ pub(crate) fn checkpoint_bytes_written_total() -> Arc<Counter> {
 pub(crate) fn checkpoint_duration_ms() -> Arc<Histogram> {
     global().histogram(
         "lcdd_store_checkpoint_duration_ms",
-        "Checkpoint wall-clock duration in milliseconds.",
+        "Checkpoint wall-clock duration in milliseconds, on the checkpointer thread.",
     )
 }
 

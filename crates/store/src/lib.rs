@@ -11,7 +11,7 @@
 //!   meta.seg              configs + model weights   (written once)
 //!   MANIFEST-<epoch>      checkpoint commit point   (atomic rename)
 //!   seg-<epoch>-<shard>   one shard's live slots    (dirty shards only)
-//!   wal-<epoch>.log       ops since that checkpoint (append + fsync)
+//!   wal-<epoch>.log       ops after that epoch      (append + fsync)
 //! ```
 //!
 //! Three layers, bottom up:
@@ -19,16 +19,21 @@
 //! * [`wal`] — an append-only log of corpus mutations, each record
 //!   length-prefixed and FNV-1a-checksummed. Insert records carry the
 //!   *already-encoded* FCM delta, so replay never re-runs the encoder.
-//!   A torn final record (crash mid-append) is truncated on recovery;
-//!   anything else malformed is a typed [`EngineError::Wal`].
+//!   A checkpoint hand-off rotates the log, so the files form a chain
+//!   ([`wal::walk_chain`]). A torn final record (crash mid-append) of the
+//!   last log is truncated on recovery; anything else malformed is a
+//!   typed [`EngineError::Wal`].
 //! * [`manifest`] — small framed files mapping a checkpoint epoch to its
 //!   {meta section, per-shard segment files, WAL file + replay offset,
 //!   global table order}, committed by atomic rename. Recovery takes the
-//!   newest manifest that validates.
+//!   newest manifest that validates and replays the WAL chain from its
+//!   log to the live one.
 //! * [`DurableEngine`] — the serving facade: every mutation is WAL-logged
 //!   (and fsynced, under default [`StoreOptions`]) **before** its epoch
-//!   is published; a background checkpoint policy (ops/bytes since last)
-//!   rewrites only the shards dirtied since the previous checkpoint. The
+//!   is published; when the checkpoint policy (ops/bytes since the last
+//!   hand-off) fires, the write only rotates the log and hands the pinned
+//!   state to the store's checkpointer thread, which rewrites the shards
+//!   dirtied since the previous checkpoint off the write path. The
 //!   lock-free read path of [`lcdd_engine::ServingEngine`] is untouched.
 //!
 //! The codecs live in [`lcdd_engine::persist`]. Segments carry the
@@ -61,4 +66,4 @@ pub use durable::{
 pub use fault::{FaultPlan, FaultPoint};
 pub use lcdd_fcm::EngineError;
 pub use manifest::{latest_manifest, read_manifest, Manifest};
-pub use wal::{WalOp, WalRecord, WalScan, WalWriter, WAL_HEADER_LEN};
+pub use wal::{ChainEnd, WalOp, WalRecord, WalScan, WalWriter, WAL_HEADER_LEN};

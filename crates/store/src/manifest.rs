@@ -4,14 +4,17 @@
 //!
 //! Manifests are written to a temp name, fsynced, then renamed into
 //! `MANIFEST-<epoch>` (rename is the atomic commit point — a crash
-//! mid-checkpoint leaves the previous manifest authoritative and at most
-//! an orphaned temp/segment file, which the next GC sweeps).
+//! mid-checkpoint leaves the previous manifest authoritative, the ops
+//! since in its WAL chain, and at most an orphaned temp/segment file,
+//! which the next GC sweeps).
 //!
 //! [`latest_manifest`] scans the directory for the highest-epoch manifest
-//! that *validates*; a corrupt newest manifest falls back to the next one
-//! (best-effort: the fallback checkpoint plus its own WAL tail — ops
-//! logged after a later checkpoint live in later WAL files and are not
-//! chained). No valid manifest at all is [`EngineError::Store`].
+//! that *validates*; a corrupt newest manifest falls back to the next
+//! one. Nothing acknowledged is lost by that: the older checkpoint's WAL
+//! chain (see [`crate::wal::walk_chain`]) runs through the logs of every
+//! later checkpoint up to the live one, and GC keeps it whole for as
+//! long as the older manifest is retained. No valid manifest at all is
+//! [`EngineError::Store`].
 
 use std::path::{Path, PathBuf};
 
@@ -33,7 +36,9 @@ pub struct Manifest {
     pub meta_file: String,
     /// One segment file per shard, shard order.
     pub segments: Vec<String>,
-    /// WAL file ops after this checkpoint append to.
+    /// WAL file ops after this checkpoint append to — the first log of
+    /// the chain recovery replays (`wal-<epoch>.log`: the checkpoint
+    /// hand-off rotated to it at exactly this epoch).
     pub wal_file: String,
     /// Byte offset in `wal_file` replay resumes from.
     pub wal_offset: u64,
@@ -167,8 +172,7 @@ pub fn latest_manifest(dir: &Path) -> Result<Option<(PathBuf, Manifest)>, Engine
 
 /// [`latest_manifest`] plus whether any *newer* manifest was skipped as
 /// corrupt — the signal recovery surfaces as
-/// [`crate::RecoveryReport::fallback`] (acknowledged ops logged after the
-/// skipped checkpoint are not recovered).
+/// [`crate::RecoveryReport::fallback`].
 pub(crate) fn latest_manifest_impl(
     dir: &Path,
 ) -> Result<Option<(PathBuf, Manifest, bool)>, EngineError> {

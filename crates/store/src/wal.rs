@@ -34,6 +34,19 @@
 //! indistinguishable from a genuine torn write, and is resolved in favor
 //! of truncation (the choice every length-prefixed WAL makes).
 //!
+//! ## The chain of rotated logs
+//!
+//! A checkpoint hand-off rotates the log at a record boundary: the store
+//! at epoch `E` starts `wal-<E>.log`, the previous file is never touched
+//! again, and the checkpointer later commits `MANIFEST-<E>` naming the new
+//! file. Until it does — or if it fails — the newest manifest names an
+//! older log, so everything that reads "the WAL" reads the chain:
+//! [`walk_chain`] replays a log to its end and continues in
+//! `wal-<epoch reached>.log` while one exists. The torn-tail allowance
+//! above applies to the chain's **final** log only; a non-final log that
+//! is torn, or whose successor does not start at the epoch it reached, is
+//! [`EngineError::Wal`].
+//!
 //! ## fsync discipline
 //!
 //! [`WalWriter::append`] with `sync = true` (the default store policy)
@@ -57,9 +70,10 @@ use lcdd_engine::persist::fnv1a64;
 use lcdd_fcm::EngineError;
 use lcdd_obs::registry::{Counter, Histogram};
 
-use crate::codec::{wf64, wu64, SliceReader};
+use crate::codec::{sync_dir, wf64, wu64, SliceReader};
 use crate::fault::{FaultDecision, FaultHook, FaultPlan, FaultPoint};
 use crate::instruments;
+use crate::manifest::Manifest;
 
 pub(crate) const WAL_MAGIC: &[u8; 8] = b"LCDDWAL1";
 pub(crate) const WAL_VERSION: u32 = 1;
@@ -205,6 +219,10 @@ impl WalRecord {
 /// Append handle over a WAL file.
 pub struct WalWriter {
     file: File,
+    /// The log's file name within its directory — the writer is the one
+    /// authority on which log is live (a manifest can lag it by any number
+    /// of rotations).
+    file_name: String,
     len: u64,
     sync: bool,
     /// Set when a failed append could not be rolled back: the file may
@@ -223,15 +241,29 @@ pub struct WalWriter {
 }
 
 impl WalWriter {
-    /// Creates a fresh WAL at `path` (truncating any existing file),
-    /// writes the header and makes it durable.
+    /// Creates a fresh WAL at `path` (replacing any existing file): the
+    /// header is written under a temp name and renamed into place, so a
+    /// crash mid-creation never leaves a log shorter than its header for
+    /// recovery to trip on. With `sync` the header and the directory entry
+    /// are on stable storage when this returns.
     pub fn create(path: &Path, sync: bool) -> Result<WalWriter, EngineError> {
-        let mut file = File::create(path)?;
+        let file_name = file_name_of(path)?;
+        let tmp = path.with_file_name(format!(".tmp-{file_name}"));
+        let mut file = File::create(&tmp)?;
         file.write_all(WAL_MAGIC)?;
         file.write_all(&WAL_VERSION.to_le_bytes())?;
-        file.sync_all()?;
+        if sync {
+            file.sync_all()?;
+        }
+        std::fs::rename(&tmp, path)?;
+        if sync {
+            if let Some(dir) = path.parent() {
+                sync_dir(dir);
+            }
+        }
         Ok(WalWriter {
             file,
+            file_name,
             len: WAL_HEADER_LEN,
             sync,
             poisoned: false,
@@ -245,6 +277,7 @@ impl WalWriter {
     /// Opens an existing WAL for appending at `valid_len`, truncating
     /// everything past it (the torn tail a [`scan`] identified).
     pub fn open(path: &Path, valid_len: u64, sync: bool) -> Result<WalWriter, EngineError> {
+        let file_name = file_name_of(path)?;
         let file = OpenOptions::new().read(true).write(true).open(path)?;
         if valid_len < WAL_HEADER_LEN {
             return Err(EngineError::Wal(format!(
@@ -259,6 +292,7 @@ impl WalWriter {
         }
         Ok(WalWriter {
             file,
+            file_name,
             len: valid_len,
             sync,
             poisoned: false,
@@ -273,6 +307,11 @@ impl WalWriter {
     /// and fsync (see [`crate::fault::FaultPlan`]). `None` detaches.
     pub fn set_fault(&mut self, fault: FaultHook) {
         self.fault = fault;
+    }
+
+    /// The log's file name within its directory.
+    pub fn file_name(&self) -> &str {
+        &self.file_name
     }
 
     /// Bytes in the log up to and including the last appended record.
@@ -363,6 +402,13 @@ impl WalWriter {
         self.appends.inc();
         Ok(self.len)
     }
+}
+
+fn file_name_of(path: &Path) -> Result<String, EngineError> {
+    path.file_name()
+        .and_then(|n| n.to_str())
+        .map(str::to_string)
+        .ok_or_else(|| EngineError::Wal(format!("{}: not a WAL file path", path.display())))
 }
 
 /// Result of scanning a WAL from a byte offset.
@@ -466,4 +512,143 @@ pub fn scan(path: &Path, from: u64) -> Result<WalScan, EngineError> {
         valid_len: pos as u64,
         torn,
     })
+}
+
+// ---- the chain of rotated logs ----------------------------------------------
+
+/// `wal-<epoch as 16 hex digits>.log`: the log started when the engine
+/// was at `epoch`, holding the records from `epoch + 1` on.
+pub(crate) fn wal_file_name(epoch: u64) -> String {
+    format!("wal-{epoch:016x}.log")
+}
+
+/// The epoch a [`wal_file_name`] embeds; `None` for any other name.
+pub(crate) fn wal_file_epoch(name: &str) -> Option<u64> {
+    let hex = name.strip_prefix("wal-")?.strip_suffix(".log")?;
+    (hex.len() == 16)
+        .then(|| u64::from_str_radix(hex, 16).ok())
+        .flatten()
+}
+
+/// The log that follows `file` in `dir`'s chain — the WAL file with the
+/// smallest embedded epoch above `file`'s — with that epoch, or `None`
+/// when `file` is the newest log there is.
+pub(crate) fn chain_successor(
+    dir: &Path,
+    file: &str,
+) -> Result<Option<(u64, String)>, EngineError> {
+    let after = wal_file_epoch(file)
+        .ok_or_else(|| EngineError::Wal(format!("unparseable WAL file name {file}")))?;
+    let entries = std::fs::read_dir(dir)
+        .map_err(|e| EngineError::Wal(format!("cannot list {}: {e}", dir.display())))?;
+    Ok(entries
+        .flatten()
+        .filter_map(|entry| {
+            let name = entry.file_name().into_string().ok()?;
+            let epoch = wal_file_epoch(&name)?;
+            (epoch > after).then_some((epoch, name))
+        })
+        .min())
+}
+
+/// Where a [`walk_chain`] ended: the newest log of the chain — the one
+/// an appender resumes — and the state replay reached.
+#[derive(Clone, Debug)]
+pub struct ChainEnd {
+    /// File name of the chain's final log.
+    pub file: String,
+    /// That log's length through its last complete record.
+    pub valid_len: u64,
+    /// Present when the final log ended inside a record (a torn tail).
+    pub torn: Option<String>,
+    /// `epoch_after` of the last record walked (the starting epoch when
+    /// the chain held none).
+    pub epoch: u64,
+    /// Log files walked.
+    pub files: usize,
+    /// Records visited, and the bytes their frames occupy.
+    pub records: usize,
+    pub bytes: u64,
+}
+
+/// Walks the chain of rotated logs in `dir`, starting at byte `offset`
+/// of `file` with the engine at `epoch` (a manifest's `wal_file`,
+/// `wal_offset` and `epoch`), handing every record to `visit` in log
+/// order as `(file, offset just past the record, record)`.
+///
+/// A checkpoint hand-off rotates the log at a record boundary: the log
+/// started at epoch `E` is `wal-<E>.log`, so a log that replays to epoch
+/// `E` continues in `wal-<E>.log` when that file exists. The newest
+/// manifest may trail the live log by any number of such rotations (its
+/// checkpoint was still in flight, or failed, when the process died), so
+/// recovery replays the whole chain. Only the **final** log may end in a
+/// torn record; a torn or missing link anywhere earlier — a successor
+/// log exists but does not start at the epoch this one reached — is
+/// [`EngineError::Wal`], never a silently shortened history.
+pub fn walk_chain(
+    dir: &Path,
+    file: &str,
+    offset: u64,
+    epoch: u64,
+    mut visit: impl FnMut(&str, u64, WalRecord) -> Result<(), EngineError>,
+) -> Result<ChainEnd, EngineError> {
+    let mut end = ChainEnd {
+        file: file.to_string(),
+        valid_len: offset,
+        torn: None,
+        epoch,
+        files: 0,
+        records: 0,
+        bytes: 0,
+    };
+    let mut offset = offset;
+    loop {
+        let scanned = scan(&dir.join(&end.file), offset).map_err(|e| chain_ctx(&end.file, e))?;
+        end.files += 1;
+        end.valid_len = scanned.valid_len;
+        end.bytes += scanned.valid_len - offset;
+        end.torn = scanned.torn;
+        for (record_end, record) in scanned.records {
+            end.epoch = record.epoch_after;
+            end.records += 1;
+            visit(&end.file, record_end, record)?;
+        }
+        let Some((next_epoch, next)) = chain_successor(dir, &end.file)? else {
+            return Ok(end);
+        };
+        if let Some(torn) = &end.torn {
+            return Err(EngineError::Wal(format!(
+                "{}: torn record in a non-final log (its successor {next} exists): {torn}",
+                end.file
+            )));
+        }
+        if next_epoch != end.epoch {
+            return Err(EngineError::Wal(format!(
+                "WAL chain broken: {} ends at epoch {}, but the next log is {next}",
+                end.file, end.epoch
+            )));
+        }
+        end.file = next;
+        offset = WAL_HEADER_LEN;
+    }
+}
+
+/// [`walk_chain`] from `manifest`'s log without a visitor: which file the
+/// live log is and the epoch a recovery from `manifest` would reach —
+/// what a prober needs, at scan cost instead of a full engine assembly.
+pub fn chain_end(dir: &Path, manifest: &Manifest) -> Result<ChainEnd, EngineError> {
+    walk_chain(
+        dir,
+        &manifest.wal_file,
+        manifest.wal_offset,
+        manifest.epoch,
+        |_, _, _| Ok(()),
+    )
+}
+
+fn chain_ctx(file: &str, e: EngineError) -> EngineError {
+    match e {
+        EngineError::Wal(m) => EngineError::Wal(format!("{file}: {m}")),
+        other => other,
+    }
 }

@@ -244,49 +244,112 @@ fn segment_and_meta_corruption_is_typed() {
     }
 }
 
-#[test]
-fn corrupt_newest_manifest_falls_back_to_previous_checkpoint() {
-    let tmp = TempDir::new("fallback");
+/// A store with two checkpoints retained and ops logged both between
+/// them and after the newest: `(dir, serial oracle of every acknowledged
+/// op, base corpus)`. The store handle is dropped (checkpointer joined).
+fn two_checkpoint_store(
+    tmp: &TempDir,
+) -> (
+    std::path::PathBuf,
+    lcdd_engine::Engine,
+    Vec<lcdd_table::Table>,
+) {
     let dir = tmp.subdir("store");
     let base = corpus(&CorpusSpec::sized(SEED ^ 1, N_BASE));
     let durable = DurableEngine::create(
         &dir,
         tiny_engine(base.clone(), N_SHARDS),
         StoreOptions {
-            sync_writes: false,
-            checkpoint_every_ops: 0,
-            checkpoint_every_bytes: 0,
             keep_checkpoints: 2,
-            ..StoreOptions::default()
+            ..opts()
         },
     )
     .expect("store creation");
-    let extra = {
-        let mut t = corpus(&CorpusSpec::sized(SEED ^ 2, 1));
-        t[0].id = 777;
-        t[0].name = "fallback-extra".into();
-        t
-    };
-    durable
-        .insert_tables(extra)
-        .expect("insert before checkpoint");
-    durable.checkpoint().expect("manual checkpoint");
-    let (newest, _) = latest_manifest(&dir)
+    let mut serial = tiny_engine(base.clone(), N_SHARDS);
+    let base_ids: Vec<u64> = base.iter().map(|t| t.id).collect();
+    let script = random_script(SEED ^ 2, 6, &base_ids);
+    for (i, op) in script.iter().enumerate() {
+        apply_durable(&durable, op);
+        apply_serial(&mut serial, op);
+        if i == 2 {
+            durable.checkpoint().expect("manual checkpoint");
+        }
+    }
+    assert!(
+        durable.ops_since_checkpoint() > 0,
+        "the script must log ops after the newest checkpoint"
+    );
+    (dir, serial, base)
+}
+
+#[test]
+fn corrupt_newest_manifest_falls_back_and_loses_nothing() {
+    let tmp = TempDir::new("fallback");
+    let (dir, serial, base) = two_checkpoint_store(&tmp);
+    let (newest, manifest) = latest_manifest(&dir)
         .expect("manifest readable")
         .expect("manifest present");
     flip_bit(&newest, 40, 2);
-    // The newest manifest is damaged; recovery must fall back to the
-    // creation checkpoint + its WAL (which still holds the insert) and
-    // reach the same final corpus.
+    // The newest manifest is damaged; recovery falls back to the creation
+    // checkpoint and replays its whole WAL chain — the ops the damaged
+    // checkpoint covered *and* the ops acknowledged after it, which live
+    // in the damaged checkpoint's log.
     let (recovered, report) = DurableEngine::open(&dir, opts()).expect("fallback recovery");
     assert!(
         report.fallback,
         "skipping a corrupt newer manifest must be reported"
     );
+    assert_eq!(report.checkpoint_epoch, 0);
     assert_eq!(
-        report.replayed_ops, 1,
-        "the insert replays from the old WAL"
+        report.wal_files, 2,
+        "replay must continue from the creation log into {}",
+        manifest.wal_file
     );
-    assert_eq!(recovered.len(), N_BASE + 1);
-    assert_eq!(recovered.epoch(), 1);
+    assert_eq!(report.replayed_ops as u64, serial.epoch());
+    let queries = [query_like(&base[0]), query_like(&base[2])];
+    assert_recovered_equals_serial(
+        "fallback: every acknowledged op",
+        &recovered,
+        &serial,
+        &queries,
+    );
+}
+
+#[test]
+fn torn_or_missing_link_in_a_non_final_log_is_a_typed_wal_error() {
+    let tmp = TempDir::new("chainbreak");
+    let (golden, _, _) = two_checkpoint_store(&tmp);
+    let (newest, manifest) = latest_manifest(&golden)
+        .expect("manifest readable")
+        .expect("manifest present");
+    // Force recovery onto the two-file chain wal-0 → wal-<ckpt epoch>.
+    std::fs::remove_file(&newest).expect("drop the newest manifest");
+    let first_log = "wal-0000000000000000.log";
+    assert_ne!(manifest.wal_file, first_log);
+    DurableEngine::open(&golden, opts()).expect("the intact chain recovers");
+
+    // A torn record in the rotated-out log: its successor exists, so the
+    // tear cannot be a crash mid-append — acknowledged history is missing.
+    let torn = tmp.subdir("torn");
+    copy_dir(&golden, &torn);
+    truncate_file(&torn.join(first_log), file_len(&torn.join(first_log)) - 3);
+    match DurableEngine::open(&torn, opts()) {
+        Err(EngineError::Wal(m)) => assert!(m.contains("non-final"), "message: {m}"),
+        Err(other) => panic!("torn non-final log: expected a Wal error, got {other}"),
+        Ok(_) => panic!("torn non-final log: silently shortened corpus accepted"),
+    }
+
+    // A whole record cut cleanly off the rotated-out log: no tear to see,
+    // but the next log no longer starts where this one ends.
+    let scan = lcdd_store::wal::scan(&golden.join(first_log), manifest.wal_offset)
+        .expect("pristine log scans");
+    let cut = scan.records[scan.records.len() - 2].0;
+    let short = tmp.subdir("short");
+    copy_dir(&golden, &short);
+    truncate_file(&short.join(first_log), cut);
+    match DurableEngine::open(&short, opts()) {
+        Err(EngineError::Wal(m)) => assert!(m.contains("chain broken"), "message: {m}"),
+        Err(other) => panic!("shortened non-final log: expected a Wal error, got {other}"),
+        Ok(_) => panic!("shortened non-final log: silently shortened corpus accepted"),
+    }
 }

@@ -206,9 +206,11 @@ fn segment_write_fault_is_stashed_and_the_next_checkpoint_heals() {
         .epoch;
     let t1 = fresh_tables(1, 2, &mut next_id);
     // The op itself succeeds — it was logged and is durable; only the
-    // best-effort checkpoint behind it failed, and that is stashed.
+    // best-effort checkpoint behind it failed (on the checkpointer
+    // thread, so wait for it), and that is stashed.
     store.insert_tables(t1.clone()).expect("op must not fail");
     serial.insert_tables(t1);
+    store.wait_checkpoint_idle();
     let stashed = store
         .last_checkpoint_error()
         .expect("failed checkpoint must be stashed");
@@ -227,6 +229,7 @@ fn segment_write_fault_is_stashed_and_the_next_checkpoint_heals() {
     let t2 = fresh_tables(2, 2, &mut next_id);
     store.insert_tables(t2.clone()).expect("next op");
     serial.insert_tables(t2);
+    store.wait_checkpoint_idle();
     assert_eq!(
         store.last_checkpoint_error(),
         None,
@@ -261,6 +264,7 @@ fn manifest_write_fault_recovers_from_the_newest_valid_manifest() {
     let t1 = fresh_tables(1, 2, &mut next_id);
     store.insert_tables(t1.clone()).expect("clean op");
     serial.insert_tables(t1);
+    store.wait_checkpoint_idle();
     assert_eq!(store.last_checkpoint_error(), None);
 
     // Op 2's checkpoint dies at the manifest write — after segments and
@@ -276,6 +280,7 @@ fn manifest_write_fault_recovers_from_the_newest_valid_manifest() {
         .insert_tables(t2.clone())
         .expect("op is durable regardless");
     serial.insert_tables(t2);
+    store.wait_checkpoint_idle();
     let stashed = store.last_checkpoint_error().expect("stashed failure");
     assert!(stashed.contains("injected fault"), "stashed: {stashed}");
 

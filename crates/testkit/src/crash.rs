@@ -4,8 +4,10 @@
 //!
 //! The central claim it proves (the recovery-equivalence acceptance bar):
 //! for a random script of insert / remove / compact / reshard ops, a
-//! process that crashes at **any record boundary** — including
-//! mid-checkpoint and with a torn final record — recovers to an engine
+//! process that crashes at **any record boundary** — including inside a
+//! background checkpoint (after the WAL rotation, after the segments,
+//! after the manifest), across a chain of logs rotated by failed
+//! checkpoints, and with a torn final record — recovers to an engine
 //! whose search results are hit-for-hit identical, with **bit-identical
 //! scores**, to a serial replay of the op prefix that made it to the log.
 //! Recovery replays cached encodings only: the FCM encoder runs zero
@@ -14,9 +16,10 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use lcdd_engine::{Engine, IndexStrategy, Query, SearchOptions};
-use lcdd_store::{DurableEngine, StoreOptions};
+use lcdd_store::{DurableEngine, FaultPlan, FaultPoint, StoreOptions};
 use lcdd_table::Table;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -161,11 +164,16 @@ impl Drop for TempDir {
 /// snapshot: everything the dying process had on disk, nothing it held in
 /// memory.
 pub fn copy_dir(from: &Path, to: &Path) {
+    copy_files(from, to, true);
+}
+
+fn copy_files(from: &Path, to: &Path, overwrite: bool) {
     std::fs::create_dir_all(to).expect("crash copy: create target dir");
     for entry in std::fs::read_dir(from).expect("crash copy: list source dir") {
         let entry = entry.expect("crash copy: read entry");
-        if entry.path().is_file() {
-            std::fs::copy(entry.path(), to.join(entry.file_name())).expect("crash copy: copy file");
+        let target = to.join(entry.file_name());
+        if entry.path().is_file() && (overwrite || !target.exists()) {
+            std::fs::copy(entry.path(), target).expect("crash copy: copy file");
         }
     }
 }
@@ -272,6 +280,14 @@ pub fn assert_recovered_equals_serial(
 
 // ---- the full boundary sweep ------------------------------------------------
 
+/// Every harness run (and any test asserting the encoder stayed idle)
+/// serializes here: the encoder counter is process-global and a flatness
+/// assertion must not see another test's churn.
+pub fn encode_gate() -> MutexGuard<'static, ()> {
+    static ENCODE_GATE: Mutex<()> = Mutex::new(());
+    ENCODE_GATE.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Shape of one crash-recovery sweep.
 #[derive(Clone, Debug)]
 pub struct CrashCase {
@@ -286,19 +302,52 @@ pub struct CrashCase {
     /// so sweeps cover recovery both from WAL-heavy and segment-heavy
     /// stores.
     pub checkpoint_every: u64,
+    /// Kill background checkpoints part-way, cycling per attempt through
+    /// *fail the first segment write* (the disk a crash right after the
+    /// WAL rotation leaves), *fail the manifest write* (segments landed,
+    /// nothing committed) and *succeed*. Two failures in a row leave a
+    /// chain of rotated logs behind the newest manifest, which every
+    /// later crash point must replay in full.
+    pub fail_checkpoints: bool,
+}
+
+/// What one sweep exercised.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct CrashSweep {
+    /// Crash points recovered and compared against the serial oracle.
+    pub points: usize,
+    /// Of those, points whose store died inside a checkpoint: after the
+    /// rotation, after the segments, or after the manifest but before GC.
+    pub in_checkpoint_points: usize,
+    /// The longest WAL chain any recovery walked (1 = the manifest's own
+    /// log was the live one).
+    pub max_wal_files: usize,
+}
+
+/// How the next checkpoint attempt of a `fail_checkpoints` sweep ends.
+#[derive(Clone, Copy)]
+enum Attempt {
+    FailFirstSegment,
+    FailManifest,
+    Succeed,
 }
 
 /// Runs one full sweep: applies the script through a [`DurableEngine`],
 /// snapshotting the store directory after creation and after every op
-/// (= every record boundary, including post-checkpoint states), then
-/// recovers every snapshot — plus torn-tail variants of the final WAL —
-/// and asserts equivalence with the serial oracle prefix.
-///
-/// Returns the number of crash points exercised.
-pub fn run_crash_boundary_case(case: &CrashCase) -> usize {
+/// (= every record boundary; each snapshot waits for the checkpointer to
+/// go idle first, because a directory copy racing a live writer is not a
+/// crash image). When an op's checkpoint committed, the state *after the
+/// manifest, before GC* is reconstructed as a further crash point: the
+/// post-commit directory plus every file of the pre-op snapshot GC swept.
+/// Every snapshot — plus torn-tail variants of the final live log — is
+/// then recovered and compared with the serial oracle prefix, with the
+/// FCM encoder asserted idle throughout.
+pub fn run_crash_boundary_case(case: &CrashCase) -> CrashSweep {
+    let _gate = encode_gate();
     let tmp = TempDir::new(&format!("crash-{:x}", case.seed));
     let live_dir = tmp.subdir("live");
     let base = corpus(&CorpusSpec::sized(case.seed, case.n_base));
+    let plan = FaultPlan::new();
     let opts = StoreOptions {
         sync_writes: false, // throughput; crash *consistency* is what's under test
         checkpoint_every_ops: case.checkpoint_every,
@@ -309,7 +358,10 @@ pub fn run_crash_boundary_case(case: &CrashCase) -> usize {
     let durable = DurableEngine::create(
         &live_dir,
         tiny_engine(base.clone(), case.n_shards),
-        opts.clone(),
+        StoreOptions {
+            fault: Some(plan.clone()),
+            ..opts.clone()
+        },
     )
     .expect("crash case: store creation");
 
@@ -317,36 +369,77 @@ pub fn run_crash_boundary_case(case: &CrashCase) -> usize {
     let script = random_script(case.seed, case.n_ops, &base_ids);
     let queries = battery(&base, &script, 3);
 
-    // Crash point i = store dir after ops[0..i]. `effective` records which
-    // ops were actually logged (no-op compacts/removals are not), so the
-    // torn-tail sweep can map WAL records back to op indices.
-    let mut crash_dirs: Vec<PathBuf> = Vec::with_capacity(case.n_ops + 1);
+    // Crash point = (store dir, number of script ops it holds, died inside
+    // a checkpoint?). `effective` records which ops were actually logged
+    // (no-op compacts/removals are not), so the torn-tail sweep can map
+    // WAL records back to op indices.
+    let mut crash_dirs: Vec<(PathBuf, usize, bool)> = Vec::with_capacity(case.n_ops + 1);
     let mut effective: Vec<usize> = Vec::with_capacity(case.n_ops);
-    let snap = |i: usize| tmp.subdir(&format!("crash-{i}"));
-    copy_dir(&live_dir, &snap(0));
-    crash_dirs.push(snap(0));
+    copy_dir(&live_dir, &tmp.subdir("crash-0"));
+    crash_dirs.push((tmp.subdir("crash-0"), 0, false));
+    let attempts = [
+        Attempt::FailFirstSegment,
+        Attempt::FailManifest,
+        Attempt::Succeed,
+    ];
+    let mut attempt = 0usize;
+    let mut armed = false;
     for (i, op) in script.iter().enumerate() {
+        if case.fail_checkpoints && !armed {
+            let next = |point| plan.count(point) + 1;
+            match attempts[attempt % attempts.len()] {
+                Attempt::FailFirstSegment => {
+                    plan.fail_at(FaultPoint::SegmentWrite, next(FaultPoint::SegmentWrite));
+                    armed = true;
+                }
+                Attempt::FailManifest => {
+                    plan.fail_at(FaultPoint::ManifestWrite, next(FaultPoint::ManifestWrite));
+                    armed = true;
+                }
+                Attempt::Succeed => {}
+            }
+        }
         let epoch_before = durable.epoch();
+        let trips_before = plan.trips();
+        let committed_before = committed_epoch(&live_dir);
         apply_durable(&durable, op);
         if durable.epoch() != epoch_before {
             effective.push(i);
         }
-        copy_dir(&live_dir, &snap(i + 1));
-        crash_dirs.push(snap(i + 1));
+        durable.wait_checkpoint_idle();
+        let snap = tmp.subdir(&format!("crash-{}", i + 1));
+        copy_dir(&live_dir, &snap);
+        let killed = plan.trips() != trips_before;
+        let committed = committed_epoch(&live_dir) != committed_before;
+        if committed {
+            let pre_gc = tmp.subdir(&format!("crash-{}-pre-gc", i + 1));
+            copy_dir(&snap, &pre_gc);
+            copy_missing(&crash_dirs.last().expect("creation snapshot").0, &pre_gc);
+            crash_dirs.push((pre_gc, i + 1, true));
+        }
+        if killed || committed {
+            attempt += 1;
+            armed = false;
+        }
+        crash_dirs.push((snap, i + 1, killed));
     }
+    drop(durable);
 
-    let mut crash_points = 0usize;
+    let mut sweep = CrashSweep::default();
     let mut serial = tiny_engine(base.clone(), case.n_shards);
-    for (i, dir) in crash_dirs.iter().enumerate() {
-        if i > 0 {
-            apply_serial(&mut serial, &script[i - 1]);
+    let mut applied = 0usize;
+    for (dir, n_ops, in_checkpoint) in &crash_dirs {
+        while applied < *n_ops {
+            apply_serial(&mut serial, &script[applied]);
+            applied += 1;
         }
         let ctx = format!(
-            "seed {:#x}, {} shards, crash after {} of {} ops",
+            "seed {:#x}, {} shards, crash after {} of {} ops ({})",
             case.seed,
             case.n_shards,
-            i,
-            script.len()
+            n_ops,
+            script.len(),
+            dir.file_name().and_then(|n| n.to_str()).unwrap_or("?"),
         );
         let before = lcdd_fcm::table_encode_count();
         let (recovered, report) =
@@ -358,55 +451,81 @@ pub fn run_crash_boundary_case(case: &CrashCase) -> usize {
         );
         assert!(report.truncated_tail.is_none(), "{ctx}: clean boundary");
         assert_recovered_equals_serial(&ctx, &recovered, &serial, &queries);
-        crash_points += 1;
+        sweep.points += 1;
+        sweep.in_checkpoint_points += usize::from(*in_checkpoint);
+        sweep.max_wal_files = sweep.max_wal_files.max(report.wal_files);
     }
 
-    // Torn tails: cut the final store's active WAL mid-record. Recovery
+    // Torn tails: cut the final store's live log mid-record. Recovery
     // must land exactly on the surviving record prefix.
-    crash_points += run_torn_tail_variants(
-        &tmp,
-        &crash_dirs,
-        &script,
-        &effective,
-        &base,
-        case,
-        &queries,
-    );
-    crash_points
+    let (final_dir, _, _) = crash_dirs.last().expect("at least the creation snapshot");
+    sweep.points +=
+        run_torn_tail_variants(&tmp, final_dir, &script, &effective, &base, case, &queries);
+    sweep
 }
 
-/// For the final crash dir, produces mid-record truncations of the active
-/// WAL and asserts each recovers to the longest surviving op prefix.
+/// Epoch of the newest valid manifest in `dir`.
+fn committed_epoch(dir: &Path) -> u64 {
+    lcdd_store::latest_manifest(dir)
+        .expect("store dir must list")
+        .expect("store dir must hold a manifest")
+        .1
+        .epoch
+}
+
+/// Copies every file of `from` that `to` lacks — resurrects what a GC
+/// pass deleted between two snapshots of one store.
+fn copy_missing(from: &Path, to: &Path) {
+    copy_files(from, to, false);
+}
+
+/// For the final crash dir, produces mid-record truncations of the live
+/// log — the last file of the WAL chain, which the newest manifest need
+/// not name — and asserts each recovers to the longest surviving op
+/// prefix.
 fn run_torn_tail_variants(
     tmp: &TempDir,
-    crash_dirs: &[PathBuf],
+    final_dir: &Path,
     script: &[ScriptedOp],
     effective: &[usize],
     base: &[Table],
     case: &CrashCase,
     queries: &[Query],
 ) -> usize {
-    let final_dir = crash_dirs.last().expect("at least the creation snapshot");
     let (_, manifest) = lcdd_store::latest_manifest(final_dir)
         .expect("final dir must hold a store")
         .expect("final dir must hold a manifest");
-    let wal_path = final_dir.join(&manifest.wal_file);
-    let scan =
-        lcdd_store::wal::scan(&wal_path, manifest.wal_offset).expect("final WAL must scan clean");
-    if scan.records.is_empty() {
-        return 0;
+    let mut ends: Vec<(String, u64)> = Vec::new();
+    let chain = lcdd_store::wal::walk_chain(
+        final_dir,
+        &manifest.wal_file,
+        manifest.wal_offset,
+        manifest.epoch,
+        |file, end, _| {
+            ends.push((file.to_string(), end));
+            Ok(())
+        },
+    )
+    .expect("final WAL chain must walk clean");
+    let live_file = chain.file;
+    // (start, end) byte range of every record in the chain's final log.
+    let mut boundary = if live_file == manifest.wal_file {
+        manifest.wal_offset
+    } else {
+        lcdd_store::WAL_HEADER_LEN
+    };
+    let mut live: Vec<(u64, u64)> = Vec::new();
+    for (_, end) in ends.iter().filter(|(file, _)| *file == live_file) {
+        live.push((boundary, *end));
+        boundary = *end;
     }
-    // The active WAL holds the tail of *logged* ops; record j corresponds
+    // The live log holds the tail of *logged* ops; record j corresponds
     // to scripted op `effective[tail_start + j]`. Cutting inside record j
     // keeps every op strictly before it.
-    let tail_start = effective.len() - scan.records.len();
-    let mut boundaries = vec![manifest.wal_offset];
-    boundaries.extend(scan.records.iter().map(|&(end, _)| end));
+    let tail_start = effective.len() - live.len();
 
     let mut points = 0usize;
-    for j in 0..scan.records.len() {
-        let start = boundaries[j];
-        let end = boundaries[j + 1];
+    for (j, &(start, end)) in live.iter().enumerate() {
         let survives = effective[tail_start + j];
         // A torn write can leave any strict prefix of the record's frame.
         for cut in [start + 1, start + (end - start) / 2, end - 1] {
@@ -415,9 +534,9 @@ fn run_torn_tail_variants(
             }
             let dir = tmp.subdir(&format!("torn-{j}-{cut}"));
             copy_dir(final_dir, &dir);
-            truncate_file(&dir.join(&manifest.wal_file), cut);
+            truncate_file(&dir.join(&live_file), cut);
             let ctx = format!(
-                "seed {:#x}, torn record {j} cut at byte {cut} (ops 0..{survives} survive)",
+                "seed {:#x}, torn record {j} of {live_file} cut at byte {cut} (ops 0..{survives} survive)",
                 case.seed,
             );
             let (recovered, report) = DurableEngine::open(

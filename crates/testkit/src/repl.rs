@@ -23,7 +23,7 @@
 //! harness entry point serializes on an internal gate — concurrent churn
 //! from another test would otherwise show up as phantom re-encodes.
 
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 
 use lcdd_engine::{IndexStrategy, Query, SearchOptions};
 use lcdd_fcm::table_encode_count;
@@ -38,17 +38,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::crash::{
-    apply_durable, assert_same_hits_bitwise, battery, random_script, truncate_file, TempDir,
+    apply_durable, assert_same_hits_bitwise, battery, encode_gate as gate, random_script,
+    truncate_file, TempDir,
 };
 use crate::{corpus, tiny_engine, CorpusSpec};
-
-/// All harness runs serialize here: the encoder counter is process-global
-/// and the flatness assertion must not see another test's churn.
-static ENCODE_GATE: Mutex<()> = Mutex::new(());
-
-fn gate() -> MutexGuard<'static, ()> {
-    ENCODE_GATE.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// Shape of one partition/lag sweep.
 #[derive(Clone, Debug)]
@@ -257,6 +250,11 @@ pub fn run_lag_case(tag: &str, case: &ReplCase) -> ReplRun {
         for op in chunk {
             apply_durable(rig.leader.store(), op);
         }
+        // Checkpoints (and the GC behind them) finish on the leader's
+        // checkpointer thread. Which history a sync still finds must not
+        // depend on how far that thread got: the counters callers assert
+        // on (resyncs, gaps) are a function of the case, not of timing.
+        rig.leader.store().wait_checkpoint_idle();
         let encodes_before = table_encode_count();
         let stats = sync_to_convergence(
             &rig.leader,
@@ -403,10 +401,13 @@ pub fn run_follower_torn_tail_restart(tag: &str, seed: u64) {
     let (_, manifest) = latest_manifest(&live_dir)
         .expect("replica manifest readable")
         .expect("replica has a manifest");
-    let wal_path = live_dir.join(&manifest.wal_file);
+    // The live log is the end of the manifest's WAL chain (the replica's
+    // own checkpoint hand-offs rotate it ahead of the manifest).
+    let live = lcdd_store::wal::chain_end(&live_dir, &manifest).expect("replica WAL chain walks");
+    let wal_path = live_dir.join(&live.file);
     let wal_len = std::fs::metadata(&wal_path).expect("wal metadata").len();
     assert!(
-        wal_len > manifest.wal_offset,
+        wal_len > lcdd_store::WAL_HEADER_LEN,
         "[{tag} {seed:#x}] the replica's WAL tail must hold records for a torn write to bite"
     );
     truncate_file(&wal_path, wal_len - 3);
