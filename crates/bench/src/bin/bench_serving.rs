@@ -29,7 +29,7 @@ use std::time::{Duration, Instant};
 
 use lcdd_bench::threadsweep::{self, HitsDigest};
 use lcdd_engine::{Engine, Query, SearchOptions, ServingEngine};
-use lcdd_server::latency::Histogram;
+use lcdd_obs::registry::Histogram;
 use lcdd_table::Table;
 use lcdd_tensor::pool;
 use lcdd_testkit::{corpus, queries_for, tiny_engine, CorpusSpec};

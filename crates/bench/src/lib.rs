@@ -4,8 +4,8 @@
 //! `src/bin/` (each regenerates one table or figure of the paper) plus
 //! Criterion micro-benchmarks in `benches/`.
 //!
-//! Scale: experiments run the CPU-scale configuration documented in
-//! DESIGN.md §5 (paper: 10k-table repository, k=50, 12-layer/768-dim
+//! Scale: experiments run the CPU-scale configuration of README.md,
+//! "Layout notes" (paper: 10k-table repository, k=50, 12-layer/768-dim
 //! encoders on a GPU; here: ~200-table repository, k=8, 2-layer/32-dim
 //! encoders). Set `LCDD_SCALE=full` for a larger, slower run.
 

@@ -5,8 +5,8 @@ use crate::error::EngineError;
 /// Configuration of the FCM model (paper Sec. IV/V/VII-B).
 ///
 /// `paper()` reproduces the published configuration; `small()` is the
-/// CPU-scale configuration the experiment harness trains (see DESIGN.md §5
-/// — same architecture, reduced widths/depths).
+/// CPU-scale configuration the experiment harness trains (README.md,
+/// "Layout notes" — same architecture, reduced widths/depths).
 #[derive(Clone, Debug, PartialEq)]
 pub struct FcmConfig {
     /// Embedding size `K`.
@@ -30,7 +30,7 @@ pub struct FcmConfig {
     /// (0 = pure pixel patches as in the paper; a small positive value
     /// gives the encoder the extractor's traced series per segment, which
     /// at CPU reproduction scale is needed for the cross-modal alignment
-    /// to be learnable — see DESIGN.md).
+    /// to be learnable).
     pub trace_dim: usize,
 
     /// Column length the dataset encoder resamples every column to.

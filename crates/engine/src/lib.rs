@@ -32,11 +32,12 @@
 //! via [`Engine::compact`]).
 //!
 //! [`Engine::search_batch`] fans a query batch across the shared work
-//! pool; [`Engine::save`] / [`Engine::load`] persist model weights, cached
-//! repository encodings and index structures together (`LCDDSNP2`:
-//! per-shard sections behind a checksummed, versioned header — legacy
-//! `LCDDSNP1` snapshots still load), so a serving process restarts without
-//! re-encoding the corpus.
+//! pool; [`Engine::save`] / [`Engine::load`] persist model weights and the
+//! cached repository encodings together — one checksummed [`frame`] around
+//! the same meta block and per-shard `LCDDSEG2` images ([`mapped`]) the
+//! durable store writes, see [`persist`] — so a serving process restarts
+//! without re-encoding the corpus; the index is rebuilt deterministically
+//! from the restored bytes.
 //!
 //! **Concurrent serving** wraps the same machinery in a
 //! [`ServingEngine`]: the corpus lives in an immutable, epoch-versioned
@@ -61,11 +62,11 @@
 pub mod builder;
 pub mod cache;
 pub mod engine;
+pub mod frame;
 pub mod mapped;
 pub mod persist;
 pub mod serving;
 pub mod shard;
-pub mod snapshot;
 pub mod state;
 pub mod swap;
 pub mod types;

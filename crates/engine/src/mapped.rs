@@ -45,14 +45,16 @@
 //! place (`align_to::<f32>`) and copies only the matrices a candidate
 //! actually needs.
 //!
-//! Integrity: `MappedSegment::open_framed` verifies the enclosing store
-//! frame's checksum over the *whole* payload at open — one sequential
-//! pass, after which the blob pages are dropped again (`madvise
-//! MADV_DONTNEED`) so a freshly opened cold corpus starts near-zero
-//! resident. Truncation or bit flips anywhere in the file surface as
-//! typed [`EngineError::Store`] values at open; materialization after a
-//! clean open is infallible by construction (every extent was bounds-
-//! checked at parse).
+//! Integrity: `MappedSegment::open_framed` verifies the enclosing
+//! [`crate::frame`] over the *whole* file at open — one sequential pass,
+//! after which the blob pages are dropped again (`madvise MADV_DONTNEED`)
+//! so a freshly opened cold corpus starts near-zero resident. Truncation,
+//! trailing bytes or bit flips anywhere in the file surface as typed
+//! [`EngineError::Store`] values at open; materialization after a clean
+//! open is infallible by construction (every extent was bounds-checked at
+//! parse). The eager decode (`parse_segment_slots`, also the path engine
+//! snapshots load through) additionally checks each slot's blob hash, so
+//! an image is self-verifying even outside a frame.
 
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -62,12 +64,16 @@ use lcdd_fcm::EngineError;
 use lcdd_tensor::Matrix;
 
 use crate::engine::TableMeta;
+use crate::frame::{self, decode_f32s, fnv1a64, Cursor};
 use crate::shard::{column_embedding_of, PooledStat, SlotData};
-use crate::snapshot::{fnv1a64, MAX_FIELD_BYTES};
 
 pub(crate) const IMAGE_MAGIC: &[u8; 8] = b"LCDDSEG2";
 pub(crate) const IMAGE_FORMAT: u32 = 1;
 const HEADER_LEN: usize = 64;
+/// Sanity bound on any count or matrix size a summary declares (256 MiB
+/// is orders of magnitude above any real segment/encoding matrix): a
+/// corrupt field is rejected by name before anything is sized by it.
+const MAX_FIELD_BYTES: usize = 256 << 20;
 /// x86-64 page size; only used to round `madvise` ranges, where a wrong
 /// guess degrades to "pages stay resident", never to incorrectness.
 const PAGE: usize = 4096;
@@ -299,6 +305,9 @@ pub(crate) struct SlotSummary {
     /// First f32 element of this slot's blob extent.
     pub elem_start: u64,
     pub n_elems: u64,
+    /// FNV-1a over the slot's blob extent; checked by the eager decode
+    /// (the cold tier relies on the frame checksum verified at open).
+    pub blob_hash: u64,
 }
 
 /// A checkpoint segment served straight from its file: summary decoded,
@@ -317,50 +326,20 @@ pub(crate) struct MappedSegment {
 }
 
 impl MappedSegment {
-    /// Maps `path`, verifies the enclosing store frame (`magic | version
-    /// u32 | payload_len u64 | payload_hash u64 | payload`) over the whole
-    /// payload, parses the image summary, then drops blob residency. No
-    /// slot is decoded.
+    /// Maps `path`, verifies the enclosing frame ([`frame::verify`]),
+    /// parses the image summary, then drops blob residency. No slot is
+    /// decoded.
     pub(crate) fn open_framed(
         path: &Path,
         magic: &[u8; 8],
         version: u32,
     ) -> Result<MappedSegment, EngineError> {
-        let name = path.display().to_string();
         let map = Mapping::open(path)?;
-        let bytes = map.as_slice();
-        if bytes.len() < 28 {
-            return Err(EngineError::Store(format!(
-                "{name}: truncated frame header"
-            )));
-        }
-        if &bytes[0..8] != magic {
-            return Err(EngineError::Store(format!("{name}: bad magic")));
-        }
-        let got_version = u32::from_le_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]);
-        if got_version != version {
-            return Err(EngineError::Store(format!(
-                "{name}: unsupported version {got_version} (expected {version})"
-            )));
-        }
-        let payload_len = read_u64(bytes, 12) as usize;
-        if payload_len != bytes.len() - 28 {
-            return Err(EngineError::Store(format!(
-                "{name}: truncated: payload {} of {payload_len} bytes",
-                bytes.len() - 28
-            )));
-        }
-        let expect_hash = read_u64(bytes, 20);
-        let got = fnv1a64(&bytes[28..]);
-        if got != expect_hash {
-            return Err(EngineError::Store(format!(
-                "{name}: checksum mismatch: expected {expect_hash:#018x}, got {got:#018x}"
-            )));
-        }
-        let image = &bytes[28..];
-        let parsed = parse_image(image).map_err(|e| store_ctx(&name, e))?;
+        let parsed = frame::verify(map.as_slice(), magic, version)
+            .and_then(parse_image)
+            .map_err(frame::context(path.display()))?;
         let seg = MappedSegment {
-            image_off: 28,
+            image_off: frame::HEAD_LEN,
             embed_dim: parsed.embed_dim,
             slots: parsed.slots,
             blob_off: parsed.blob_off,
@@ -622,108 +601,27 @@ struct ParsedImage {
     blob_len: usize,
 }
 
-fn read_u64(bytes: &[u8], off: usize) -> u64 {
-    let mut b = [0u8; 8];
-    b.copy_from_slice(&bytes[off..off + 8]);
-    u64::from_le_bytes(b)
-}
-
-fn store_ctx(name: &str, e: EngineError) -> EngineError {
-    match e {
-        EngineError::Store(m) => EngineError::Store(format!("{name}: {m}")),
-        other => other,
-    }
-}
-
-/// Little-endian f32 decode: reinterpret in place when the platform and
-/// alignment allow, per-element otherwise.
-fn decode_f32s(bytes: &[u8]) -> Vec<f32> {
-    #[cfg(target_endian = "little")]
-    {
-        // SAFETY-free fast path: align_to handles misalignment by
-        // returning a non-empty prefix, in which case we fall through.
-        let (prefix, mid, suffix) = unsafe { bytes.align_to::<f32>() };
-        if prefix.is_empty() && suffix.is_empty() {
-            return mid.to_vec();
-        }
-    }
-    bytes
-        .chunks_exact(4)
-        .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-        .collect()
-}
-
-/// A bounds-checked cursor over the summary region.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], EngineError> {
-        if self.bytes.len() - self.pos < n {
-            return Err(EngineError::Store(format!(
-                "summary ended early: wanted {n} bytes at offset {}",
-                self.pos
-            )));
-        }
-        let out = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
-    }
-
-    fn u32(&mut self) -> Result<u32, EngineError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, EngineError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    fn f64(&mut self) -> Result<f64, EngineError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn f32s(&mut self, n: usize) -> Result<Vec<f32>, EngineError> {
-        Ok(decode_f32s(self.take(n * 4)?))
-    }
-
-    fn str(&mut self) -> Result<String, EngineError> {
-        let len = self.u32()? as usize;
-        if len > MAX_FIELD_BYTES {
-            return Err(EngineError::Store(format!(
-                "string length {len} exceeds the field cap"
-            )));
-        }
-        String::from_utf8(self.take(len)?.to_vec())
-            .map_err(|e| EngineError::Store(format!("non-UTF-8 string: {e}")))
-    }
-}
-
 fn parse_image(image: &[u8]) -> Result<ParsedImage, EngineError> {
     if image.len() < HEADER_LEN {
         return Err(EngineError::Store("segment image: truncated header".into()));
     }
-    if &image[0..8] != IMAGE_MAGIC {
+    let mut head = Cursor::new(&image[..HEADER_LEN]);
+    if head.take(8)? != IMAGE_MAGIC {
         return Err(EngineError::Store("segment image: bad magic".into()));
     }
-    let format = u32::from_le_bytes([image[8], image[9], image[10], image[11]]);
+    let format = head.u32()?;
     if format != IMAGE_FORMAT {
         return Err(EngineError::Store(format!(
             "segment image: unsupported format {format}"
         )));
     }
-    let embed_dim = u32::from_le_bytes([image[12], image[13], image[14], image[15]]) as usize;
-    let n_slots = read_u64(image, 16) as usize;
-    let summary_len = read_u64(image, 24) as usize;
-    let summary_hash = read_u64(image, 32);
-    let blob_off = read_u64(image, 40) as usize;
-    let blob_len = read_u64(image, 48) as usize;
-    if read_u64(image, 56) != 0 {
+    let embed_dim = head.u32()? as usize;
+    let n_slots = head.count()?;
+    let summary_len = head.count()?;
+    let summary_hash = head.u64()?;
+    let blob_off = head.count()?;
+    let blob_len = head.count()?;
+    if head.u64()? != 0 {
         return Err(EngineError::Store(
             "segment image: nonzero reserved field".into(),
         ));
@@ -752,16 +650,13 @@ fn parse_image(image: &[u8]) -> Result<ParsedImage, EngineError> {
             "segment image: summary checksum mismatch: expected {summary_hash:#018x}, got {got:#018x}"
         )));
     }
-    let mut cur = Cursor {
-        bytes: summary,
-        pos: 0,
-    };
+    let mut cur = Cursor::new(summary);
     let mut slots = Vec::with_capacity(n_slots.min(65_536));
     let mut elem_cursor = 0u64;
     for si in 0..n_slots {
         let id = cur.u64()?;
         let name = cur.str()?;
-        let n_cols = cur.u64()? as usize;
+        let n_cols = cur.count()?;
         if n_cols > MAX_FIELD_BYTES / 8 {
             return Err(EngineError::Store(format!(
                 "slot {si}: implausible column count {n_cols}"
@@ -794,7 +689,7 @@ fn parse_image(image: &[u8]) -> Result<ParsedImage, EngineError> {
         }
         let pooled_rows = cur.u64()?;
         let pooled_sum = cur.f32s(embed_dim)?;
-        let n_iv = cur.u64()? as usize;
+        let n_iv = cur.count()?;
         if n_iv > MAX_FIELD_BYTES / 16 {
             return Err(EngineError::Store(format!(
                 "slot {si}: implausible interval count {n_iv}"
@@ -807,7 +702,7 @@ fn parse_image(image: &[u8]) -> Result<ParsedImage, EngineError> {
             intervals.push((lo, hi));
         }
         let n_elems = cur.u64()?;
-        let _blob_hash = cur.u64()?;
+        let blob_hash = cur.u64()?;
         if n_elems != expect_elems {
             return Err(EngineError::Store(format!(
                 "slot {si}: blob extent {n_elems} elements, dims say {expect_elems}"
@@ -826,15 +721,16 @@ fn parse_image(image: &[u8]) -> Result<ParsedImage, EngineError> {
             intervals,
             elem_start: elem_cursor,
             n_elems,
+            blob_hash,
         });
         elem_cursor = elem_cursor
             .checked_add(n_elems)
             .ok_or_else(|| EngineError::Store("segment image: blob extent overflow".into()))?;
     }
-    if cur.pos != summary.len() {
+    if cur.remaining() != 0 {
         return Err(EngineError::Store(format!(
             "segment image: {} trailing summary bytes",
-            summary.len() - cur.pos
+            cur.remaining()
         )));
     }
     if elem_cursor * 4 != blob_len as u64 {
@@ -858,17 +754,15 @@ pub(crate) fn parse_segment_slots(image: &[u8]) -> Result<Vec<SlotData>, EngineE
     let parsed = parse_image(image)?;
     let blob = &image[parsed.blob_off..];
     let mut out = Vec::with_capacity(parsed.slots.len());
-    // Re-derive the per-slot hashes from the summary for verification;
-    // parse_image validated extents so slicing below cannot go out of
+    // parse_image validated extents, so slicing below cannot go out of
     // bounds.
-    let mut hash_cur = HashCursor::new(image, &parsed)?;
     for (si, s) in parsed.slots.iter().enumerate() {
         let bytes = &blob[s.elem_start as usize * 4..(s.elem_start + s.n_elems) as usize * 4];
-        let expect = hash_cur.next_hash();
         let got = fnv1a64(bytes);
-        if got != expect {
+        if got != s.blob_hash {
             return Err(EngineError::Store(format!(
-                "slot {si}: blob checksum mismatch: expected {expect:#018x}, got {got:#018x}"
+                "slot {si}: blob checksum mismatch: expected {:#018x}, got {got:#018x}",
+                s.blob_hash
             )));
         }
         let mut off = 0usize;
@@ -904,46 +798,6 @@ pub(crate) fn parse_segment_slots(image: &[u8]) -> Result<Vec<SlotData>, EngineE
         });
     }
     Ok(out)
-}
-
-/// Walks the summary a second time extracting only the per-slot blob
-/// hashes (the `SlotSummary` struct does not carry them — they matter
-/// exactly once, during eager verification).
-struct HashCursor {
-    hashes: std::vec::IntoIter<u64>,
-}
-
-impl HashCursor {
-    fn new(image: &[u8], parsed: &ParsedImage) -> Result<HashCursor, EngineError> {
-        let summary = &image[HEADER_LEN..];
-        let mut hashes = Vec::with_capacity(parsed.slots.len());
-        let mut cur = Cursor {
-            bytes: summary,
-            pos: 0,
-        };
-        for s in &parsed.slots {
-            cur.u64()?; // id
-            cur.str()?; // name
-            let n_cols = cur.u64()? as usize;
-            for c in 0..n_cols {
-                cur.take(16)?; // range
-                cur.take(16)?; // dims
-                cur.take(s.enc_dims[c].1 as usize * 4)?; // embedding
-            }
-            cur.take(8 + parsed.embed_dim * 4)?; // pooled
-            let n_iv = cur.u64()? as usize;
-            cur.take(n_iv * 16)?;
-            cur.u64()?; // n_elems
-            hashes.push(cur.u64()?);
-        }
-        Ok(HashCursor {
-            hashes: hashes.into_iter(),
-        })
-    }
-
-    fn next_hash(&mut self) -> u64 {
-        self.hashes.next().unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -985,12 +839,8 @@ mod tests {
         std::env::temp_dir().join(format!("lcdd-mapped-{tag}-{}-{n}.seg", std::process::id()))
     }
 
-    fn frame(image: &[u8]) -> Vec<u8> {
-        let mut f = Vec::with_capacity(image.len() + 28);
-        f.extend_from_slice(b"TESTSEG9");
-        f.extend_from_slice(&7u32.to_le_bytes());
-        f.extend_from_slice(&(image.len() as u64).to_le_bytes());
-        f.extend_from_slice(&fnv1a64(image).to_le_bytes());
+    fn framed(image: &[u8]) -> Vec<u8> {
+        let mut f = frame::head(b"TESTSEG9", 7, &[image]).to_vec();
         f.extend_from_slice(image);
         f
     }
@@ -1017,12 +867,35 @@ mod tests {
     }
 
     #[test]
+    fn eager_decode_verifies_every_slot_blob_hash() {
+        // No frame here, so only the per-slot hashes the summary carries
+        // stand between a flipped blob byte and a silently different slot.
+        let k = 8;
+        let image = write_segment_image((0..4).map(|i| slot(i, 2, k)), k).unwrap();
+        let parsed = parse_image(&image).unwrap();
+        for (si, s) in parsed.slots.iter().enumerate() {
+            let extent = parsed.blob_off + s.elem_start as usize * 4;
+            for off in [extent, extent + s.n_elems as usize * 4 - 1] {
+                let mut bad = image.clone();
+                bad[off] ^= 0x01;
+                match parse_segment_slots(&bad) {
+                    Err(EngineError::Store(m)) => assert!(
+                        m.contains(&format!("slot {si}: blob checksum mismatch")),
+                        "flip at {off}: {m}"
+                    ),
+                    other => panic!("flip at {off}: got {:?}", other.map(|v| v.len())),
+                }
+            }
+        }
+    }
+
+    #[test]
     fn mapped_open_materializes_identical_slots_lazily() {
         let k = 16;
         let slots: Vec<SlotData> = (0..4).map(|i| slot(i, 2, k)).collect();
         let image = write_segment_image(slots.clone().into_iter(), k).unwrap();
         let path = temp_file("lazy");
-        std::fs::write(&path, frame(&image)).unwrap();
+        std::fs::write(&path, framed(&image)).unwrap();
         let seg = MappedSegment::open_framed(&path, b"TESTSEG9", 7).unwrap();
         assert_eq!(seg.n_slots(), 4);
         assert_eq!(seg.embed_dim(), k);
@@ -1061,7 +934,7 @@ mod tests {
     fn corruption_anywhere_fails_open() {
         let k = 8;
         let image = write_segment_image((0..3).map(|i| slot(i, 2, k)), k).unwrap();
-        let framed = frame(&image);
+        let framed = framed(&image);
         let path = temp_file("corrupt");
         // A flip at every stride must be caught by the frame checksum.
         for off in (0..framed.len()).step_by(97) {
@@ -1088,7 +961,7 @@ mod tests {
         let image = write_segment_image(std::iter::empty(), 16).unwrap();
         assert!(parse_segment_slots(&image).unwrap().is_empty());
         let path = temp_file("empty");
-        std::fs::write(&path, frame(&image)).unwrap();
+        std::fs::write(&path, framed(&image)).unwrap();
         let seg = MappedSegment::open_framed(&path, b"TESTSEG9", 7).unwrap();
         assert_eq!(seg.n_slots(), 0);
         let _ = std::fs::remove_file(&path);

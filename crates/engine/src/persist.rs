@@ -1,62 +1,208 @@
-//! Durability building blocks for the `lcdd_store` crate: stable byte
-//! codecs for the pieces a write-ahead log and a segmented checkpoint
-//! store persist, plus the assembly path that turns them back into an
-//! [`Engine`].
+//! Everything the engine persists, in one vocabulary: the FCM dataset
+//! encoder's segment-level column encodings are computed once, written as
+//! memory-mappable `LCDDSEG2` images ([`crate::mapped`]), and the interval
+//! tree + LSH index of Sec. VI is rebuilt deterministically from them on
+//! load. All bytes are little-endian; files are single checksummed frames
+//! ([`crate::frame`]).
 //!
-//! Three kinds of bytes leave this module, all little-endian; batches and
-//! the meta section reuse the `LCDDSNP2` snapshot codec, while segments
-//! use the memory-mappable `LCDDSEG2` image of [`crate::mapped`]:
+//! The pieces, shared by engine snapshots and the `lcdd_store` crate:
 //!
-//! * **Encoded table batches** ([`EncodedTableBatch`]) — the output of the
-//!   FCM dataset encoder for an ingest delta, opaque to callers. A WAL
-//!   records these instead of raw tables, so crash replay *never re-runs
-//!   the encoder* (`lcdd_fcm::table_encode_count` stays flat during
-//!   recovery, asserted by the store's recovery suite).
 //! * **The meta section** ([`meta_bytes`]) — FCM config + hybrid-index
 //!   config + model weights. Immutable for the lifetime of a store (the
 //!   serving model never mutates), so it is written once.
-//! * **Shard segments** ([`segment_bytes_into`]) — one shard's live slots, the
-//!   unit of incremental checkpointing: a checkpoint rewrites only the
-//!   shards dirtied since the previous one and reuses the rest by file
-//!   reference. Segment files double as the cold tier: a store opened
-//!   cold serves them via [`assemble_engine_mapped`] without decoding.
+//! * **Shard segments** ([`segment_bytes_into`]) — one shard's live slots
+//!   as an `LCDDSEG2` image, the unit of incremental checkpointing: a
+//!   checkpoint rewrites only the shards dirtied since the previous one.
+//!   Segment files double as the cold tier: a store opened cold serves
+//!   them via [`assemble_engine_mapped`] without decoding.
+//! * **The global order** ([`live_order`]) — ingest order in the compacted
+//!   slot coordinates segments restore into.
+//! * **Encoded table batches** ([`EncodedTableBatch`]) — the encoder's
+//!   output for an ingest delta, opaque to callers. A WAL records these
+//!   instead of raw tables, so crash replay *never re-runs the encoder*
+//!   (`lcdd_fcm::table_encode_count` stays flat during recovery, asserted
+//!   by the store's recovery suite).
 //!
 //! [`assemble_engine`] is the inverse: meta + global order + one segment
-//! per shard + the epoch to resume from. The interval tree and LSH are
-//! rebuilt deterministically from the restored bytes exactly as the
-//! snapshot loader does, so a recovered engine answers queries
-//! bit-identically to the engine that wrote the segments.
+//! per shard + the epoch to resume from. An engine **snapshot**
+//! ([`Engine::save`] / [`Engine::load`]) is nothing more than those same
+//! pieces behind one frame:
+//!
+//! ```text
+//! frame "LCDDSNAP" v3, payload:
+//!   meta_len u64 | meta section
+//!   n_shards u64 | n_order u64 | per live table: u32 shard, u32 slot
+//!   per shard: image_len u64 | LCDDSEG2 image
+//! ```
+//!
+//! so the bytes a snapshot embeds are byte-for-byte the payloads of the
+//! `meta.seg` and `seg-*` files a store writes for the same state. Only
+//! *live* tables are written — a snapshot of an engine with pending
+//! tombstones equals the snapshot of its compacted self — and a restored
+//! engine answers queries bit-identically to the one that was saved.
 
+use std::io::{Read, Write};
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use lcdd_chart::ChartStyle;
+use lcdd_fcm::input::ProcessedTable;
 use lcdd_fcm::persist::{read_model_into, write_model};
-use lcdd_fcm::{encode_tables, EngineError, FcmModel};
+use lcdd_fcm::{encode_tables, EngineError, FcmConfig, FcmModel};
 use lcdd_index::HybridConfig;
 use lcdd_table::Table;
 use lcdd_tensor::Matrix;
 use lcdd_vision::VisualElementExtractor;
 
-use crate::engine::Engine;
+use crate::engine::{Engine, TableMeta};
+use crate::frame::{self, Cursor};
 pub use crate::mapped::SegmentImage;
 use crate::mapped::{parse_segment_slots, write_segment_image, MappedSegment};
 use crate::shard::{EngineShard, SlotData};
-use crate::snapshot::{
-    read_fcm_config, read_hybrid_config, rf64, rusize, validate_order, wf64, wmat,
-    write_fcm_config, write_hybrid_config, write_slot, wusize, MAX_FIELD_BYTES,
-};
 use crate::state::{EngineShared, EngineState};
 
-/// FNV-1a over a byte slice — the integrity hash shared by snapshots, WAL
-/// records, segments and manifests. Not cryptographic; the threat model is
-/// truncation and accidental corruption.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    crate::snapshot::fnv1a64(bytes)
+// ---- primitive writers ---------------------------------------------------
+
+fn wu32<W: Write>(w: &mut W, v: u32) -> Result<(), EngineError> {
+    w.write_all(&v.to_le_bytes())?;
+    Ok(())
 }
 
-/// [`fnv1a64`] of the concatenation of `parts`, without concatenating.
-pub fn fnv1a64_parts(parts: &[&[u8]]) -> u64 {
-    crate::snapshot::fnv1a64_parts(parts)
+fn wu64<W: Write>(w: &mut W, v: u64) -> Result<(), EngineError> {
+    w.write_all(&v.to_le_bytes())?;
+    Ok(())
+}
+
+fn wusize<W: Write>(w: &mut W, v: usize) -> Result<(), EngineError> {
+    wu64(w, v as u64)
+}
+
+fn wf64<W: Write>(w: &mut W, v: f64) -> Result<(), EngineError> {
+    w.write_all(&v.to_le_bytes())?;
+    Ok(())
+}
+
+fn wbool<W: Write>(w: &mut W, v: bool) -> Result<(), EngineError> {
+    w.write_all(&[u8::from(v)])?;
+    Ok(())
+}
+
+fn wstr<W: Write>(w: &mut W, s: &str) -> Result<(), EngineError> {
+    wu32(w, s.len() as u32)?;
+    w.write_all(s.as_bytes())?;
+    Ok(())
+}
+
+fn wmat<W: Write>(w: &mut W, m: &Matrix) -> Result<(), EngineError> {
+    wu32(w, m.rows() as u32)?;
+    wu32(w, m.cols() as u32)?;
+    let mut buf = Vec::with_capacity(m.len() * 4);
+    for &x in m.as_slice() {
+        buf.extend_from_slice(&x.to_le_bytes());
+    }
+    w.write_all(&buf)?;
+    Ok(())
+}
+
+fn read_mat(cur: &mut Cursor) -> Result<Matrix, EngineError> {
+    let rows = cur.u32()? as usize;
+    let cols = cur.u32()? as usize;
+    let data = cur.f32s(rows.saturating_mul(cols))?;
+    Ok(Matrix::from_vec(rows, cols, data))
+}
+
+// ---- config sections -----------------------------------------------------
+
+fn write_fcm_config<W: Write>(w: &mut W, c: &FcmConfig) -> Result<(), EngineError> {
+    for v in [
+        c.embed_dim,
+        c.n_heads,
+        c.n_layers,
+        c.ff_mult,
+        c.chart_width,
+        c.line_image_height,
+        c.p1,
+        c.trace_dim,
+        c.column_len,
+        c.p2,
+        c.beta,
+        c.moe_hidden,
+        c.matcher_hidden,
+    ] {
+        wusize(w, v)?;
+    }
+    wbool(w, c.da_enabled)?;
+    wbool(w, c.hcman_enabled)?;
+    wf64(w, c.range_slack)?;
+    wu64(w, c.seed)?;
+    Ok(())
+}
+
+fn read_fcm_config(r: &mut Cursor) -> Result<FcmConfig, EngineError> {
+    let mut f = [0usize; 13];
+    for v in f.iter_mut() {
+        *v = r.count()?;
+    }
+    let da_enabled = r.u8()? != 0;
+    let hcman_enabled = r.u8()? != 0;
+    let range_slack = r.f64()?;
+    let seed = r.u64()?;
+    Ok(FcmConfig {
+        embed_dim: f[0],
+        n_heads: f[1],
+        n_layers: f[2],
+        ff_mult: f[3],
+        chart_width: f[4],
+        line_image_height: f[5],
+        p1: f[6],
+        trace_dim: f[7],
+        column_len: f[8],
+        p2: f[9],
+        beta: f[10],
+        moe_hidden: f[11],
+        matcher_hidden: f[12],
+        da_enabled,
+        hcman_enabled,
+        range_slack,
+        seed,
+    })
+}
+
+fn write_hybrid_config<W: Write>(w: &mut W, c: &HybridConfig) -> Result<(), EngineError> {
+    wusize(w, c.lsh_bits)?;
+    wu32(w, c.lsh_radius)?;
+    wf64(w, c.range_slack)?;
+    wu64(w, c.seed)?;
+    wusize(w, c.ivf_nprobe)
+}
+
+fn read_hybrid_config(r: &mut Cursor) -> Result<HybridConfig, EngineError> {
+    Ok(HybridConfig {
+        lsh_bits: r.count()?,
+        lsh_radius: r.u32()?,
+        range_slack: r.f64()?,
+        seed: r.u64()?,
+        ivf_nprobe: r.count()?,
+    })
+}
+
+// ---- encoded table batches ------------------------------------------------
+
+/// One table's identity + preprocessed columns, as a WAL batch records them.
+fn write_slot<W: Write>(
+    w: &mut W,
+    meta: &TableMeta,
+    pt: &ProcessedTable,
+) -> Result<(), EngineError> {
+    wu64(w, meta.id)?;
+    wstr(w, &meta.name)?;
+    wusize(w, pt.column_segments.len())?;
+    for (seg, &(lo, hi)) in pt.column_segments.iter().zip(&pt.column_ranges) {
+        wmat(w, seg)?;
+        wf64(w, lo)?;
+        wf64(w, hi)?;
+    }
+    Ok(())
 }
 
 /// An ingest delta after the FCM dataset encoder ran: everything the
@@ -68,14 +214,12 @@ pub struct EncodedTableBatch {
     pub(crate) slots: Vec<SlotData>,
 }
 
-/// Maps low-level read errors inside a batch record to
-/// [`EngineError::Wal`]: batch bytes only ever come out of WAL records
-/// whose frame checksum already passed, so a malformed interior is log
-/// corruption, not an I/O condition.
+/// Re-labels parse errors inside a batch record as [`EngineError::Wal`]:
+/// batch bytes only ever come out of WAL records whose frame checksum
+/// already passed, so a malformed interior is log corruption.
 fn batch_err(e: EngineError) -> EngineError {
     match e {
-        EngineError::Io(e) => EngineError::Wal(format!("insert batch ended early: {e}")),
-        EngineError::Snapshot(m) => EngineError::Wal(format!("insert batch: {m}")),
+        EngineError::Store(m) => EngineError::Wal(format!("insert batch: {m}")),
         other => other,
     }
 }
@@ -122,57 +266,37 @@ impl EncodedTableBatch {
     }
 
     fn parse(bytes: &[u8]) -> Result<Self, EngineError> {
-        use crate::snapshot::{rmat, rstr, ru64};
-        let mut r = bytes;
-        let n_tables = rusize(&mut r)?;
-        if n_tables > MAX_FIELD_BYTES / 8 {
-            return Err(EngineError::Snapshot(format!(
-                "implausible batch table count {n_tables}"
-            )));
-        }
+        let mut r = Cursor::new(bytes);
+        let n_tables = r.count()?;
         let mut slots = Vec::with_capacity(n_tables.min(65_536));
         for _ in 0..n_tables {
-            let id = ru64(&mut r)?;
-            let name = rstr(&mut r)?;
-            let n_cols = rusize(&mut r)?;
-            if n_cols > MAX_FIELD_BYTES / 8 {
-                return Err(EngineError::Snapshot(format!(
-                    "implausible column count {n_cols}"
-                )));
-            }
+            let id = r.u64()?;
+            let name = r.str()?;
+            let n_cols = r.count()?;
             let mut column_segments = Vec::with_capacity(n_cols.min(65_536));
             let mut column_ranges = Vec::with_capacity(n_cols.min(65_536));
             for _ in 0..n_cols {
-                column_segments.push(rmat(&mut r)?);
-                let lo = rf64(&mut r)?;
-                let hi = rf64(&mut r)?;
-                column_ranges.push((lo, hi));
+                column_segments.push(read_mat(&mut r)?);
+                column_ranges.push((r.f64()?, r.f64()?));
             }
-            let n_enc = rusize(&mut r)?;
+            let n_enc = r.count()?;
             if n_enc != n_cols {
-                return Err(EngineError::Snapshot(format!(
+                return Err(EngineError::Store(format!(
                     "{n_enc} encodings for {n_cols} columns"
                 )));
             }
             let mut encodings = Vec::with_capacity(n_enc.min(65_536));
             for _ in 0..n_enc {
-                encodings.push(rmat(&mut r)?);
+                encodings.push(read_mat(&mut r)?);
             }
-            let n_iv = rusize(&mut r)?;
-            if n_iv > MAX_FIELD_BYTES / 16 {
-                return Err(EngineError::Snapshot(format!(
-                    "implausible interval count {n_iv}"
-                )));
-            }
+            let n_iv = r.count()?;
             let mut intervals = Vec::with_capacity(n_iv.min(65_536));
             for _ in 0..n_iv {
-                let lo = rf64(&mut r)?;
-                let hi = rf64(&mut r)?;
-                intervals.push((lo, hi));
+                intervals.push((r.f64()?, r.f64()?));
             }
             slots.push(SlotData {
-                meta: crate::TableMeta { id, name },
-                table: lcdd_fcm::input::ProcessedTable {
+                meta: TableMeta { id, name },
+                table: ProcessedTable {
                     table_id: id,
                     column_segments,
                     column_ranges,
@@ -181,10 +305,10 @@ impl EncodedTableBatch {
                 intervals,
             });
         }
-        if !r.is_empty() {
-            return Err(EngineError::Snapshot(format!(
+        if r.remaining() != 0 {
+            return Err(EngineError::Store(format!(
                 "{} trailing bytes in batch",
-                r.len()
+                r.remaining()
             )));
         }
         Ok(EncodedTableBatch { slots })
@@ -208,10 +332,14 @@ pub fn encode_batch(model: &FcmModel, tables: &[Table]) -> EncodedTableBatch {
 /// Serializes the engine's immutable serving configuration: FCM config +
 /// hybrid-index config + model weights. Written once per store.
 pub fn meta_bytes(engine: &Engine) -> Result<Vec<u8>, EngineError> {
+    meta_section(&engine.shared)
+}
+
+fn meta_section(shared: &EngineShared) -> Result<Vec<u8>, EngineError> {
     let mut w = Vec::new();
-    write_fcm_config(&mut w, &engine.shared.model.config)?;
-    write_hybrid_config(&mut w, &engine.shared.hybrid_cfg)?;
-    write_model(&engine.shared.model, &mut w)?;
+    write_fcm_config(&mut w, &shared.model.config)?;
+    write_hybrid_config(&mut w, &shared.hybrid_cfg)?;
+    write_model(&shared.model, &mut w)?;
     Ok(w)
 }
 
@@ -245,7 +373,7 @@ pub fn segment_bytes_into(
 pub struct EncodedSlot {
     pub id: u64,
     pub name: String,
-    pub table: lcdd_fcm::input::ProcessedTable,
+    pub table: ProcessedTable,
     pub encodings: Vec<Matrix>,
     /// `[lo, hi]` index intervals of the table's columns.
     pub intervals: Vec<(f64, f64)>,
@@ -254,7 +382,7 @@ pub struct EncodedSlot {
 impl EncodedSlot {
     fn into_slot(self) -> SlotData {
         SlotData {
-            meta: crate::TableMeta {
+            meta: TableMeta {
                 id: self.id,
                 name: self.name,
             },
@@ -289,9 +417,34 @@ pub fn segment_image_bytes(
 
 /// The global ingest order of `state`, re-expressed in the compacted slot
 /// coordinates segments restore into — what a manifest persists.
+/// Fails if the order references a dead slot — a state invariant violation.
 pub fn live_order(state: &EngineState) -> Result<Vec<(u32, u32)>, EngineError> {
-    let live = crate::snapshot::live_slots(state);
-    crate::snapshot::remapped_order(state, &live)
+    // Per shard: slot -> its position among the shard's live slots.
+    let remap: Vec<Vec<Option<u32>>> = state
+        .shards
+        .iter()
+        .map(|sh| {
+            let mut compact = 0u32..;
+            (0..sh.len())
+                .map(|slot| {
+                    if sh.is_dead(slot) {
+                        None
+                    } else {
+                        compact.next()
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    state
+        .order
+        .iter()
+        .map(|&(s, l)| {
+            remap[s as usize][l as usize]
+                .map(|compact| (s, compact))
+                .ok_or_else(|| EngineError::Snapshot("order references a dead slot".into()))
+        })
+        .collect()
 }
 
 /// Rebuilds an [`Engine`] from store pieces: the meta section, one segment
@@ -306,7 +459,7 @@ pub fn live_order(state: &EngineState) -> Result<Vec<(u32, u32)>, EngineError> {
 pub fn assemble_engine(
     meta: &[u8],
     order: Vec<(u32, u32)>,
-    segments: &[Vec<u8>],
+    segments: &[impl AsRef<[u8]>],
     epoch: u64,
 ) -> Result<Engine, EngineError> {
     let (model, hybrid_cfg) = parse_meta(meta)?;
@@ -320,8 +473,8 @@ pub fn assemble_engine(
         .iter()
         .enumerate()
         .map(|(i, bytes)| {
-            parse_segment_slots(bytes)
-                .map_err(|e| segment_err(i, e))
+            parse_segment_slots(bytes.as_ref())
+                .map_err(frame::context(format_args!("segment {i}")))
                 .map(|slots| EngineShard::from_slots(slots, embed_dim, hybrid_cfg.clone()))
         })
         .collect::<Result<_, _>>()?;
@@ -369,12 +522,12 @@ pub fn assemble_engine_mapped(
 }
 
 fn parse_meta(meta: &[u8]) -> Result<(FcmModel, HybridConfig), EngineError> {
-    let mut r = meta;
-    let config = read_fcm_config(&mut r).map_err(meta_err)?;
+    let mut cur = Cursor::new(meta);
+    let config = read_fcm_config(&mut cur).map_err(meta_err)?;
     config.validated()?;
-    let hybrid_cfg = read_hybrid_config(&mut r).map_err(meta_err)?;
+    let hybrid_cfg = read_hybrid_config(&mut cur).map_err(meta_err)?;
     let mut model = FcmModel::new(config);
-    read_model_into(&mut model, &mut r).map_err(meta_err)?;
+    read_model_into(&mut model, cur.rest()).map_err(meta_err)?;
     Ok((model, hybrid_cfg))
 }
 
@@ -397,11 +550,30 @@ fn finish_assembly(
     Ok(Engine::from_parts(shared, state))
 }
 
-fn segment_err(shard: usize, e: EngineError) -> EngineError {
-    match e {
-        EngineError::Store(m) => EngineError::Store(format!("segment {shard}: {m}")),
-        other => other,
+/// Checks a restored order is a bijection onto the restored shard slots.
+fn validate_order(order: &[(u32, u32)], shards: &[EngineShard]) -> Result<(), EngineError> {
+    let total: usize = shards.iter().map(|sh| sh.len()).sum();
+    if order.len() != total {
+        return Err(EngineError::Snapshot(format!(
+            "order lists {} tables but shards hold {total}",
+            order.len()
+        )));
     }
+    let mut seen: Vec<Vec<bool>> = shards.iter().map(|sh| vec![false; sh.len()]).collect();
+    for &(s, l) in order {
+        let slot = seen
+            .get_mut(s as usize)
+            .and_then(|v| v.get_mut(l as usize))
+            .ok_or_else(|| {
+                EngineError::Snapshot(format!("order references missing slot ({s}, {l})"))
+            })?;
+        if std::mem::replace(slot, true) {
+            return Err(EngineError::Snapshot(format!(
+                "order references slot ({s}, {l}) twice"
+            )));
+        }
+    }
+    Ok(())
 }
 
 /// Overrides the engine's epoch counter. Recovery-only: after replaying a
@@ -415,7 +587,156 @@ pub fn force_epoch(engine: &mut Engine, epoch: u64) {
 
 fn meta_err(e: EngineError) -> EngineError {
     match e {
-        EngineError::Io(e) => EngineError::Store(format!("meta section ended early: {e}")),
+        EngineError::Io(e) => EngineError::Store(format!("meta section: {e}")),
+        EngineError::Store(m) => EngineError::Store(format!("meta section: {m}")),
         other => other,
+    }
+}
+
+// ---- snapshots -----------------------------------------------------------
+
+const SNAPSHOT_MAGIC: &[u8; 8] = b"LCDDSNAP";
+/// Versions 1 and 2 were the retired standalone snapshot formats.
+const SNAPSHOT_VERSION: u32 = 3;
+
+/// Writes `state` as one snapshot frame (layout in the module docs).
+/// Shared by [`Engine::save_to`] and [`crate::ServingEngine::save`], which
+/// persists an immutable published [`EngineState`] without pausing readers.
+fn write_snapshot<W: Write>(
+    shared: &EngineShared,
+    state: &EngineState,
+    mut w: W,
+) -> Result<(), EngineError> {
+    let meta = meta_section(shared)?;
+    let order = live_order(state)?;
+    let mut p = Vec::new();
+    wusize(&mut p, meta.len())?;
+    p.extend_from_slice(&meta);
+    wusize(&mut p, state.shards.len())?;
+    wusize(&mut p, order.len())?;
+    for &(s, compact) in &order {
+        wu32(&mut p, s)?;
+        wu32(&mut p, compact)?;
+    }
+    let mut image = SegmentImage::new();
+    for shard in 0..state.shards.len() {
+        segment_bytes_into(state, shard, &mut image)?;
+        let parts = image.parts();
+        wusize(&mut p, parts.iter().map(|part| part.len()).sum())?;
+        for part in parts {
+            p.extend_from_slice(part);
+        }
+    }
+    w.write_all(&frame::head(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, &[&p]))?;
+    w.write_all(&p)?;
+    w.flush()?;
+    Ok(())
+}
+
+/// Replaces the snapshot at `path` atomically: the bytes go to
+/// `<path>.tmp`, are fsynced, and only then renamed over `path`, so a
+/// crash (or a failed write) mid-save leaves the previous snapshot intact.
+pub(crate) fn save_snapshot(
+    shared: &EngineShared,
+    state: &EngineState,
+    path: &Path,
+) -> Result<(), EngineError> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    let written = std::fs::File::create(&tmp)
+        .map_err(EngineError::Io)
+        .and_then(|file| {
+            write_snapshot(shared, state, &file)?;
+            Ok(file.sync_all()?)
+        });
+    if let Err(e) = written {
+        let _ = std::fs::remove_file(&tmp);
+        return Err(e);
+    }
+    std::fs::rename(&tmp, path)?;
+    // Best-effort directory sync, so the rename itself is durable.
+    let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+    if let Ok(d) = std::fs::File::open(dir.unwrap_or(Path::new("."))) {
+        let _ = d.sync_all();
+    }
+    Ok(())
+}
+
+/// Everything wrong with snapshot bytes is an [`EngineError::Snapshot`],
+/// whichever shared parser noticed it.
+fn snapshot_err(e: EngineError) -> EngineError {
+    match e {
+        EngineError::Store(m) => EngineError::Snapshot(m),
+        other => other,
+    }
+}
+
+fn load_snapshot(bytes: &[u8]) -> Result<Engine, EngineError> {
+    if bytes.starts_with(b"LCDDSNP") {
+        return Err(EngineError::Snapshot(
+            "retired snapshot format (LCDDSNP1/LCDDSNP2): this release reads only \
+             LCDDSNAP containers of LCDDSEG2 segment images; rebuild the snapshot \
+             from the corpus"
+                .into(),
+        ));
+    }
+    let payload = frame::verify(bytes, SNAPSHOT_MAGIC, SNAPSHOT_VERSION)?;
+    let mut cur = Cursor::new(payload);
+    let meta_len = cur.count()?;
+    let meta = cur.take(meta_len)?;
+    let n_shards = cur.count()?;
+    let n_order = cur.count()?;
+    let mut order = Vec::with_capacity(n_order.min(65_536));
+    for _ in 0..n_order {
+        order.push((cur.u32()?, cur.u32()?));
+    }
+    let mut segments = Vec::with_capacity(n_shards.min(65_536));
+    for _ in 0..n_shards {
+        let image_len = cur.count()?;
+        segments.push(cur.take(image_len)?);
+    }
+    if cur.remaining() != 0 {
+        return Err(EngineError::Store(format!(
+            "{} trailing payload bytes",
+            cur.remaining()
+        )));
+    }
+    assemble_engine(meta, order, &segments, 0)
+}
+
+impl Engine {
+    /// Writes the full serving state to a writer as one snapshot frame
+    /// (see the [module docs](crate::persist)) and flushes it.
+    pub fn save_to<W: Write>(&self, w: W) -> Result<(), EngineError> {
+        write_snapshot(&self.shared, &self.state, w)
+    }
+
+    /// Restores an engine from a reader. Serving configuration is not part
+    /// of a snapshot: the restored engine uses the oracle extractor,
+    /// default chart style and the default compaction threshold — call
+    /// [`Engine::set_extractor`] to serve raw image queries and
+    /// [`Engine::set_compaction_threshold`] to re-apply a custom eviction
+    /// policy.
+    ///
+    /// Corrupt input — bad magic, unknown version, truncation, trailing
+    /// bytes, bit flips — and the two retired snapshot formats
+    /// are reported as [`EngineError::Snapshot`]; this function does not
+    /// panic on malformed bytes.
+    pub fn load_from<R: Read>(mut r: R) -> Result<Engine, EngineError> {
+        let mut bytes = Vec::new();
+        r.read_to_end(&mut bytes)?;
+        load_snapshot(&bytes).map_err(snapshot_err)
+    }
+
+    /// Saves the full serving state to a file, atomically: a failed or
+    /// interrupted save leaves the previous snapshot at `path` untouched.
+    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), EngineError> {
+        save_snapshot(&self.shared, &self.state, path.as_ref())
+    }
+
+    /// Restores an engine from a snapshot file (see [`Engine::load_from`]).
+    pub fn load(path: impl AsRef<Path>) -> Result<Engine, EngineError> {
+        Engine::load_from(std::fs::File::open(path)?)
     }
 }

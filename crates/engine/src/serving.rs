@@ -356,11 +356,10 @@ impl ServingEngine {
         f64::from_bits(self.compaction_threshold.load(Ordering::Relaxed))
     }
 
-    /// Writes the current snapshot to a file in the engine snapshot format
-    /// (readable by [`Engine::load`]).
+    /// Writes the published state to a snapshot file (readable by
+    /// [`Engine::load`]), atomically like [`Engine::save`] and without
+    /// pausing readers or the writer.
     pub fn save(&self, path: impl AsRef<std::path::Path>) -> Result<(), EngineError> {
-        let file = std::fs::File::create(path)?;
-        let state = self.snapshot();
-        crate::snapshot::write_snapshot_v2(&self.shared, &state, std::io::BufWriter::new(file))
+        crate::persist::save_snapshot(&self.shared, &self.snapshot(), path.as_ref())
     }
 }

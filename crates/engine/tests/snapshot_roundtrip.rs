@@ -1,11 +1,14 @@
 //! Engine snapshot round-trips and robustness: a saved-then-loaded engine
 //! must reproduce identical top-k rankings, scores, and per-stage
-//! provenance on fixed queries; `LCDDSNP2` bytes must round-trip
-//! bit-identically per shard; legacy `LCDDSNP1` snapshots must load into
-//! the sharded engine with identical results; and corrupt bytes of either
-//! format must surface as `EngineError::Snapshot`, never a panic.
+//! provenance on fixed queries; snapshot bytes must round-trip
+//! bit-identically per shard and be tombstone-independent; a failed save
+//! must leave the previous snapshot intact; and corrupt bytes — frame,
+//! length prefixes, or the interior of an embedded `LCDDSEG2` image — as
+//! well as the retired formats must surface as `EngineError::Snapshot`,
+//! never a panic.
 
-use lcdd_engine::{Engine, EngineError, IndexStrategy, Query, SearchOptions};
+use lcdd_engine::{frame, Engine, EngineError, IndexStrategy, Query, SearchOptions, ServingEngine};
+use lcdd_testkit::crash::{SnapshotLayout, TempDir};
 use lcdd_testkit::{assert_same_hits, corpus, queries_for, tiny_engine, CorpusSpec};
 
 fn test_corpus() -> Vec<lcdd_table::Table> {
@@ -24,12 +27,10 @@ fn build_engine(n_shards: usize) -> Engine {
 fn snapshot_roundtrip_reproduces_rankings_and_provenance() {
     let engine = build_engine(3);
 
-    let dir = std::env::temp_dir().join("lcdd_engine_snapshot_test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("engine.snap");
+    let dir = TempDir::new("snapshot-roundtrip");
+    let path = dir.path().join("engine.snap");
     engine.save(&path).unwrap();
     let restored = Engine::load(&path).unwrap();
-    std::fs::remove_file(&path).ok();
 
     assert_eq!(restored.len(), engine.len());
     assert_eq!(restored.n_shards(), engine.n_shards());
@@ -48,8 +49,7 @@ fn snapshot_roundtrip_reproduces_rankings_and_provenance() {
 
 #[test]
 fn snapshot_bytes_roundtrip_bit_identically() {
-    // save -> load -> save must reproduce the same bytes per shard — the
-    // LCDDSNP2 acceptance criterion.
+    // save -> load -> save must reproduce the same bytes per shard.
     for n_shards in [1usize, 3] {
         let engine = build_engine(n_shards);
         let mut first = Vec::new();
@@ -87,31 +87,38 @@ fn tombstoned_engine_snapshots_like_its_compacted_self() {
 }
 
 #[test]
-fn v1_snapshot_loads_into_sharded_engine_with_identical_results() {
-    let engine = build_engine(3);
-    let mut v1 = Vec::new();
-    engine.save_v1_to(&mut v1).unwrap();
+fn failed_save_leaves_the_previous_snapshot_intact() {
+    let mut engine = build_engine(2);
+    let dir = TempDir::new("snapshot-atomic");
+    let path = dir.path().join("engine.snap");
+    let tmp = dir.path().join("engine.snap.tmp");
+    engine.save(&path).unwrap();
+    assert!(
+        !tmp.exists(),
+        "a successful save must not leave its temp file"
+    );
+    let saved = build_engine(2);
 
-    // v1 restores as a single shard; resharding redistributes without
-    // changing any answer.
-    let mut restored = Engine::load_from(v1.as_slice()).unwrap();
-    assert_eq!(restored.n_shards(), 1);
-    assert_eq!(restored.len(), engine.len());
-    for n_shards in [1usize, 3, 5] {
-        restored.reshard(n_shards).unwrap();
-        for strategy in IndexStrategy::ALL {
-            let opts = SearchOptions::top_k(5).with_strategy(strategy);
-            for (qi, q) in fixed_queries().iter().enumerate() {
-                let a = engine.search(q, &opts).unwrap();
-                let b = restored.search(q, &opts).unwrap();
-                assert_same_hits(
-                    &format!("v1->{n_shards} shards, strategy {strategy:?}, query {qi}"),
-                    &a,
-                    &b,
-                );
-            }
-        }
+    // A directory squatting on the temp name: the next save cannot even
+    // start, and must not have touched the good snapshot.
+    std::fs::create_dir(&tmp).unwrap();
+    assert_eq!(engine.remove_tables(&[0, 1]), 2);
+    assert!(engine.save(&path).is_err());
+    let serving = ServingEngine::new(engine);
+    assert!(serving.save(&path).is_err());
+    let restored = Engine::load(&path).unwrap();
+    assert_eq!(restored.len(), saved.len());
+    let opts = SearchOptions::top_k(5);
+    for (qi, q) in fixed_queries().iter().enumerate() {
+        let a = saved.search(q, &opts).unwrap();
+        let b = restored.search(q, &opts).unwrap();
+        assert_same_hits(&format!("after failed save, query {qi}"), &a, &b);
     }
+
+    std::fs::remove_dir(&tmp).unwrap();
+    serving.save(&path).unwrap();
+    assert!(!tmp.exists());
+    assert_eq!(Engine::load(&path).unwrap().len(), saved.len() - 2);
 }
 
 #[test]
@@ -173,26 +180,18 @@ fn bit_flip_sweep_over_header_and_section_boundaries() {
     engine.save_to(&mut buf).unwrap();
 
     // Corruption targets: every byte of the framing header (magic,
-    // version, payload length, payload checksum), plus a window around
-    // each per-shard section boundary inside the payload. The payload
-    // checksum makes every interior flip detectable, so each flip must
-    // surface as EngineError::Snapshot — never a panic, never a silently
-    // different engine.
+    // version, payload length, payload checksum), plus a spread of payload
+    // positions. The payload checksum makes every interior flip
+    // detectable, so each flip must surface as EngineError::Snapshot —
+    // never a panic, never a silently different engine.
     let mut offsets: Vec<usize> = (0..28.min(buf.len())).collect();
-
-    // Locate section boundaries by replaying the save layout: the payload
-    // starts at byte 28; sections are at the end, each prefixed by a u64
-    // length. Walk backwards from the end using the recorded lengths.
-    // (Cheaper: resave per shard and diff lengths — but the exact offsets
-    // only need to land *near* the boundaries for the sweep to cover
-    // them, so probe a spread of payload positions too.)
     let payload_start = 28;
     let n = buf.len();
     for frac in [0.1, 0.25, 0.5, 0.75, 0.9] {
         let pos = payload_start + ((n - payload_start) as f64 * frac) as usize;
         offsets.extend([pos, pos + 1]);
     }
-    offsets.push(n - 8); // inside the last section's trailing interval data
+    offsets.push(n - 8); // inside the last image's blob
     offsets.push(n - 1);
 
     for &off in &offsets {
@@ -213,50 +212,89 @@ fn bit_flip_sweep_over_header_and_section_boundaries() {
     }
 }
 
+/// `buf` with its frame header recomputed over the (damaged) payload, so
+/// the damage reaches the parsers behind the frame checksum.
+fn resealed(buf: &[u8]) -> Vec<u8> {
+    let magic: [u8; 8] = buf[0..8].try_into().unwrap();
+    let version = u32::from_le_bytes(buf[8..12].try_into().unwrap());
+    let payload = &buf[frame::HEAD_LEN..];
+    let mut out = frame::head(&magic, version, &[payload]).to_vec();
+    out.extend_from_slice(payload);
+    out
+}
+
 #[test]
-fn exact_section_boundary_flips_are_rejected() {
-    // Deterministically locate each per-shard section boundary by parsing
-    // the save layout (magic 8 + version 4 + len 8 + hash 8 = payload at
-    // 28) and flip the first byte of every section length prefix and of
-    // every section body.
+fn length_prefix_flips_and_truncations_are_rejected() {
     let engine = build_engine(3);
     let mut buf = Vec::new();
     engine.save_to(&mut buf).unwrap();
-    let payload_len = u64::from_le_bytes(buf[12..20].try_into().unwrap()) as usize;
-    assert_eq!(buf.len(), 28 + payload_len);
-
-    // Re-serialize shard sections independently to recover their lengths:
-    // the final bytes of the payload are [len0 sec0 len1 sec1 len2 sec2].
-    // Walk from the end: the last section ends at the payload end.
-    let mut boundaries = Vec::new();
-    let mut end = buf.len();
-    for _ in 0..engine.n_shards() {
-        // Scan backwards for the length prefix that describes the bytes
-        // up to `end`. Section lengths are < 2^32 here, so the 8-byte
-        // prefix directly precedes the section.
-        let mut found = None;
-        for start in (28..end.saturating_sub(7)).rev() {
-            let len = u64::from_le_bytes(buf[start..start + 8].try_into().unwrap()) as usize;
-            if start + 8 + len == end {
-                found = Some(start);
-                break;
-            }
-        }
-        let start = found.expect("section boundary not found");
-        boundaries.push(start);
-        end = start;
-    }
-    assert_eq!(boundaries.len(), engine.n_shards());
-
-    for &b in &boundaries {
-        for off in [b, b + 8] {
+    let lay = SnapshotLayout::of(&buf);
+    assert_eq!(lay.images.len(), engine.n_shards());
+    assert_eq!(lay.prefixes.len(), 3 + engine.n_shards());
+    for &at in &lay.prefixes {
+        // The first byte of the prefix and of what it describes.
+        for off in [at, at + 8] {
             let mut bad = buf.clone();
             bad[off] ^= 0x10;
-            match Engine::load_from(bad.as_slice()) {
-                Err(EngineError::Snapshot(_)) => {}
-                Err(other) => panic!("boundary flip at {off}: got {other:?}"),
-                Ok(_) => panic!("boundary flip at {off}: loaded successfully"),
+            assert_rejected(&bad, &format!("flip at {off}"));
+            assert_rejected(&resealed(&bad), &format!("resealed flip at {off}"));
+        }
+        for cut in [at, at + 4, at + 8] {
+            assert_rejected(&buf[..cut], &format!("cut at {cut}"));
+            assert_rejected(&resealed(&buf[..cut]), &format!("resealed cut at {cut}"));
+        }
+    }
+}
+
+#[test]
+fn flips_inside_embedded_images_are_rejected() {
+    let engine = build_engine(3);
+    let mut buf = Vec::new();
+    engine.save_to(&mut buf).unwrap();
+    for (si, image) in SnapshotLayout::of(&buf).images.into_iter().enumerate() {
+        let u64_at = |off: usize| {
+            let at = image.start + off;
+            u64::from_le_bytes(buf[at..at + 8].try_into().unwrap()) as usize
+        };
+        let (summary_len, blob_off, blob_len) = (u64_at(24), u64_at(40), u64_at(48));
+        assert_eq!(&buf[image.start..image.start + 8], b"LCDDSEG2");
+        assert_eq!(blob_off + blob_len, image.len());
+        assert!(summary_len > 0 && blob_len > 0, "shard {si} holds tables");
+        // Header: magic, blob_off, the reserved word; then the interior of
+        // the summary and of the blob. Re-sealing the frame hands each one
+        // to the check that owns it (header validation, summary hash,
+        // per-slot blob hash).
+        for off in [0, 40, 56, 64 + summary_len / 2, blob_off + blob_len / 2] {
+            let mut bad = buf.clone();
+            bad[image.start + off] ^= 0x04;
+            assert_rejected(&bad, &format!("shard {si} image byte {off}"));
+            assert_rejected(
+                &resealed(&bad),
+                &format!("shard {si} image byte {off}, resealed"),
+            );
+        }
+    }
+}
+
+#[test]
+fn trailing_bytes_are_rejected() {
+    let mut buf = Vec::new();
+    build_engine(2).save_to(&mut buf).unwrap();
+    buf.push(0);
+    assert_rejected(&buf, "one byte past the frame");
+    assert_rejected(&resealed(&buf), "one byte past the last image");
+}
+
+#[test]
+fn retired_formats_are_named_in_the_rejection() {
+    for magic in [b"LCDDSNP1", b"LCDDSNP2"] {
+        let mut bytes = magic.to_vec();
+        bytes.extend_from_slice(&[0u8; 64]);
+        match Engine::load_from(bytes.as_slice()) {
+            Err(EngineError::Snapshot(msg)) => {
+                assert!(msg.contains("retired snapshot format"), "message: {msg}")
             }
+            other => panic!("expected Snapshot error, got {:?}", other.map(|_| ())),
         }
     }
 }

@@ -15,7 +15,7 @@
 //! file's own frame, so corruption that slips past one layer is still
 //! caught by the next.
 
-use lcdd_engine::persist::fnv1a64;
+use lcdd_engine::frame::fnv1a64;
 use lcdd_fcm::EngineError;
 
 /// Largest accepted frame payload (matches the WAL's record cap).

@@ -38,7 +38,6 @@ pub mod batcher;
 pub mod error;
 pub mod http;
 pub mod json;
-pub mod latency;
 pub mod metrics;
 pub mod server;
 pub mod wire;
@@ -46,6 +45,6 @@ pub mod wire;
 pub use backend::{Backend, Consistency, PinnedView};
 pub use batcher::{Batcher, JobReply, SearchJob, Submit};
 pub use error::ApiError;
-pub use latency::Histogram;
+pub use lcdd_obs::registry::Histogram;
 pub use metrics::Metrics;
 pub use server::{Server, ServerConfig, ShutdownReport};

@@ -70,6 +70,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
+use lcdd_engine::frame::Cursor;
 use lcdd_engine::persist::{
     self, assemble_engine, encode_batch, live_order, meta_bytes, segment_bytes_into,
     EncodedTableBatch, SegmentImage,
@@ -82,9 +83,7 @@ use lcdd_fcm::FcmModel;
 use lcdd_obs::trace;
 use lcdd_table::Table;
 
-use crate::codec::{
-    read_framed, sync_dir, write_framed, write_framed_parts, wstr, wu64, SliceReader,
-};
+use crate::codec::{read_framed, sync_dir, write_framed, write_framed_parts, wstr, wu64};
 use crate::fault::{FaultHook, FaultPoint};
 use crate::instruments;
 use crate::manifest::{
@@ -276,11 +275,11 @@ impl CheckpointPackage {
                 Ok(n)
             }
         };
-        let mut r = SliceReader::new(bytes);
-        let man_len = cap(r.ru64().map_err(repl)? as usize, "manifest")?;
+        let mut r = Cursor::new(bytes);
+        let man_len = cap(r.count().map_err(repl)?, "manifest")?;
         let man_bytes = r.take(man_len).map_err(repl)?;
         let manifest = Manifest::from_payload(man_bytes, "shipped manifest").map_err(repl)?;
-        let n_files = r.ru64().map_err(repl)? as usize;
+        let n_files = r.count().map_err(repl)?;
         if n_files == 0 || n_files > 65_537 {
             return Err(EngineError::Replication(format!(
                 "checkpoint package: implausible file count {n_files}"
@@ -288,8 +287,8 @@ impl CheckpointPackage {
         }
         let mut files = Vec::with_capacity(n_files);
         for _ in 0..n_files {
-            let name = r.rstr().map_err(repl)?;
-            let len = cap(r.ru64().map_err(repl)? as usize, "file")?;
+            let name = r.str().map_err(repl)?;
+            let len = cap(r.count().map_err(repl)?, "file")?;
             files.push((name, r.take(len).map_err(repl)?.to_vec()));
         }
         if r.remaining() != 0 {
@@ -936,9 +935,10 @@ impl DurableEngine {
         self.serving.hybrid_config()
     }
 
-    /// Exports the published state as a plain `LCDDSNP2` snapshot file
-    /// (readable by [`lcdd_engine::Engine::load`] — a portable backup,
-    /// independent of the store directory).
+    /// Exports the published state as an engine snapshot file (readable by
+    /// [`lcdd_engine::Engine::load`] — a portable backup, independent of
+    /// the store directory, holding the same meta and segment payloads).
+    /// Atomic: a failed export leaves a previous backup at `path` intact.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), EngineError> {
         self.serving.save(path)
     }

@@ -18,9 +18,10 @@
 
 use std::path::{Path, PathBuf};
 
+use lcdd_engine::frame::Cursor;
 use lcdd_fcm::EngineError;
 
-use crate::codec::{read_framed, sync_dir, write_framed, wstr, wu32, wu64, SliceReader};
+use crate::codec::{read_framed, sync_dir, write_framed, wstr, wu32, wu64};
 use crate::fault::{FaultHook, FaultPoint};
 
 pub(crate) const MANIFEST_MAGIC: &[u8; 8] = b"LCDDMAN1";
@@ -75,12 +76,12 @@ impl Manifest {
             EngineError::Store(m) => EngineError::Store(format!("{name}: {m}")),
             other => other,
         };
-        let mut r = SliceReader::new(payload);
-        let epoch = r.ru64().map_err(ctx)?;
-        let meta_file = r.rstr().map_err(ctx)?;
-        let wal_file = r.rstr().map_err(ctx)?;
-        let wal_offset = r.ru64().map_err(ctx)?;
-        let n_segments = r.ru64().map_err(ctx)? as usize;
+        let mut r = Cursor::new(payload);
+        let epoch = r.u64().map_err(ctx)?;
+        let meta_file = r.str().map_err(ctx)?;
+        let wal_file = r.str().map_err(ctx)?;
+        let wal_offset = r.u64().map_err(ctx)?;
+        let n_segments = r.count().map_err(ctx)?;
         if n_segments == 0 || n_segments > 65_536 {
             return Err(EngineError::Store(format!(
                 "{name}: implausible segment count {n_segments}"
@@ -88,9 +89,9 @@ impl Manifest {
         }
         let mut segments = Vec::with_capacity(n_segments);
         for _ in 0..n_segments {
-            segments.push(r.rstr().map_err(ctx)?);
+            segments.push(r.str().map_err(ctx)?);
         }
-        let n_order = r.ru64().map_err(ctx)? as usize;
+        let n_order = r.count().map_err(ctx)?;
         if n_order > crate::codec::MAX_PAYLOAD_BYTES / 8 {
             return Err(EngineError::Store(format!(
                 "{name}: implausible order length {n_order}"
@@ -98,8 +99,8 @@ impl Manifest {
         }
         let mut order = Vec::with_capacity(n_order.min(65_536));
         for _ in 0..n_order {
-            let s = r.ru32().map_err(ctx)?;
-            let l = r.ru32().map_err(ctx)?;
+            let s = r.u32().map_err(ctx)?;
+            let l = r.u32().map_err(ctx)?;
             order.push((s, l));
         }
         if r.remaining() != 0 {

@@ -66,11 +66,11 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
-use lcdd_engine::persist::fnv1a64;
+use lcdd_engine::frame::{fnv1a64, Cursor};
 use lcdd_fcm::EngineError;
 use lcdd_obs::registry::{Counter, Histogram};
 
-use crate::codec::{sync_dir, wf64, wu64, SliceReader};
+use crate::codec::{sync_dir, wf64, wu64};
 use crate::fault::{FaultDecision, FaultHook, FaultPlan, FaultPoint};
 use crate::instruments;
 use crate::manifest::Manifest;
@@ -167,21 +167,21 @@ impl WalRecord {
             return Err(wal_err("empty payload".into()));
         }
         let kind = payload[0];
-        let mut r2 = SliceReader::new(&payload[1..]);
-        let epoch_after = r2.ru64().map_err(remap)?;
+        let mut r2 = Cursor::new(&payload[1..]);
+        let epoch_after = r2.u64().map_err(remap)?;
         let op = match kind {
             1 => WalOp::Insert {
                 batch: payload[1 + 8..].to_vec(),
             },
             2 => {
-                let threshold = r2.rf64().map_err(remap)?;
-                let n = r2.ru64().map_err(remap)? as usize;
+                let threshold = r2.f64().map_err(remap)?;
+                let n = r2.count().map_err(remap)?;
                 if n > MAX_RECORD_BYTES / 8 {
                     return Err(wal_err(format!("implausible id count {n}")));
                 }
                 let mut ids = Vec::with_capacity(n.min(65_536));
                 for _ in 0..n {
-                    ids.push(r2.ru64().map_err(remap)?);
+                    ids.push(r2.u64().map_err(remap)?);
                 }
                 if r2.remaining() != 0 {
                     return Err(wal_err(format!(
@@ -201,7 +201,7 @@ impl WalRecord {
                 WalOp::Compact
             }
             4 => {
-                let n_shards = r2.ru64().map_err(remap)? as usize;
+                let n_shards = r2.count().map_err(remap)?;
                 if r2.remaining() != 0 {
                     return Err(wal_err(format!(
                         "{} trailing bytes in reshard record",

@@ -117,6 +117,16 @@ fn flip_bit(path: &std::path::Path, byte: u64, bit: u8) {
     f.write_all(&b).expect("flip: write");
 }
 
+/// One byte of garbage past the end of a well-formed file.
+fn append_byte(path: &std::path::Path) {
+    use std::io::Write;
+    let mut f = std::fs::OpenOptions::new()
+        .append(true)
+        .open(path)
+        .expect("append: open");
+    f.write_all(&[0]).expect("append: write");
+}
+
 fn file_len(path: &std::path::Path) -> u64 {
     std::fs::metadata(path).expect("metadata").len()
 }
@@ -244,6 +254,48 @@ fn segment_and_meta_corruption_is_typed() {
     }
 }
 
+#[test]
+fn trailing_garbage_is_rejected_by_the_eager_and_the_cold_open_alike() {
+    let world = build_world("trailing");
+    let (_, manifest) = latest_manifest(&world.golden)
+        .expect("manifest readable")
+        .expect("manifest present");
+    let mut files = manifest.segments.clone();
+    files.push(manifest.meta_file.clone());
+    for name in &files {
+        for cold_open in [false, true] {
+            let dir = world.tmp.subdir(&format!("trail-{name}-{cold_open}"));
+            copy_dir(&world.golden, &dir);
+            append_byte(&dir.join(name));
+            let opts = StoreOptions {
+                cold_open,
+                ..opts()
+            };
+            match DurableEngine::open(&dir, opts) {
+                Err(EngineError::Store(m)) => assert!(m.contains(name), "message: {m}"),
+                Err(other) => panic!("{name} + 1 byte, cold {cold_open}: got {other}"),
+                Ok(_) => panic!("{name} + 1 byte, cold {cold_open}: accepted"),
+            }
+        }
+    }
+}
+
+#[test]
+fn trailing_garbage_on_a_snapshot_is_rejected() {
+    let world = build_world("trailing-snap");
+    let (durable, _) = DurableEngine::open(&world.golden, opts()).expect("pristine store opens");
+    let path = world.tmp.subdir("backup.snap");
+    durable.save(&path).expect("backup");
+    let restored = lcdd_engine::Engine::load(&path).expect("pristine backup loads");
+    assert_eq!(restored.len(), durable.len());
+    append_byte(&path);
+    match lcdd_engine::Engine::load(&path) {
+        Err(EngineError::Snapshot(_)) => {}
+        Err(other) => panic!("snapshot + 1 byte: expected Snapshot error, got {other}"),
+        Ok(_) => panic!("snapshot + 1 byte: accepted"),
+    }
+}
+
 /// A store with two checkpoints retained and ops logged both between
 /// them and after the newest: `(dir, serial oracle of every acknowledged
 /// op, base corpus)`. The store handle is dropped (checkpointer joined).
@@ -284,12 +336,21 @@ fn two_checkpoint_store(
 
 #[test]
 fn corrupt_newest_manifest_falls_back_and_loses_nothing() {
-    let tmp = TempDir::new("fallback");
+    newest_manifest_damage_falls_back("fallback", |newest| flip_bit(newest, 40, 2));
+}
+
+#[test]
+fn trailing_garbage_on_newest_manifest_falls_back_and_loses_nothing() {
+    newest_manifest_damage_falls_back("fallback-trailing", append_byte);
+}
+
+fn newest_manifest_damage_falls_back(tag: &str, damage: impl Fn(&std::path::Path)) {
+    let tmp = TempDir::new(tag);
     let (dir, serial, base) = two_checkpoint_store(&tmp);
     let (newest, manifest) = latest_manifest(&dir)
         .expect("manifest readable")
         .expect("manifest present");
-    flip_bit(&newest, 40, 2);
+    damage(&newest);
     // The newest manifest is damaged; recovery falls back to the creation
     // checkpoint and replays its whole WAL chain — the ops the damaged
     // checkpoint covered *and* the ops acknowledged after it, which live

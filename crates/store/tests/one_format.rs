@@ -1,0 +1,219 @@
+//! One on-disk vocabulary, checked by bytes: an engine snapshot is a
+//! container of exactly the pieces a store writes (`meta.seg` payload +
+//! one `LCDDSEG2` image per shard), whichever tier the state lives in; and
+//! those pieces are byte-for-byte what the store wrote before snapshots
+//! joined them — a store directory written by the previous release (the
+//! `pr17-store` fixture) opens eagerly and cold, replays its WAL without
+//! re-encoding, and re-serializes to the identical files.
+
+use std::path::{Path, PathBuf};
+
+use lcdd_engine::persist::{assemble_engine, EncodedTableBatch};
+use lcdd_engine::{frame, Engine, IndexStrategy, Query, SearchOptions};
+use lcdd_store::wal::{self, WalOp, WalWriter};
+use lcdd_store::{latest_manifest, DurableEngine, StoreOptions, WAL_HEADER_LEN};
+use lcdd_testkit::crash::{
+    assert_same_hits_bitwise, copy_dir, encode_gate, SnapshotLayout, TempDir,
+};
+use lcdd_testkit::{corpus, queries_for, tiny_engine, CorpusSpec};
+
+fn opts(cold_open: bool) -> StoreOptions {
+    StoreOptions {
+        sync_writes: false,
+        checkpoint_every_ops: 0,
+        checkpoint_every_bytes: 0,
+        cold_open,
+        ..StoreOptions::default()
+    }
+}
+
+/// A 3-shard engine with tombstones the snapshot / checkpoint writers
+/// must compact away, and the tables it was built from.
+fn tombstoned_engine() -> (Engine, Vec<lcdd_table::Table>) {
+    let tables = corpus(&CorpusSpec::sized(0x1f0a, 9));
+    let mut engine = tiny_engine(tables.clone(), 3);
+    engine.set_compaction_threshold(1.0);
+    assert_eq!(engine.remove_tables(&[tables[1].id, tables[5].id]), 2);
+    assert!(engine.shards().iter().any(|s| s.n_dead() > 0));
+    (engine, tables)
+}
+
+/// The payload of a framed store file (everything past the 28-byte head).
+fn payload(path: &Path) -> Vec<u8> {
+    std::fs::read(path).expect("store file readable")[frame::HEAD_LEN..].to_vec()
+}
+
+fn assert_same_answers(context: &str, a: &Engine, b: &Engine, queries: &[Query]) {
+    for strategy in IndexStrategy::ALL {
+        let opts = SearchOptions::top_k(5).with_strategy(strategy);
+        for (qi, q) in queries.iter().enumerate() {
+            assert_same_hits_bitwise(
+                &format!("{context}: {strategy:?}, query {qi}"),
+                &a.search(q, &opts).unwrap(),
+                &b.search(q, &opts).unwrap(),
+            );
+        }
+    }
+}
+
+#[test]
+fn a_snapshot_embeds_the_store_files_byte_for_byte() {
+    let _gate = encode_gate();
+    let (engine, _) = tombstoned_engine();
+    let mut snap = Vec::new();
+    engine.save_to(&mut snap).unwrap();
+    let layout = SnapshotLayout::of(&snap);
+
+    let tmp = TempDir::new("one-format-embed");
+    let dir = tmp.subdir("store");
+    let n_shards = engine.n_shards();
+    drop(DurableEngine::create(&dir, engine, opts(false)).unwrap());
+    let (_, manifest) = latest_manifest(&dir).unwrap().unwrap();
+    assert_eq!(layout.images.len(), n_shards);
+    assert_eq!(manifest.segments.len(), n_shards);
+    assert!(
+        snap[layout.meta] == payload(&dir.join(&manifest.meta_file)),
+        "meta block"
+    );
+    for (i, (image, name)) in layout
+        .images
+        .into_iter()
+        .zip(&manifest.segments)
+        .enumerate()
+    {
+        assert!(
+            snap[image] == payload(&dir.join(name)),
+            "shard {i} vs {name}"
+        );
+    }
+}
+
+#[test]
+fn live_eager_and_cold_states_snapshot_to_the_same_bytes() {
+    let _gate = encode_gate();
+    let (engine, tables) = tombstoned_engine();
+    let queries = queries_for(&tables, 4);
+    let mut live = Vec::new();
+    engine.save_to(&mut live).unwrap();
+    let reference = Engine::load_from(live.as_slice()).unwrap();
+    assert_same_answers("snapshot of the live engine", &engine, &reference, &queries);
+
+    let tmp = TempDir::new("one-format-tiers");
+    let dir = tmp.subdir("store");
+    drop(DurableEngine::create(&dir, engine, opts(false)).unwrap());
+    for cold_open in [false, true] {
+        let (store, _) = DurableEngine::open(&dir, opts(cold_open)).unwrap();
+        let path = tmp.subdir(&format!("backup-{cold_open}.snap"));
+        store.save(&path).unwrap();
+        assert!(
+            std::fs::read(&path).unwrap() == live,
+            "cold_open {cold_open}: snapshot bytes differ from the live engine's"
+        );
+        let restored = Engine::load(&path).unwrap();
+        assert_same_answers(
+            &format!("snapshot of the store, cold_open {cold_open}"),
+            &reference,
+            &restored,
+            &queries,
+        );
+    }
+}
+
+fn fixture() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/pr17-store")
+}
+
+/// The fixture was written by the commit before snapshots became
+/// containers: `create` over four tables in two shards, then one insert
+/// and one remove that only the WAL holds.
+#[test]
+fn a_store_written_by_the_previous_release_opens_with_identical_answers() {
+    let _gate = encode_gate();
+    let tmp = TempDir::new("one-format-fixture");
+    let encodes = lcdd_fcm::table_encode_count();
+    let mut opened = Vec::new();
+    for cold_open in [false, true] {
+        let dir = tmp.subdir(&format!("open-{cold_open}"));
+        copy_dir(&fixture(), &dir);
+        let (store, report) = DurableEngine::open(&dir, opts(cold_open)).unwrap();
+        assert_eq!((report.checkpoint_epoch, report.replayed_ops), (0, 2));
+        assert!(report.truncated_tail.is_none() && !report.fallback);
+        assert_eq!((store.len(), store.epoch()), (4, 2));
+        opened.push(store);
+    }
+    assert_eq!(
+        lcdd_fcm::table_encode_count(),
+        encodes,
+        "opening a store must not re-encode a table"
+    );
+    let k = SearchOptions::top_k(4);
+    for (qi, q) in queries_for(&corpus(&CorpusSpec::sized(0xf1c5, 5)), 5)
+        .iter()
+        .enumerate()
+    {
+        for strategy in IndexStrategy::ALL {
+            let opts = k.clone().with_strategy(strategy);
+            let eager = opened[0].search(q, &opts).unwrap();
+            let cold = opened[1].search(q, &opts).unwrap();
+            if strategy == IndexStrategy::NoIndex {
+                assert_eq!(eager.hits.len(), 4, "an exact scan ranks every live table");
+            }
+            assert_same_hits_bitwise(&format!("{strategy:?}, query {qi}"), &eager, &cold);
+        }
+    }
+}
+
+#[test]
+fn the_previous_release_s_files_are_rewritten_byte_for_byte() {
+    let _gate = encode_gate();
+    let fixture = fixture();
+    let (man_path, manifest) = latest_manifest(&fixture).unwrap().unwrap();
+
+    // Checkpoint files: decode the fixture's checkpoint, write a fresh
+    // store from it, compare meta, every segment and the manifest.
+    let segments: Vec<Vec<u8>> = manifest
+        .segments
+        .iter()
+        .map(|name| payload(&fixture.join(name)))
+        .collect();
+    let engine = assemble_engine(
+        &payload(&fixture.join(&manifest.meta_file)),
+        manifest.order.clone(),
+        &segments,
+        manifest.epoch,
+    )
+    .unwrap();
+    let tmp = TempDir::new("one-format-rewrite");
+    let dir = tmp.subdir("store");
+    drop(DurableEngine::create(&dir, engine, opts(false)).unwrap());
+    let mut names = manifest.segments.clone();
+    names.push(manifest.meta_file.clone());
+    names.push(man_path.file_name().unwrap().to_str().unwrap().to_string());
+    for name in &names {
+        assert!(
+            std::fs::read(dir.join(name)).unwrap() == std::fs::read(fixture.join(name)).unwrap(),
+            "{name} differs from the fixture's"
+        );
+    }
+
+    // The WAL: re-append its records, and round-trip the insert batch
+    // through the engine's batch codec.
+    let log = fixture.join(&manifest.wal_file);
+    let scan = wal::scan(&log, WAL_HEADER_LEN).unwrap();
+    assert_eq!(scan.records.len(), 2);
+    let copy = tmp.subdir("rewritten.log");
+    let mut writer = WalWriter::create(&copy, false).unwrap();
+    for (_, record) in &scan.records {
+        writer.append(record).unwrap();
+        if let WalOp::Insert { batch } = &record.op {
+            let decoded = EncodedTableBatch::from_bytes(batch).unwrap();
+            assert_eq!(decoded.len(), 1);
+            assert!(decoded.to_bytes().unwrap() == *batch, "insert batch codec");
+        }
+    }
+    drop(writer);
+    assert!(
+        std::fs::read(&copy).unwrap() == std::fs::read(&log).unwrap(),
+        "WAL differs from the fixture's"
+    );
+}

@@ -188,6 +188,49 @@ pub fn truncate_file(file: &Path, len: u64) {
     f.set_len(len).expect("truncate: set_len");
 }
 
+/// Where things sit in an engine snapshot, recovered by walking its
+/// documented layout: frame header, then `meta_len | meta | n_shards |
+/// n_order | order pairs | per shard: image_len | image`. Panics if the
+/// bytes do not add up — corruption suites walk a pristine snapshot and
+/// aim their damage by these offsets.
+pub struct SnapshotLayout {
+    /// Offset of every u64 length / count prefix, in file order.
+    pub prefixes: Vec<usize>,
+    /// Byte range of the meta block (what a store keeps in `meta.seg`).
+    pub meta: std::ops::Range<usize>,
+    /// Byte range of each embedded `LCDDSEG2` image (a `seg-*` payload).
+    pub images: Vec<std::ops::Range<usize>>,
+}
+
+impl SnapshotLayout {
+    pub fn of(snap: &[u8]) -> SnapshotLayout {
+        let u64_at = |off: usize| {
+            let bytes = snap[off..off + 8].try_into().expect("8 bytes");
+            u64::from_le_bytes(bytes) as usize
+        };
+        let mut at = lcdd_engine::frame::HEAD_LEN;
+        assert_eq!(snap.len(), at + u64_at(12), "frame length");
+        let mut prefixes = vec![at];
+        let meta = at + 8..at + 8 + u64_at(at);
+        at = meta.end;
+        let (n_shards, n_order) = (u64_at(at), u64_at(at + 8));
+        prefixes.extend([at, at + 8]);
+        at += 16 + n_order * 8;
+        let mut images = Vec::new();
+        for _ in 0..n_shards {
+            prefixes.push(at);
+            images.push(at + 8..at + 8 + u64_at(at));
+            at += 8 + u64_at(at);
+        }
+        assert_eq!(at, snap.len(), "the last image ends the payload");
+        SnapshotLayout {
+            prefixes,
+            meta,
+            images,
+        }
+    }
+}
+
 // ---- comparison -------------------------------------------------------------
 
 /// [`assert_same_hits`] plus bit-identical score equality (`f32::to_bits`)

@@ -1,6 +1,6 @@
 //! LCSeg — the trainable line-chart segmentation model (paper Sec. IV-A).
 //!
-//! **Substitution note (see DESIGN.md):** the paper trains a Mask R-CNN.
+//! **Substitution note:** the paper trains a Mask R-CNN.
 //! Training a region-proposal CNN from scratch on CPU is out of scope for a
 //! reproduction whose contribution lies elsewhere, so LCSeg here is a
 //! multinomial logistic pixel classifier over local features

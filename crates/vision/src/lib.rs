@@ -2,7 +2,7 @@
 //!
 //! The visual element extractor of FCM (paper Sec. IV-A): the LineChartSeg
 //! auto-labelled segmentation dataset, the trainable LCSeg pixel classifier
-//! (Mask R-CNN substitute — see DESIGN.md), colour/connectivity line
+//! (Mask R-CNN substitute — see [`lcseg`]), colour/connectivity line
 //! instance separation, line tracing back to 1-D series, and y-tick label
 //! decoding that recovers the chart's value range from raw pixels.
 //!

@@ -1,8 +1,8 @@
 //! The `lcdd_engine` facade end to end: build a corpus, train FCM briefly,
 //! assemble a sharded engine (ingest → encode → shard → index), answer
 //! typed queries with per-stage provenance, mutate the corpus live
-//! (insert/remove without re-encoding the resident tables), snapshot it in
-//! the sharded `LCDDSNP2` format, serve from the restored engine — then
+//! (insert/remove without re-encoding the resident tables), snapshot it
+//! (one `LCDDSEG2` image per shard), serve from the restored engine — then
 //! wrap it in a `ServingEngine` and query from threads *while* a writer
 //! keeps ingesting (lock-free, epoch-versioned serving). Finally, the
 //! kill-and-recover walkthrough: run the corpus under a durable store
@@ -154,9 +154,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         engine.len()
     );
 
-    // 8. Sharded snapshot round-trip (LCDDSNP2): serving restarts without
-    //    re-encoding; the shard layout is preserved and can be changed
-    //    after restore with `reshard` — answers stay identical.
+    // 8. Sharded snapshot round-trip: one checksummed frame around the
+    //    meta block and one LCDDSEG2 image per shard — the same bytes the
+    //    durable store of step 10 writes as meta.seg and seg-* files.
+    //    Serving restarts without re-encoding; the shard layout is
+    //    preserved and can be changed after restore with `reshard` —
+    //    answers stay identical.
     let path = std::env::temp_dir().join("lcdd_search_engine_example.snap");
     engine.save(&path)?;
     let mut restored = Engine::load(&path)?;

@@ -1,0 +1,18 @@
+#!/usr/bin/env bash
+# Fails when a tracked *.rs / *.md names a top-level UPPERCASE.md or
+# BENCH_*.json that is not in the tree — a doc pointer that outlived its
+# target (a deleted design note, a retired bench artifact). CHANGES.md,
+# ISSUE.md and ROADMAP.md are exempt: history and plans name files that
+# are gone or not written yet. Names inside a path (`dir/SKILL.md`) are
+# not top-level and are skipped.
+set -euo pipefail
+cd "$(dirname "${BASH_SOURCE[0]}")/.."
+
+status=0
+while IFS=: read -r file line ref; do
+  [[ -e "$ref" ]] && continue
+  echo "$file:$line: names $ref, which is not in the tree" >&2
+  status=1
+done < <(git ls-files '*.rs' '*.md' ':!vendor' ':!CHANGES.md' ':!ISSUE.md' ':!ROADMAP.md' |
+  xargs grep -noP '(?<![\w/.-])([A-Z][A-Z0-9_]*\.md|BENCH_\w+\.json)\b' || true)
+exit "$status"

@@ -4,8 +4,8 @@
 //! Charts* (Ji, Luo, Bao, Culpepper — ICDE 2025). Re-exports every
 //! sub-crate so examples and downstream users need a single dependency.
 //!
-//! See `README.md` for a quickstart, `DESIGN.md` for the system inventory
-//! and `EXPERIMENTS.md` for paper-vs-measured results.
+//! See `README.md` for a quickstart, the architecture of each layer, the
+//! crate map and the tracked performance numbers.
 
 pub use lcdd_baselines as baselines;
 pub use lcdd_benchmark as benchmark;
