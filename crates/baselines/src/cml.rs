@@ -7,14 +7,14 @@
 use lcdd_chart::RgbImage;
 use lcdd_nn::{contrastive_nce, Linear, TransformerEncoder};
 use lcdd_table::normalize::{resample, z_normalized};
-use lcdd_table::Table;
+use lcdd_table::{RepoEntry, Table};
 use lcdd_tensor::{Adam, Matrix, ParamStore, Tape, Var};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use crate::image_encoder::{cosine, cosine_scores, ImageEncoder, ImageEncoderConfig};
-use crate::method::{DiscoveryMethod, QueryInput, RepoEntry};
+use crate::method::{DiscoveryMethod, QueryInput};
 
 /// CML hyper-parameters.
 #[derive(Clone, Debug)]

@@ -11,11 +11,11 @@
 //! the VisRec bottleneck).
 
 use lcdd_chart::{render_record, ChartStyle};
-use lcdd_table::Table;
+use lcdd_table::{RepoEntry, Table};
 
 use crate::deepeye::recommend_line_charts;
 use crate::linenet::LineNet;
-use crate::method::{DiscoveryMethod, QueryInput, RepoEntry};
+use crate::method::{DiscoveryMethod, QueryInput};
 
 /// Number of charts DeepEye recommends per table (paper: "a list of 5").
 const N_RECOMMENDATIONS: usize = 5;

@@ -25,5 +25,5 @@ pub use de_ln::{DeLn, OptLn};
 pub use deepeye::{column_goodness, recommend_line_charts, Recommendation};
 pub use image_encoder::{cosine, ImageEncoder, ImageEncoderConfig};
 pub use linenet::{LineNet, LineNetConfig};
-pub use method::{DiscoveryMethod, QueryInput, RepoEntry};
+pub use method::{DiscoveryMethod, QueryInput};
 pub use qetch::{QetchConfig, QetchStar};

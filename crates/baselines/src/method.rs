@@ -3,7 +3,7 @@
 //! them uniformly.
 
 use lcdd_chart::RgbImage;
-use lcdd_table::{Table, VisSpec};
+use lcdd_table::RepoEntry;
 use lcdd_vision::ExtractedChart;
 
 /// A line chart query as every method receives it: the raw image plus the
@@ -11,14 +11,6 @@ use lcdd_vision::ExtractedChart;
 pub struct QueryInput {
     pub image: RgbImage,
     pub extracted: ExtractedChart,
-}
-
-/// One repository entry: the candidate table and the visualization spec it
-/// shipped with (Opt-LN uses the spec; everything else only the table).
-#[derive(Clone, Debug)]
-pub struct RepoEntry {
-    pub table: Table,
-    pub spec: VisSpec,
 }
 
 /// A dataset-discovery method: scores a query against a candidate.
@@ -54,7 +46,7 @@ pub trait DiscoveryMethod: Sync {
 mod tests {
     use super::*;
     use lcdd_chart::Rgb;
-    use lcdd_table::Column;
+    use lcdd_table::{Column, Table, VisSpec};
 
     struct ById;
     impl DiscoveryMethod for ById {

@@ -11,9 +11,9 @@
 
 use lcdd_relevance::max_weight_matching;
 use lcdd_table::normalize::{resample, z_normalized};
-use lcdd_table::Table;
+use lcdd_table::{RepoEntry, Table};
 
-use crate::method::{DiscoveryMethod, QueryInput, RepoEntry};
+use crate::method::{DiscoveryMethod, QueryInput};
 
 /// Qetch* configuration.
 #[derive(Clone, Debug)]

@@ -5,16 +5,14 @@
 //! For each corpus size the bin fabricates a store with the streaming
 //! synthetic generator ([`lcdd_testkit::scale`] → `create_bulk`, never
 //! holding the corpus in memory), opens it **cold** (`LCDDSEG2` segments
-//! mapped, payloads paged in on demand), and measures three serving
-//! paths against the exact full-scan ground truth:
+//! mapped, payloads paged in on demand), and measures two serving paths
+//! against the exact full-scan ground truth:
 //!
 //! * **exact** — `NoIndex`, every candidate scored with f32 attention
 //!   (the ground-truth ranking and the qps floor),
 //! * **quant+rerank** — the int8 pooled-proxy scan over all candidates,
 //!   exact f32 re-rank of the top-R survivors (R swept), paging in only
-//!   the survivors,
-//! * **ivf** — the ANN tier: probe the nearest `ivf_nprobe` posting
-//!   lists, exact-score the shortlist.
+//!   the survivors.
 //!
 //! Recall@10 is measured against the exact path; the bin **asserts**
 //! quant+rerank recall ≥ 0.95 at its deepest R on every fully measured
@@ -201,14 +199,6 @@ fn run_size(n_tables: u64, n_queries: u64, exact: bool) -> SizeRow {
                 &mut tops_of,
             );
         }
-    }
-    if exact {
-        bench_path(
-            "ivf".into(),
-            &SearchOptions::top_k(K).with_strategy(IndexStrategy::Ivf),
-            &mut paths,
-            &mut tops_of,
-        );
     }
     if exact {
         let truth = tops_of[0].clone();

@@ -9,12 +9,12 @@
 //!    every query's source table into the repository,
 //! 6. ground truth = top-`k_rel` repository tables by `Rel(D, T)`.
 
-use lcdd_baselines::{QueryInput, RepoEntry};
+use lcdd_baselines::QueryInput;
 use lcdd_chart::{render, ChartStyle};
 use lcdd_relevance::{rel_score, RelevanceConfig};
 use lcdd_table::corpus::{build_corpus, CorpusConfig};
 use lcdd_table::series::UnderlyingData;
-use lcdd_table::{AggOp, Column, Record, Table, VisSpec};
+use lcdd_table::{AggOp, Column, Record, RepoEntry, Table, VisSpec};
 use lcdd_vision::{build_linechartseg, Lcseg, LcsegConfig, VisualElementExtractor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -3,13 +3,14 @@
 //! [`IndexStrategy`] overrides on the same engine), plus the training glue
 //! from benchmark triplets.
 
-use lcdd_baselines::{DiscoveryMethod, QueryInput, RepoEntry};
+use lcdd_baselines::{DiscoveryMethod, QueryInput};
 use lcdd_engine::{Engine, EngineBuilder, EngineError, SearchOptions};
 use lcdd_fcm::{
     process_query, train_with_callback, EncodedRepository, FcmModel, TrainConfig, TrainExample,
     TrainReport,
 };
 use lcdd_index::{HybridConfig, IndexStrategy};
+use lcdd_table::RepoEntry;
 
 use crate::builder::Benchmark;
 

@@ -2,10 +2,10 @@
 //! aggregates prec@k / ndcg@k with the paper's breakdowns (overall,
 //! with/without DA, by number of lines M, by operator × window bucket).
 
-use lcdd_baselines::{DiscoveryMethod, RepoEntry};
+use lcdd_baselines::DiscoveryMethod;
 use lcdd_engine::{Engine, EngineError, SearchOptions};
 use lcdd_table::corpus::m_bucket;
-use lcdd_table::AggOp;
+use lcdd_table::{AggOp, RepoEntry};
 
 use crate::builder::{BenchQuery, Benchmark};
 use crate::metrics::{mean, ndcg_at_k, precision_at_k};

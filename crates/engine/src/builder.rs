@@ -1,10 +1,9 @@
 //! Ingest → encode → shard → index: corpus in, [`Engine`] out.
 
-use lcdd_baselines::RepoEntry;
 use lcdd_chart::ChartStyle;
 use lcdd_fcm::{encode_tables, EngineError, FcmConfig, FcmModel};
 use lcdd_index::HybridConfig;
-use lcdd_table::{Table, VisSpec};
+use lcdd_table::{RepoEntry, Table, VisSpec};
 use lcdd_vision::VisualElementExtractor;
 
 use crate::engine::Engine;

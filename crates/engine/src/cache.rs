@@ -342,7 +342,6 @@ pub fn query_fingerprint(query: &Query, opts: &SearchOptions) -> u128 {
         lcdd_index::IndexStrategy::IntervalOnly => 1,
         lcdd_index::IndexStrategy::LshOnly => 2,
         lcdd_index::IndexStrategy::Hybrid => 3,
-        lcdd_index::IndexStrategy::Ivf => 4,
     });
     match opts.min_score {
         Some(m) => {

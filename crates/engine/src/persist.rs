@@ -168,22 +168,30 @@ fn read_fcm_config(r: &mut Cursor) -> Result<FcmConfig, EngineError> {
     })
 }
 
+/// The last word of the hybrid-config section, which held the probe width
+/// of the retired IVF tier. Existing `meta.seg` files and snapshots carry
+/// it, and they must open and re-write byte-identically without a format
+/// version bump, so it is still written (always the old default) and read
+/// back and ignored: a store may have recorded a non-default value.
+const RETIRED_IVF_NPROBE: u64 = 8;
+
 fn write_hybrid_config<W: Write>(w: &mut W, c: &HybridConfig) -> Result<(), EngineError> {
     wusize(w, c.lsh_bits)?;
     wu32(w, c.lsh_radius)?;
     wf64(w, c.range_slack)?;
     wu64(w, c.seed)?;
-    wusize(w, c.ivf_nprobe)
+    wu64(w, RETIRED_IVF_NPROBE)
 }
 
 fn read_hybrid_config(r: &mut Cursor) -> Result<HybridConfig, EngineError> {
-    Ok(HybridConfig {
+    let cfg = HybridConfig {
         lsh_bits: r.count()?,
         lsh_radius: r.u32()?,
         range_slack: r.f64()?,
         seed: r.u64()?,
-        ivf_nprobe: r.count()?,
-    })
+    };
+    r.u64()?;
+    Ok(cfg)
 }
 
 // ---- encoded table batches ------------------------------------------------

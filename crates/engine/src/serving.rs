@@ -143,12 +143,6 @@ impl ServingEngine {
         &self.shared.model
     }
 
-    /// The serving index configuration (LSH geometry, IVF probe width,
-    /// candidate caps) — observability surfaces report from here.
-    pub fn hybrid_config(&self) -> &lcdd_index::HybridConfig {
-        &self.shared.hybrid_cfg
-    }
-
     /// Query-cache counters.
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()

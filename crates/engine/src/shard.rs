@@ -80,7 +80,7 @@ impl PooledStat {
 
 /// Mean-pooled column embedding of one encoding matrix — the same
 /// computation as [`EncodedRepository::column_embedding`], lifted off the
-/// repository so segment-image writers can derive the vector the LSH/IVF
+/// repository so segment-image writers can derive the vector the LSH
 /// index will hash without assembling a repository first.
 pub(crate) fn column_embedding_of(m: &Matrix) -> Vec<f32> {
     let (rows, cols) = m.shape();
@@ -206,7 +206,7 @@ impl EngineShard {
 
     /// Assembles a shard served from a mapped checkpoint segment: every
     /// derived structure (identity, ranges, index intervals, pooled
-    /// embeddings for LSH/IVF, pooled stats, quantized proxies) comes
+    /// embeddings for LSH, pooled stats, quantized proxies) comes
     /// from the segment *summary*; the f32 blob stays cold. The
     /// repository holds shape-correct placeholders (real `column_ranges`
     /// plus `n_cols` empty matrices) so column filtering — which reads

@@ -665,7 +665,6 @@ impl EngineState {
                 total: self.len(),
                 after_interval: sum_stage(|c| c.after_interval),
                 after_lsh: sum_stage(|c| c.after_lsh),
-                after_ann: sum_stage(|c| c.after_ann),
                 quant_scanned,
                 reranked,
                 scored: flat.len(),
@@ -716,7 +715,6 @@ impl EngineState {
         CandidateSet {
             after_interval: sum_stage(|c| c.after_interval),
             after_lsh: sum_stage(|c| c.after_lsh),
-            after_ann: sum_stage(|c| c.after_ann),
             ids,
         }
     }

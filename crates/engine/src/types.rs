@@ -123,8 +123,6 @@ pub struct StageCounts {
     pub after_interval: Option<usize>,
     /// Candidates after the LSH stage (`None` = stage inactive).
     pub after_lsh: Option<usize>,
-    /// Candidates after the IVF ANN probe (`None` = stage inactive).
-    pub after_ann: Option<usize>,
     /// Candidates ranked by the int8 proxy scan (`None` = no re-rank
     /// budget was set or the candidate set already fit inside it).
     pub quant_scanned: Option<usize>,

@@ -5,11 +5,14 @@
 //! must leave the previous snapshot intact; and corrupt bytes — frame,
 //! length prefixes, or the interior of an embedded `LCDDSEG2` image — as
 //! well as the retired formats must surface as `EngineError::Snapshot`,
-//! never a panic.
+//! never a panic. The meta word that held the retired IVF probe width is
+//! read and ignored, whatever value a snapshot carries.
 
 use lcdd_engine::{frame, Engine, EngineError, IndexStrategy, Query, SearchOptions, ServingEngine};
 use lcdd_testkit::crash::{SnapshotLayout, TempDir};
-use lcdd_testkit::{assert_same_hits, corpus, queries_for, tiny_engine, CorpusSpec};
+use lcdd_testkit::{
+    assert_same_hits, assert_same_hits_bitwise, corpus, queries_for, tiny_engine, CorpusSpec,
+};
 
 fn test_corpus() -> Vec<lcdd_table::Table> {
     corpus(&CorpusSpec::sized(0x70, 8))
@@ -221,6 +224,39 @@ fn resealed(buf: &[u8]) -> Vec<u8> {
     let mut out = frame::head(&magic, version, &[payload]).to_vec();
     out.extend_from_slice(payload);
     out
+}
+
+#[test]
+fn retired_ivf_word_is_read_and_ignored() {
+    // The meta block opens with the FCM config (13 u64 fields, two bool
+    // bytes, f64 range slack, u64 seed), then the hybrid config (u64 LSH
+    // bits, u32 radius, f64 range slack, u64 seed); the word after them
+    // held the retired IVF probe width and is always written as 8.
+    const RETIRED_WORD: usize = 13 * 8 + 2 + 8 + 8 + (8 + 4 + 8 + 8);
+    let mut buf = Vec::new();
+    build_engine(3).save_to(&mut buf).unwrap();
+    let at = SnapshotLayout::of(&buf).meta.start + RETIRED_WORD;
+    assert_eq!(buf[at..at + 8], 8u64.to_le_bytes());
+    let mut patched = buf.clone();
+    patched[at..at + 8].copy_from_slice(&32u64.to_le_bytes());
+    let patched = resealed(&patched);
+
+    let original = Engine::load_from(buf.as_slice()).unwrap();
+    let restored = Engine::load_from(patched.as_slice()).unwrap();
+    for strategy in IndexStrategy::ALL {
+        let opts = SearchOptions::top_k(5).with_strategy(strategy);
+        for (qi, q) in fixed_queries().iter().enumerate() {
+            assert_same_hits_bitwise(
+                &format!("strategy {strategy:?}, query {qi}"),
+                &original.search(q, &opts).unwrap(),
+                &restored.search(q, &opts).unwrap(),
+            );
+        }
+    }
+    // Re-saving writes the old default back: the unpatched bytes.
+    let mut resaved = Vec::new();
+    restored.save_to(&mut resaved).unwrap();
+    assert_eq!(resaved, buf);
 }
 
 #[test]

@@ -9,32 +9,19 @@
 use lcdd_table::Table;
 
 use crate::interval_tree::{Interval, IntervalTree};
-use crate::ivf::IvfIndex;
 use crate::lsh::LshIndex;
 
-/// Which pruning stages are active (the four rows of Table VIII, plus the
-/// IVF ANN tier for large corpora).
+/// Which pruning stages are active (the four rows of Table VIII).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum IndexStrategy {
     NoIndex,
     IntervalOnly,
     LshOnly,
     Hybrid,
-    /// Coarse-quantizer ANN: scan the `ivf_nprobe` nearest posting lists
-    /// of a seeded k-means partition over pooled dataset embeddings. The
-    /// candidate set depends on the shard partition (each shard trains its
-    /// own centroids), so — unlike the Table VIII strategies — results are
-    /// *not* invariant across shard layouts; recall is tuned with
-    /// [`HybridConfig::ivf_nprobe`] and the re-rank depth.
-    Ivf,
 }
 
 impl IndexStrategy {
-    /// The four exact-contract strategies in the paper's Table VIII order.
-    /// [`IndexStrategy::Ivf`] is deliberately not here: the Table VIII
-    /// suites (and the cross-layout invariance properties) quantify
-    /// strategies whose candidate sets are a pure function of the corpus,
-    /// which the per-shard-trained IVF tier is not.
+    /// Every strategy, in the paper's Table VIII order.
     pub const ALL: [IndexStrategy; 4] = [
         IndexStrategy::NoIndex,
         IndexStrategy::IntervalOnly,
@@ -49,7 +36,6 @@ impl IndexStrategy {
             IndexStrategy::IntervalOnly => "Interval Tree",
             IndexStrategy::LshOnly => "LSH",
             IndexStrategy::Hybrid => "Hybrid",
-            IndexStrategy::Ivf => "IVF",
         }
     }
 }
@@ -70,10 +56,6 @@ pub struct HybridConfig {
     /// charts can exceed raw column ranges).
     pub range_slack: f64,
     pub seed: u64,
-    /// Posting lists scanned per [`IndexStrategy::Ivf`] query. Recall
-    /// grows monotonically with it, reaching the exhaustive scan at the
-    /// centroid count.
-    pub ivf_nprobe: usize,
 }
 
 impl Default for HybridConfig {
@@ -92,7 +74,6 @@ impl HybridConfig {
             lsh_radius: 2,
             range_slack: 0.5,
             seed: 0x15b,
-            ivf_nprobe: 8,
         }
     }
 }
@@ -109,8 +90,6 @@ pub struct CandidateSet {
     pub after_interval: Option<usize>,
     /// Dataset count after the LSH stage.
     pub after_lsh: Option<usize>,
-    /// Dataset count after the IVF posting-list scan.
-    pub after_ann: Option<usize>,
 }
 
 /// The hybrid index over a repository (or one shard of it).
@@ -126,33 +105,12 @@ pub struct CandidateSet {
 pub struct HybridIndex {
     tree: IntervalTree,
     lsh: LshIndex,
-    ivf: IvfIndex,
-    embed_dim: usize,
     n_datasets: usize,
     /// Tombstoned dataset ids (`dead[id]`): still occupying an id slot but
     /// excluded from every candidate set.
     dead: Vec<bool>,
     n_dead: usize,
     cfg: HybridConfig,
-}
-
-/// Mean of a dataset's pooled column embeddings — the single vector per
-/// dataset the IVF tier clusters (a column-less dataset contributes the
-/// zero vector, mirroring [`crate::lsh`]'s zero-embedding convention).
-pub fn dataset_embedding(columns: &[Vec<f32>], embed_dim: usize) -> Vec<f32> {
-    let mut out = vec![0.0f32; embed_dim];
-    if columns.is_empty() {
-        return out;
-    }
-    for col in columns {
-        for (o, &v) in out.iter_mut().zip(col) {
-            *o += v;
-        }
-    }
-    for o in &mut out {
-        *o /= columns.len() as f32;
-    }
-    out
 }
 
 /// Extracts the `[min(C), sum(C)]` intervals the interval tree indexes
@@ -216,16 +174,9 @@ impl HybridIndex {
                 lsh.insert(ti, emb);
             }
         }
-        let points: Vec<Vec<f32>> = column_embeddings
-            .iter()
-            .map(|cols| dataset_embedding(cols, embed_dim))
-            .collect();
-        let ivf = IvfIndex::build(&points, embed_dim, cfg.seed);
         HybridIndex {
             tree,
             lsh,
-            ivf,
-            embed_dim,
             dead: vec![false; n_datasets],
             n_datasets,
             n_dead: 0,
@@ -281,8 +232,6 @@ impl HybridIndex {
         for emb in embeddings {
             self.lsh.insert(id, emb);
         }
-        self.ivf
-            .insert(&dataset_embedding(embeddings, self.embed_dim));
         id
     }
 
@@ -299,7 +248,6 @@ impl HybridIndex {
         for emb in embeddings {
             self.lsh.remove(id, emb);
         }
-        self.ivf.remove(id);
         true
     }
 
@@ -368,14 +316,12 @@ impl HybridIndex {
                 ids: all(),
                 after_interval: None,
                 after_lsh: None,
-                after_ann: None,
             },
             IndexStrategy::IntervalOnly => {
                 let s1 = interval_side(y_range);
                 CandidateSet {
                     after_interval: Some(s1.len()),
                     after_lsh: None,
-                    after_ann: None,
                     ids: s1,
                 }
             }
@@ -384,7 +330,6 @@ impl HybridIndex {
                 CandidateSet {
                     after_interval: None,
                     after_lsh: Some(s2.len()),
-                    after_ann: None,
                     ids: s2,
                 }
             }
@@ -408,32 +353,7 @@ impl HybridIndex {
                 CandidateSet {
                     after_interval: Some(s1.len()),
                     after_lsh: Some(s2.len()),
-                    after_ann: None,
                     ids: out,
-                }
-            }
-            IndexStrategy::Ivf => {
-                // A query with no line embeddings has nothing to probe
-                // with; fall back to the exhaustive set rather than
-                // silently returning nothing (mirrors the LSH stage's
-                // convention for embedding-less queries).
-                if line_embeddings.is_empty() {
-                    let ids = all();
-                    return CandidateSet {
-                        after_ann: Some(ids.len()),
-                        after_interval: None,
-                        after_lsh: None,
-                        ids,
-                    };
-                }
-                let q = dataset_embedding(line_embeddings, self.embed_dim);
-                let mut ids = self.ivf.probe(&q, self.cfg.ivf_nprobe);
-                ids.retain(|&id| !self.dead[id]);
-                CandidateSet {
-                    after_ann: Some(ids.len()),
-                    after_interval: None,
-                    after_lsh: None,
-                    ids,
                 }
             }
         }
@@ -458,6 +378,21 @@ mod tests {
             vec![vec![0.0, 0.0, 1.0, 0.0]],
         ];
         (tables, emb)
+    }
+
+    #[test]
+    fn all_lists_every_strategy_in_table_viii_order() {
+        // Exhaustive on purpose: a new variant does not compile here until
+        // it gets a position, and that position must be its slot in `ALL`.
+        let position = |s: IndexStrategy| match s {
+            IndexStrategy::NoIndex => 0,
+            IndexStrategy::IntervalOnly => 1,
+            IndexStrategy::LshOnly => 2,
+            IndexStrategy::Hybrid => 3,
+        };
+        for (i, s) in IndexStrategy::ALL.into_iter().enumerate() {
+            assert_eq!(position(s), i, "{s:?}");
+        }
     }
 
     #[test]

@@ -10,12 +10,8 @@
 
 pub mod hybrid;
 pub mod interval_tree;
-pub mod ivf;
 pub mod lsh;
 
-pub use hybrid::{
-    column_intervals, dataset_embedding, CandidateSet, HybridConfig, HybridIndex, IndexStrategy,
-};
+pub use hybrid::{column_intervals, CandidateSet, HybridConfig, HybridIndex, IndexStrategy};
 pub use interval_tree::{Interval, IntervalTree};
-pub use ivf::IvfIndex;
 pub use lsh::LshIndex;

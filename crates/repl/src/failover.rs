@@ -54,8 +54,8 @@ pub fn probe(dir: impl AsRef<Path>) -> Result<Candidate, EngineError> {
 
 /// Probes every candidate directory and ranks them, newest recoverable
 /// epoch first (ties broken toward the earlier entry in `dirs` — list
-/// the old leader first if it should win ties). Unprobeable directories
-/// are skipped; an empty field is [`EngineError::Replication`].
+/// the old leader first if it should win ties). Directories that cannot
+/// be probed are skipped; an empty field is [`EngineError::Replication`].
 pub fn elect(dirs: &[PathBuf]) -> Result<Vec<Candidate>, EngineError> {
     let mut candidates: Vec<(usize, Candidate)> = Vec::new();
     let mut failures = Vec::new();

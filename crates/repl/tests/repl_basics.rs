@@ -20,7 +20,8 @@ use lcdd_repl::{
 };
 use lcdd_store::{latest_manifest, DurableEngine, FaultPlan, FaultPoint, StoreOptions};
 use lcdd_table::Table;
-use lcdd_testkit::crash::{assert_same_hits_bitwise, encode_gate, TempDir};
+use lcdd_testkit::assert_same_hits_bitwise;
+use lcdd_testkit::crash::{encode_gate, TempDir};
 use lcdd_testkit::{corpus, queries_for, tiny_engine, CorpusSpec};
 
 fn opts(checkpoint_every_ops: u64) -> StoreOptions {

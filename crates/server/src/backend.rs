@@ -200,16 +200,6 @@ impl Backend {
         }
     }
 
-    /// The IVF probe width this backend serves `strategy=ivf` queries
-    /// with.
-    pub fn ivf_nprobe(&self) -> usize {
-        match self {
-            Backend::Serving(s) => s.hybrid_config().ivf_nprobe,
-            Backend::Durable(d) => d.hybrid_config().ivf_nprobe,
-            Backend::Replica(f) => f.store().hybrid_config().ivf_nprobe,
-        }
-    }
-
     /// Query-cache counters (lock-free).
     pub fn cache_stats(&self) -> CacheStats {
         match self {

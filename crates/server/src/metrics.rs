@@ -176,8 +176,7 @@ impl Metrics {
                 "\"tier\":{{\"resident_tables\":{trt},\"mapped_tables\":{tmt},",
                 "\"resident_bytes\":{trb},\"mapped_bytes\":{tmb},",
                 "\"slots_paged_in\":{tspi},\"bytes_paged_in\":{tbpi},",
-                "\"quant_scanned\":{tqs},\"reranked\":{trr},",
-                "\"ivf_nprobe\":{tnp}}},",
+                "\"quant_scanned\":{tqs},\"reranked\":{trr}}},",
                 "\"trace\":{{\"spans_recorded\":{tsr},\"spans_dropped\":{tsd},",
                 "\"ring_capacity\":{trc}}}",
                 "}}"
@@ -240,7 +239,6 @@ impl Metrics {
             tbpi = tier.bytes_paged_in,
             tqs = self.quant_scanned.get(),
             trr = self.reranked.get(),
-            tnp = backend.ivf_nprobe(),
             tsr = lcdd_obs::trace::ring().recorded(),
             tsd = lcdd_obs::trace::ring().dropped(),
             trc = lcdd_obs::trace::ring().capacity(),
@@ -490,11 +488,6 @@ impl Metrics {
             "lcdd_engine_cache_len",
             "Query-cache entries.",
             cache.len as u64,
-        );
-        w.gauge(
-            "lcdd_engine_ivf_nprobe",
-            "IVF probe width in effect.",
-            backend.ivf_nprobe() as u64,
         );
         // Span ring health.
         let ring = lcdd_obs::trace::ring();

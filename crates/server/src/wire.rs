@@ -189,13 +189,10 @@ pub fn parse_search(
                 "interval" => IndexStrategy::IntervalOnly,
                 "lsh" => IndexStrategy::LshOnly,
                 "none" => IndexStrategy::NoIndex,
-                "ivf" => IndexStrategy::Ivf,
                 other => {
                     return Err(bad(
                         "invalid_strategy",
-                        format!(
-                            "unknown strategy '{other}'; expected hybrid|interval|lsh|none|ivf"
-                        ),
+                        format!("unknown strategy '{other}'; expected hybrid|interval|lsh|none"),
                     ))
                 }
             }
@@ -435,7 +432,7 @@ pub fn search_body(
         concat!(
             "{{\"epoch\":{},\"strategy\":{},\"cached\":{},",
             "\"hits\":[{}],",
-            "\"counts\":{{\"total\":{},\"after_interval\":{},\"after_lsh\":{},\"after_ann\":{},",
+            "\"counts\":{{\"total\":{},\"after_interval\":{},\"after_lsh\":{},",
             "\"quant_scanned\":{},\"reranked\":{},\"scored\":{}}},",
             "\"timings_us\":{{\"extract\":{},\"encode\":{},\"prune\":{},\"score\":{},\"total\":{}}},",
             "\"batch\":{{\"id\":{},\"size\":{},\"unique\":{}}}}}"
@@ -447,7 +444,6 @@ pub fn search_body(
         resp.counts.total,
         opt_usize(resp.counts.after_interval),
         opt_usize(resp.counts.after_lsh),
-        opt_usize(resp.counts.after_ann),
         opt_usize(resp.counts.quant_scanned),
         opt_usize(resp.counts.reranked),
         resp.counts.scored,
@@ -485,7 +481,6 @@ pub fn strategy_name(s: IndexStrategy) -> &'static str {
         IndexStrategy::IntervalOnly => "interval",
         IndexStrategy::LshOnly => "lsh",
         IndexStrategy::NoIndex => "none",
-        IndexStrategy::Ivf => "ivf",
     }
 }
 
@@ -597,6 +592,27 @@ mod tests {
         assert_eq!(
             code(parse_search(&req(r#"{"series":[[1,1e999]]}"#), max.0, max.1).unwrap_err()),
             "invalid_json"
+        );
+    }
+
+    #[test]
+    fn every_strategy_round_trips_through_its_wire_name() {
+        for s in IndexStrategy::ALL {
+            let body = format!(r#"{{"series":[[1,2]],"strategy":"{}"}}"#, strategy_name(s));
+            let parsed = parse_search(&req(&body), 2000, 30000).unwrap();
+            assert_eq!(parsed.opts.strategy, s, "wire name {}", strategy_name(s));
+        }
+    }
+
+    #[test]
+    fn the_retired_ivf_token_is_an_unknown_strategy() {
+        let e =
+            parse_search(&req(r#"{"series":[[1,2]],"strategy":"ivf"}"#), 2000, 30000).unwrap_err();
+        assert_eq!((e.status, e.code), (400, "invalid_strategy"));
+        assert!(
+            e.message.ends_with("expected hybrid|interval|lsh|none"),
+            "message: {}",
+            e.message
         );
     }
 

@@ -102,7 +102,7 @@ fn healthz_metrics_and_snapshot_report_the_engine() {
         "\"cache\":",
         "\"jobs\":",
         "\"tier\":",
-        "\"ivf_nprobe\":",
+        "\"trace\":",
     ] {
         assert!(m.body.contains(field), "missing {field} in {}", m.body);
     }

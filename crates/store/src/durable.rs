@@ -930,11 +930,6 @@ impl DurableEngine {
         self.serving.model()
     }
 
-    /// The serving index configuration (observability pass-through).
-    pub fn hybrid_config(&self) -> &lcdd_engine::HybridConfig {
-        self.serving.hybrid_config()
-    }
-
     /// Exports the published state as an engine snapshot file (readable by
     /// [`lcdd_engine::Engine::load`] — a portable backup, independent of
     /// the store directory, holding the same meta and segment payloads).

@@ -13,7 +13,8 @@ use lcdd_engine::SearchOptions;
 use lcdd_fcm::EngineError;
 use lcdd_store::{latest_manifest, wal, DurableEngine, FaultPlan, FaultPoint, StoreOptions};
 use lcdd_table::Table;
-use lcdd_testkit::crash::{assert_recovered_equals_serial, assert_same_hits_bitwise, TempDir};
+use lcdd_testkit::assert_same_hits_bitwise;
+use lcdd_testkit::crash::{assert_recovered_equals_serial, TempDir};
 use lcdd_testkit::{corpus, queries_for, query_like, tiny_engine, CorpusSpec};
 
 fn opts_with(plan: &Arc<FaultPlan>, sync_writes: bool, checkpoint_every_ops: u64) -> StoreOptions {

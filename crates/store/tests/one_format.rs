@@ -12,10 +12,8 @@ use lcdd_engine::persist::{assemble_engine, EncodedTableBatch};
 use lcdd_engine::{frame, Engine, IndexStrategy, Query, SearchOptions};
 use lcdd_store::wal::{self, WalOp, WalWriter};
 use lcdd_store::{latest_manifest, DurableEngine, StoreOptions, WAL_HEADER_LEN};
-use lcdd_testkit::crash::{
-    assert_same_hits_bitwise, copy_dir, encode_gate, SnapshotLayout, TempDir,
-};
-use lcdd_testkit::{corpus, queries_for, tiny_engine, CorpusSpec};
+use lcdd_testkit::crash::{copy_dir, encode_gate, SnapshotLayout, TempDir};
+use lcdd_testkit::{assert_same_hits_bitwise, corpus, queries_for, tiny_engine, CorpusSpec};
 
 fn opts(cold_open: bool) -> StoreOptions {
     StoreOptions {

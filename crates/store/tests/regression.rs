@@ -13,7 +13,8 @@
 
 use lcdd_engine::{Engine, IndexStrategy, Query, SearchOptions, SearchResponse};
 use lcdd_store::{DurableEngine, StoreOptions};
-use lcdd_testkit::crash::{assert_same_hits_bitwise, copy_dir, TempDir};
+use lcdd_testkit::assert_same_hits_bitwise;
+use lcdd_testkit::crash::{copy_dir, TempDir};
 use lcdd_testkit::{corpus, query_like, tiny_engine, CorpusSpec};
 
 const SEED: u64 = 0x0070_b570;

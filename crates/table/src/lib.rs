@@ -24,4 +24,4 @@ pub use corpus::{build_corpus, corpus_stats, CorpusConfig, CorpusStats, Record};
 pub use generators::{generate, SeriesFamily};
 pub use series::{DataSeries, UnderlyingData};
 pub use table::Table;
-pub use vis_spec::VisSpec;
+pub use vis_spec::{RepoEntry, VisSpec};

@@ -3,6 +3,7 @@
 //! what aggregation.
 
 use crate::aggregate::AggOp;
+use crate::table::Table;
 
 /// How a line chart is produced from a table.
 #[derive(Clone, Debug, PartialEq)]
@@ -45,6 +46,14 @@ impl VisSpec {
     pub fn is_aggregated(&self) -> bool {
         matches!(self.agg, Some((op, w)) if op != AggOp::Identity && w >= 2)
     }
+}
+
+/// One repository entry: the candidate table and the visualization spec it
+/// shipped with (Opt-LN uses the spec; everything else only the table).
+#[derive(Clone, Debug)]
+pub struct RepoEntry {
+    pub table: Table,
+    pub spec: VisSpec,
 }
 
 #[cfg(test)]

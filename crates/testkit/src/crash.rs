@@ -24,7 +24,7 @@ use lcdd_table::Table;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::{assert_same_hits, corpus, query_like, tiny_engine, CorpusSpec};
+use crate::{assert_same_hits_bitwise, corpus, query_like, tiny_engine, CorpusSpec};
 
 /// One scripted corpus mutation — the testkit mirror of the ops the WAL
 /// records.
@@ -232,26 +232,6 @@ impl SnapshotLayout {
 }
 
 // ---- comparison -------------------------------------------------------------
-
-/// [`assert_same_hits`] plus bit-identical score equality (`f32::to_bits`)
-/// — the recovery bar: a recovered engine serves the *same floats*, not
-/// merely close ones.
-pub fn assert_same_hits_bitwise(
-    context: &str,
-    a: &lcdd_engine::SearchResponse,
-    b: &lcdd_engine::SearchResponse,
-) {
-    assert_same_hits(context, a, b);
-    for (rank, (ha, hb)) in a.hits.iter().zip(&b.hits).enumerate() {
-        assert_eq!(
-            ha.score.to_bits(),
-            hb.score.to_bits(),
-            "{context}: rank {rank} score not bit-identical: {} vs {}",
-            ha.score,
-            hb.score
-        );
-    }
-}
 
 /// A query battery covering the base corpus, scripted inserts and a probe
 /// with no planted match.

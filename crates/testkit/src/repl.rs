@@ -8,7 +8,7 @@
 //!
 //! * leader and follower publish the same epoch and live-table count,
 //! * every battery query answers **bit-identically** on both sides under
-//!   both index strategies ([`crate::crash::assert_same_hits_bitwise`]),
+//!   both index strategies ([`crate::assert_same_hits_bitwise`]),
 //! * the follower never invokes the encoder
 //!   (`lcdd_fcm::table_encode_count` stays flat across a sync),
 //! * no injected fault panics — every schedule either converges or
@@ -38,10 +38,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::crash::{
-    apply_durable, assert_same_hits_bitwise, battery, encode_gate as gate, random_script,
-    truncate_file, TempDir,
+    apply_durable, battery, encode_gate as gate, random_script, truncate_file, TempDir,
 };
-use crate::{corpus, tiny_engine, CorpusSpec};
+use crate::{assert_same_hits_bitwise, corpus, tiny_engine, CorpusSpec};
 
 /// Shape of one partition/lag sweep.
 #[derive(Clone, Debug)]

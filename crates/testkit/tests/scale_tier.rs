@@ -1,9 +1,9 @@
 //! The tiered-corpus contract: a store opened cold (`LCDDSEG2` segments
 //! memory-mapped, payloads paged in on demand) serves **bit-identical**
 //! search results to the same store decoded eagerly — same hits, same
-//! score bits, same per-stage provenance — for every index strategy
-//! (including the IVF ANN tier), every shard layout, and with the
-//! quantized-scan + re-rank pipeline on or off.
+//! score bits, same per-stage provenance — for every index strategy,
+//! every shard layout, and with the quantized-scan + re-rank pipeline on
+//! or off.
 //!
 //! Also pinned here: cold opens are actually lazy (no slot decoded until
 //! a query touches it), and the tier survives live WAL mutations plus a
@@ -50,15 +50,6 @@ fn fabricate(dir: &Path, spec: &ScaleSpec, n_shards: usize) {
     .expect("bulk store must fabricate");
 }
 
-/// Every strategy the engine serves — the four exact-contract ones plus
-/// the IVF ANN tier (shard-layout-dependent, but cold-vs-eager at the
-/// *same* layout must still agree bitwise).
-fn all_strategies() -> Vec<IndexStrategy> {
-    let mut v = IndexStrategy::ALL.to_vec();
-    v.push(IndexStrategy::Ivf);
-    v
-}
-
 fn probe(
     engine: &DurableEngine,
     spec: &ScaleSpec,
@@ -66,7 +57,7 @@ fn probe(
     k: usize,
 ) -> Vec<(String, SearchResponse)> {
     let mut out = Vec::new();
-    for strategy in all_strategies() {
+    for strategy in IndexStrategy::ALL {
         for rerank in [None, Some(8)] {
             let mut o = SearchOptions::top_k(k).with_strategy(strategy);
             if let Some(r) = rerank {
@@ -252,12 +243,12 @@ proptest! {
         }
         let eager: Vec<SearchResponse> = {
             let (engine, _) = DurableEngine::open(tmp.path(), opts(false)).unwrap();
-            all_strategies().iter().map(|&s| {
+            IndexStrategy::ALL.iter().map(|&s| {
                 engine.search(&scale::query(&spec, 0), &o.clone().with_strategy(s)).unwrap()
             }).collect()
         };
         let (engine, _) = DurableEngine::open(tmp.path(), opts(true)).unwrap();
-        for (s, a) in all_strategies().iter().zip(&eager) {
+        for (s, a) in IndexStrategy::ALL.iter().zip(&eager) {
             let b = engine.search(&scale::query(&spec, 0), &o.clone().with_strategy(*s)).unwrap();
             assert_same_hits_bitwise(
                 &format!("seed {seed}, {n_tables} tables, {n_shards} shards, {s:?}, k {k}, rerank {rerank:?}"),
