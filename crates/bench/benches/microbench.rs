@@ -1,56 +1,23 @@
 //! Criterion micro-benchmarks for the performance-shaped results: the
-//! substrate kernels (DTW, Hungarian, rasterizer, extractor, encoders,
+//! substrate kernels (Hungarian, rasterizer, extractor, encoders,
 //! matcher) and the Table VIII index-query comparison (linear scan vs
-//! interval tree vs LSH vs hybrid candidate generation).
+//! interval tree vs LSH vs hybrid candidate generation). Matmul and DTW
+//! shapes are timed by the `bench_kernels` bin (`BENCH_kernels.json`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lcdd_chart::{render, ChartStyle};
 use lcdd_fcm::scoring::{encode_repository, search_top_k};
 use lcdd_fcm::{process_query, process_table, FcmConfig, FcmModel};
 use lcdd_index::{HybridConfig, HybridIndex, IndexStrategy};
-use lcdd_relevance::{dtw_distance, dtw_distance_banded, max_weight_matching};
+use lcdd_relevance::max_weight_matching;
 use lcdd_table::series::{DataSeries, UnderlyingData};
 use lcdd_table::{build_corpus, Column, CorpusConfig, Table};
-use lcdd_tensor::{matmul_naive, Matrix};
 use lcdd_vision::VisualElementExtractor;
 
 fn series(n: usize, seed: f64) -> Vec<f64> {
     (0..n)
         .map(|i| ((i as f64 + seed) / 9.0).sin() * 3.0 + seed)
         .collect()
-}
-
-fn bench_matmul(c: &mut Criterion) {
-    // The kernel-layer sweep (blocked vs naive reference); the standalone
-    // `bench_kernels` bin emits the same comparison as BENCH_kernels.json.
-    let mut g = c.benchmark_group("matmul");
-    for n in [64usize, 128, 256, 512] {
-        let a = Matrix::from_vec(
-            n,
-            n,
-            (0..n * n)
-                .map(|i| ((i * 37 + 13) % 211) as f32 / 105.0 - 1.0)
-                .collect(),
-        );
-        let b = Matrix::from_vec(
-            n,
-            n,
-            (0..n * n)
-                .map(|i| ((i * 53 + 7) % 199) as f32 / 99.0 - 1.0)
-                .collect(),
-        );
-        g.bench_with_input(
-            BenchmarkId::new("blocked", n),
-            &(&a, &b),
-            |bench, (a, b)| bench.iter(|| a.matmul(b)),
-        );
-        if n <= 128 {
-            g.bench_with_input(BenchmarkId::new("naive", n), &(&a, &b), |bench, (a, b)| {
-                bench.iter(|| matmul_naive(a, b))
-            });
-        }
-    }
-    g.finish();
 }
 
 fn bench_batch_scoring(c: &mut Criterion) {
@@ -82,22 +49,6 @@ fn bench_batch_scoring(c: &mut Criterion) {
     });
     g.bench_function("linear_scan_top8_of_48", |bench| {
         bench.iter(|| search_top_k(&model, &repo, &query, 8, None))
-    });
-    g.finish();
-}
-
-fn bench_dtw(c: &mut Criterion) {
-    let a = series(128, 0.0);
-    let b = series(128, 2.0);
-    let mut g = c.benchmark_group("dtw");
-    g.bench_function("full_128", |bench| bench.iter(|| dtw_distance(&a, &b)));
-    g.bench_function("banded_128_r16", |bench| {
-        bench.iter(|| dtw_distance_banded(&a, &b, 16))
-    });
-    let a512 = series(512, 0.0);
-    let b512 = series(512, 2.0);
-    g.bench_function("banded_512_r16", |bench| {
-        bench.iter(|| dtw_distance_banded(&a512, &b512, 16))
     });
     g.finish();
 }
@@ -196,9 +147,7 @@ fn bench_index_query(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_matmul,
     bench_batch_scoring,
-    bench_dtw,
     bench_hungarian,
     bench_rasterizer_and_extractor,
     bench_encoders_and_matcher,

@@ -172,7 +172,7 @@ fn tracing_overhead_section() -> String {
         eprintln!(
             "[bench_server] WARNING: tracing costs {overhead_pct:.1}% ok/s — above the 5% budget"
         );
-        if std::env::var_os("LCDD_BENCH_STRICT").is_some() {
+        if lcdd_bench::strict() {
             panic!("tracing overhead {overhead_pct:.1}% > 5% of ok/s");
         }
     }

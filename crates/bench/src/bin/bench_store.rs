@@ -1,21 +1,13 @@
-//! Durable-store benchmark emitter: WAL append throughput, recovery time
-//! vs corpus size, and checkpoint write amplification. Writes
-//! `BENCH_store.json`.
+//! Durable-store benchmark emitter: the two write-path measurements
+//! stackbench does not take. Writes `BENCH_store.json`.
 //!
-//! Four sections:
+//! Two sections:
 //!
 //! * **wal_append** — records/s and MB/s appending realistic insert
 //!   records (encoded single-table batches), with and without per-record
 //!   `fdatasync` (the default durability policy pays the fsync; the
-//!   no-sync number is the framing/copy ceiling).
-//! * **recovery** — wall-clock for [`DurableEngine::open`] (manifest +
-//!   segments + WAL-tail replay) at 96 / 384 / 1536 tables. Recovery
-//!   replays cached encodings only; the bin *asserts* the FCM encoder ran
-//!   zero times during each open.
-//! * **write_amplification** — bytes written by a full (all-shard)
-//!   checkpoint vs an incremental one after a single-shard dirty op. The
-//!   bin *asserts* the incremental checkpoint rewrote exactly one of the
-//!   four shards — the dirty-only guarantee, in numbers.
+//!   no-sync number is the framing/copy ceiling — stackbench always
+//!   syncs).
 //! * **write_stall** — 64 single-table inserts with fsync on and a
 //!   checkpoint handed off every 16: insert p50 / p95 / max, and what the
 //!   four triggering inserts paid for the hand-off (WAL rotation + state
@@ -36,17 +28,7 @@ use lcdd_table::Table;
 use lcdd_testkit::crash::TempDir;
 use lcdd_testkit::{corpus, tiny_engine, CorpusSpec};
 
-const RECOVERY_SIZES: [usize; 3] = [96, 384, 1536];
 const N_SHARDS: usize = 4;
-
-fn store_opts() -> StoreOptions {
-    StoreOptions {
-        sync_writes: false,
-        checkpoint_every_ops: 0,
-        checkpoint_every_bytes: 0,
-        ..StoreOptions::default()
-    }
-}
 
 fn delta_tables(seed: u64, n: usize) -> Vec<Table> {
     let mut tables = corpus(&CorpusSpec::sized(seed, n));
@@ -74,55 +56,6 @@ fn wal_append_throughput(
     let secs = t.elapsed().as_secs_f64();
     let bytes = w.len() as f64;
     (n as f64 / secs, bytes / secs / 1e6)
-}
-
-struct RecoveryRow {
-    tables: usize,
-    create_ms: f64,
-    open_ms: f64,
-    replayed_ops: usize,
-}
-
-fn recovery_row(tmp: &TempDir, n_tables: usize) -> RecoveryRow {
-    let dir = tmp.subdir(&format!("recover-{n_tables}"));
-    let base = corpus(&CorpusSpec {
-        seed: 0x5707e ^ n_tables as u64,
-        n_tables,
-        series_len: 90,
-        near_dup_every: 5,
-    });
-    let t = Instant::now();
-    let engine = tiny_engine(base, N_SHARDS);
-    let durable = DurableEngine::create(&dir, engine, store_opts()).expect("bench store create");
-    let create_ms = t.elapsed().as_secs_f64() * 1e3;
-    // A realistic tail: some churn after the checkpoint.
-    durable
-        .insert_tables(delta_tables(1, 2))
-        .expect("bench insert");
-    durable.remove_tables(&[100_100]).expect("bench remove");
-    drop(durable);
-
-    let encodes_before = lcdd_fcm::table_encode_count();
-    let t = Instant::now();
-    let (recovered, report) = DurableEngine::open(&dir, store_opts()).expect("bench recovery");
-    let open_ms = t.elapsed().as_secs_f64() * 1e3;
-    assert_eq!(
-        lcdd_fcm::table_encode_count(),
-        encodes_before,
-        "recovery must not re-encode any table"
-    );
-    assert_eq!(recovered.len(), n_tables + 1);
-    eprintln!(
-        "[bench_store] recovery at {n_tables:>5} tables: open {open_ms:>8.1} ms \
-         ({} replayed ops; build+create was {create_ms:.1} ms)",
-        report.replayed_ops
-    );
-    RecoveryRow {
-        tables: n_tables,
-        create_ms,
-        open_ms,
-        replayed_ops: report.replayed_ops,
-    }
 }
 
 struct WriteStall {
@@ -219,43 +152,6 @@ fn main() {
          fsync-every {sync_rps:>7.0} rec/s ({sync_mbs:.1} MB/s)"
     );
 
-    // ---- recovery time vs corpus size ------------------------------------
-    let recovery: Vec<RecoveryRow> = RECOVERY_SIZES
-        .iter()
-        .map(|&n| recovery_row(&tmp, n))
-        .collect();
-
-    // ---- write amplification ---------------------------------------------
-    let dir = tmp.subdir("amplification");
-    let base = corpus(&CorpusSpec {
-        seed: 0xa3b1,
-        n_tables: 384,
-        series_len: 90,
-        near_dup_every: 5,
-    });
-    let durable =
-        DurableEngine::create(&dir, tiny_engine(base, N_SHARDS), store_opts()).expect("amp store");
-    // Full rewrite baseline: reshard dirties every shard.
-    durable.reshard(N_SHARDS).expect("amp reshard");
-    let full = durable.checkpoint().expect("amp full checkpoint");
-    assert_eq!(full.shards_written, N_SHARDS, "reshard dirties all shards");
-    // Incremental: one insert dirties exactly one shard.
-    durable
-        .insert_tables(delta_tables(3, 1))
-        .expect("amp insert");
-    let incr = durable.checkpoint().expect("amp incremental checkpoint");
-    assert_eq!(
-        incr.shards_written, 1,
-        "a single-shard op must rewrite exactly one segment"
-    );
-    assert_eq!(incr.shards_total, N_SHARDS);
-    let amp_ratio = full.bytes_written as f64 / (incr.bytes_written as f64).max(1.0);
-    eprintln!(
-        "[bench_store] checkpoint write amplification at 384 tables / {N_SHARDS} shards: \
-         full {} B ({} shards), incremental {} B (1 dirty shard) -> {amp_ratio:.1}x less written",
-        full.bytes_written, full.shards_written, incr.bytes_written
-    );
-
     // ---- write stall --------------------------------------------------------
     let stall = write_stall(&tmp);
     eprintln!(
@@ -270,22 +166,13 @@ fn main() {
              for something other than its own WAL append",
             stall.max_us, stall.p50_us
         );
-        if std::env::var("LCDD_BENCH_STRICT").as_deref() == Ok("1") {
+        if lcdd_bench::strict() {
             panic!("[bench_store] {msg}");
         }
         eprintln!("[bench_store] WARNING: {msg} (set LCDD_BENCH_STRICT=1 to fail)");
     }
 
     // ---- emit -------------------------------------------------------------
-    let recovery_json: Vec<String> = recovery
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{ \"tables\": {}, \"open_ms\": {:.2}, \"build_create_ms\": {:.2}, \"replayed_ops\": {} }}",
-                r.tables, r.open_ms, r.create_ms, r.replayed_ops
-            )
-        })
-        .collect();
     let json = format!(
         "{{\n  \"group\": \"bench_store\",\n  \"wal_append\": {{\n    \
          \"record_bytes\": {record_bytes},\n    \
@@ -293,21 +180,11 @@ fn main() {
          \"nosync_mb_per_s\": {nosync_mbs:.1},\n    \
          \"fsync_records_per_s\": {sync_rps:.0},\n    \
          \"fsync_mb_per_s\": {sync_mbs:.1}\n  }},\n  \
-         \"recovery\": [\n{}\n  ],\n  \
-         \"write_amplification\": {{\n    \"tables\": 384,\n    \"shards\": {N_SHARDS},\n    \
-         \"full_checkpoint_bytes\": {},\n    \"full_shards_written\": {},\n    \
-         \"incremental_checkpoint_bytes\": {},\n    \"incremental_shards_written\": {},\n    \
-         \"full_over_incremental_x\": {amp_ratio:.2}\n  }},\n  \
          \"write_stall\": {{\n    \"tables\": {},\n    \"inserts\": 64,\n    \
          \"checkpoint_every_ops\": 16,\n    \"sync_writes\": true,\n    \
          \"insert_p50_us\": {:.0},\n    \"insert_p95_us\": {:.0},\n    \
          \"insert_max_us\": {:.0},\n    \"max_over_p50_x\": {:.2},\n    \
          \"handoffs\": {},\n    \"handoff_mean_us\": {:.0}\n  }}\n}}\n",
-        recovery_json.join(",\n"),
-        full.bytes_written,
-        full.shards_written,
-        incr.bytes_written,
-        incr.shards_written,
         stall.tables,
         stall.p50_us,
         stall.p95_us,

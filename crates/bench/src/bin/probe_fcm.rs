@@ -2,7 +2,7 @@
 //! evaluate on train-side queries vs test queries to separate
 //! optimisation failures from generalisation gaps.
 use lcdd_baselines::{DiscoveryMethod, QueryInput};
-use lcdd_bench::{bench_config, experiment_benchmark, fcm_config, fcm_train_config, Scale};
+use lcdd_bench::{bench_config, fcm_config, fcm_train_config, Scale};
 use lcdd_benchmark::{fcm_training_inputs, precision_at_k, FcmMethod};
 use lcdd_fcm::{train_with_callback, FcmModel};
 use lcdd_vision::VisualElementExtractor;
@@ -14,7 +14,6 @@ fn main() {
         bcfg.train_extractor = false;
     }
     let bench = lcdd_benchmark::build_benchmark(&bcfg);
-    let _ = experiment_benchmark; // keep import used
 
     let mut model = FcmModel::new(fcm_config(scale));
     let examples = fcm_training_inputs(&bench, &model);

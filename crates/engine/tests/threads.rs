@@ -13,11 +13,14 @@
 //!
 //! `pool::force_threads` mutates process-global state, so every test takes
 //! `THREAD_LOCK` and the sweep runs inside one test body rather than
-//! across tests.
+//! across tests. The one property `force_threads` cannot reach — that a
+//! *fresh* process resolves `LCDD_THREADS` to the intended width — is
+//! checked by re-executing this test binary once per value.
 
+use std::process::Command;
 use std::sync::Mutex;
 
-use lcdd_engine::{IndexStrategy, Query, SearchOptions};
+use lcdd_engine::{IndexStrategy, Query, SearchOptions, SearchResponse};
 use lcdd_tensor::pool;
 use lcdd_testkit::{
     assert_same_hits_bitwise, corpus, query_like, tiny_corpus, tiny_engine, tiny_query, CorpusSpec,
@@ -115,4 +118,97 @@ fn sharding_and_threading_compose_bitwise() {
         }
     }
     pool::force_threads(1);
+}
+
+/// Marks a re-executed child of the fresh-process test below.
+const CHILD_ENV: &str = "LCDD_THREADS_TEST_CHILD";
+const FRESH_TEST: &str = "fresh_processes_honour_lcdd_threads_and_agree_bitwise";
+
+fn hit_bits(r: &SearchResponse) -> Vec<(u64, u32)> {
+    r.hits
+        .iter()
+        .map(|h| (h.table_id, h.score.to_bits()))
+        .collect()
+}
+
+/// The child's half: resolve the pool width from the inherited
+/// `LCDD_THREADS` before any parallel work, then print it and the hit
+/// bits of every strategy plus one `search_batch`.
+fn fresh_process_child() {
+    let threads = pool::resolve_threads();
+    let tables = corpus(&CorpusSpec::sized(42, 8));
+    let engine = tiny_engine(tables.clone(), 3);
+    let queries = [query_like(&tables[0]), query_like(&tables[5])];
+    let mut hits = Vec::new();
+    for q in &queries {
+        for s in IndexStrategy::ALL {
+            let opts = SearchOptions::top_k(5).with_strategy(s);
+            hits.push(hit_bits(&engine.search(q, &opts).unwrap()));
+        }
+    }
+    for r in engine.search_batch(&queries, &SearchOptions::top_k(5)) {
+        hits.push(hit_bits(&r.unwrap()));
+    }
+    println!("{CHILD_ENV} threads={threads}");
+    println!("{CHILD_ENV} hits={hits:?}");
+}
+
+#[test]
+fn fresh_processes_honour_lcdd_threads_and_agree_bitwise() {
+    // The pool freezes its width at first touch, so `force_threads` can
+    // sweep scoring but never exercises the `LCDD_THREADS` parse itself:
+    // each value gets its own process.
+    if std::env::var_os(CHILD_ENV).is_some() {
+        fresh_process_child();
+        return;
+    }
+    let detected = std::thread::available_parallelism()
+        .map_or(4, |n| n.get())
+        .min(pool::MAX_THREADS);
+    let cases = [
+        ("1", 1),
+        ("4", 4),
+        ("99", pool::MAX_THREADS),
+        ("0", detected),
+        ("x", detected),
+    ];
+    let exe = std::env::current_exe().unwrap();
+    let mut first_hits: Option<String> = None;
+    for (value, expected) in cases {
+        let out = Command::new(&exe)
+            .args(["--exact", FRESH_TEST, "--nocapture"])
+            .env("LCDD_THREADS", value)
+            .env(CHILD_ENV, "1")
+            .output()
+            .unwrap();
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success(),
+            "child with LCDD_THREADS={value} failed:\n{stdout}\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let field = |key: &str| -> String {
+            let tag = format!("{CHILD_ENV} {key}=");
+            stdout
+                .lines()
+                .find_map(|l| l.find(&tag).map(|i| l[i + tag.len()..].to_string()))
+                .unwrap_or_else(|| panic!("child with LCDD_THREADS={value} printed no {key}"))
+        };
+        assert_eq!(
+            field("threads").parse::<usize>().unwrap(),
+            expected,
+            "LCDD_THREADS={value} resolved to the wrong pool width"
+        );
+        let hits = field("hits");
+        match &first_hits {
+            None => {
+                assert!(hits.contains('('), "children scored no hits: {hits}");
+                first_hits = Some(hits);
+            }
+            Some(first) => assert_eq!(
+                &hits, first,
+                "hits at LCDD_THREADS={value} differ from LCDD_THREADS=1"
+            ),
+        }
+    }
 }

@@ -153,8 +153,8 @@ impl Default for StoreOptions {
     }
 }
 
-/// What one checkpoint wrote (and avoided writing) — the write-
-/// amplification evidence `bench_store` reports.
+/// What one checkpoint wrote (and avoided writing): only dirty shards
+/// are rewritten, clean ones are carried forward by reference.
 #[derive(Clone, Debug)]
 pub struct CheckpointStats {
     /// Epoch the checkpoint captured.

@@ -22,7 +22,9 @@
 //! wants a *specific* count must resolve it before the first `par_*` call:
 //!
 //! * process entry points that sweep thread counts must re-exec per sweep
-//!   point (a child process gets a fresh cache — see `bench_serving`),
+//!   point (a child process gets a fresh cache — see
+//!   `fresh_processes_honour_lcdd_threads_and_agree_bitwise` in
+//!   `lcdd-engine`'s `tests/threads.rs`),
 //! * tests that need a specific count use [`force_threads`], which
 //!   overwrites the cache.
 //!

@@ -1,13 +1,11 @@
 #!/usr/bin/env bash
 # Refresh the tracked BENCH_*.json perf snapshots and optionally run the
-# full Criterion micro-benchmark suite.
+# full Criterion micro-benchmark suite. Every tracked BENCH_*.json is
+# named as an output below (scripts/check_doc_refs.sh enforces it).
 #
-# bench_serving and bench_sharding run a 1/4/N thread sweep internally by
-# re-exec'ing themselves with LCDD_THREADS pinned per child process (the
-# pool freezes its width at first touch, so in-process sweeps would lie);
-# setting LCDD_THREADS here pins only the parent's own measurement runs.
-# LCDD_BENCH_STRICT=1 turns the serving bench's thread-scaling warning
-# into a hard failure.
+# LCDD_THREADS=N pins the work-pool width for every bin.
+# LCDD_BENCH_STRICT=1 turns the store bench's write-stall warning and the
+# gateway bench's tracing-overhead warning into hard failures.
 #
 # Usage:
 #   scripts/bench.sh            # all bench bins -> BENCH_*.json
@@ -17,14 +15,6 @@ cd "$(dirname "$0")/.."
 
 echo "== kernel benches -> BENCH_kernels.json =="
 cargo run --release -p lcdd-bench --bin bench_kernels -- BENCH_kernels.json
-
-echo
-echo "== sharding benches -> BENCH_sharding.json =="
-cargo run --release -p lcdd-bench --bin bench_sharding -- BENCH_sharding.json
-
-echo
-echo "== concurrent-serving benches -> BENCH_serving.json =="
-cargo run --release -p lcdd-bench --bin bench_serving -- BENCH_serving.json
 
 echo
 echo "== durable-store benches -> BENCH_store.json =="
