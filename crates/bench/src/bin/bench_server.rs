@@ -26,7 +26,8 @@
 use std::sync::Arc;
 
 use lcdd_engine::ServingEngine;
-use lcdd_server::{Backend, Histogram, Server, ServerConfig};
+use lcdd_obs::registry::Histogram;
+use lcdd_server::{Backend, Server, ServerConfig};
 use lcdd_testkit::load::{drive_mixed, HttpClient, LoadSpec, LoadSummary};
 
 const N_TABLES: usize = 96;

@@ -7,13 +7,14 @@
 //! checked against *that* snapshot's epoch, and
 //! [`Backend::serve_batch`] answers the whole coalesced batch from it —
 //! which is what makes the gateway's single-epoch-per-batch guarantee a
-//! structural property rather than a timing accident.
+//! structural property rather than a timing accident. The corpus facts
+//! `/healthz` and `/metrics` report (epoch, tables, shards, tier) are read
+//! from one pin the same way, so no document mixes two publishes.
 
 use std::sync::Arc;
 
 use lcdd_engine::{
     CacheStats, EngineError, EngineState, Query, SearchOptions, SearchResponse, ServingEngine,
-    TierStats,
 };
 use lcdd_repl::Follower;
 use lcdd_store::DurableEngine;
@@ -159,44 +160,6 @@ impl Backend {
                 // live one rather than failing the batch.
                 None => f.store().search_batch_at(&pin.state, queries, opts),
             },
-        }
-    }
-
-    /// Current published epoch.
-    pub fn epoch(&self) -> u64 {
-        match self {
-            Backend::Serving(s) => s.epoch(),
-            Backend::Durable(d) => d.epoch(),
-            Backend::Replica(f) => f.epoch(),
-        }
-    }
-
-    /// Live tables in the published state.
-    pub fn tables(&self) -> usize {
-        match self {
-            Backend::Serving(s) => s.len(),
-            Backend::Durable(d) => d.len(),
-            Backend::Replica(f) => f.store().len(),
-        }
-    }
-
-    /// Shard count of the published state.
-    pub fn shards(&self) -> usize {
-        match self {
-            Backend::Serving(s) => s.snapshot().shards().len(),
-            Backend::Durable(d) => d.snapshot().shards().len(),
-            Backend::Replica(f) => f.snapshot().shards().len(),
-        }
-    }
-
-    /// Hot/cold corpus-tier residency of the published state (lock-free:
-    /// one snapshot load plus per-shard counter reads — nothing on the
-    /// serving path is contended).
-    pub fn tier_stats(&self) -> TierStats {
-        match self {
-            Backend::Serving(s) => s.snapshot().tier_stats(),
-            Backend::Durable(d) => d.snapshot().tier_stats(),
-            Backend::Replica(f) => f.snapshot().tier_stats(),
         }
     }
 

@@ -437,7 +437,7 @@ mod tests {
 
     #[test]
     fn expired_jobs_answer_504_without_scoring() {
-        let metrics = Arc::new(Metrics::new());
+        let metrics = Arc::new(Metrics::default());
         let batcher = Batcher::new(test_backend(4), Arc::clone(&metrics), 16, 8);
         let (j, rx) = job(
             lcdd_testkit::tiny_query(0),
@@ -457,7 +457,7 @@ mod tests {
 
     #[test]
     fn identical_inflight_queries_are_scored_once() {
-        let metrics = Arc::new(Metrics::new());
+        let metrics = Arc::new(Metrics::default());
         let batcher = Batcher::new(test_backend(6), Arc::clone(&metrics), 16, 8);
         let far = Instant::now() + Duration::from_secs(30);
         let mut rxs = Vec::new();
@@ -504,7 +504,7 @@ mod tests {
 
     #[test]
     fn mixed_options_split_into_single_option_batches() {
-        let metrics = Arc::new(Metrics::new());
+        let metrics = Arc::new(Metrics::default());
         let batcher = Batcher::new(test_backend(6), Arc::clone(&metrics), 16, 8);
         let far = Instant::now() + Duration::from_secs(30);
         let (tx, rx1) = std::sync::mpsc::sync_channel(1);
@@ -543,7 +543,7 @@ mod tests {
 
     #[test]
     fn queue_overflow_and_shutdown_refuse_cleanly() {
-        let metrics = Arc::new(Metrics::new());
+        let metrics = Arc::new(Metrics::default());
         let batcher = Batcher::new(test_backend(4), metrics, 2, 8);
         let far = Instant::now() + Duration::from_secs(30);
         let sub = |i: usize| {

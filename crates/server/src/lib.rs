@@ -45,6 +45,5 @@ pub mod wire;
 pub use backend::{Backend, Consistency, PinnedView};
 pub use batcher::{Batcher, JobReply, SearchJob, Submit};
 pub use error::ApiError;
-pub use lcdd_obs::registry::Histogram;
 pub use metrics::Metrics;
 pub use server::{Server, ServerConfig, ShutdownReport};

@@ -85,6 +85,7 @@ struct Shared {
     batcher: Arc<Batcher>,
     draining: AtomicBool,
     active_connections: AtomicUsize,
+    /// The gateway's one uptime clock, read by `/healthz` and `/metrics`.
     started: Instant,
 }
 
@@ -106,7 +107,7 @@ impl Server {
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
         let backend = Arc::new(backend);
-        let metrics = Arc::new(Metrics::new());
+        let metrics = Arc::new(Metrics::default());
         let batcher = Batcher::new(
             Arc::clone(&backend),
             Arc::clone(&metrics),
@@ -648,16 +649,18 @@ fn handle_healthz(
     shared.metrics.healthz.inc();
     let backend = &shared.backend;
     let draining = shared.draining.load(Relaxed);
+    let pin = backend.pin();
+    let state = &pin.state;
     let mut body = format!(
         "{{\"status\":{},\"backend\":{},\"epoch\":{},\"tables\":{},\"shards\":{},\"uptime_s\":{}",
         crate::json::quote(if draining { "draining" } else { "ok" }),
         crate::json::quote(backend.kind()),
-        backend.epoch(),
-        backend.tables(),
-        backend.shards(),
+        state.epoch(),
+        state.len(),
+        state.shards().len(),
         crate::json::num(shared.started.elapsed().as_secs_f64()),
     );
-    let tier = backend.tier_stats();
+    let tier = state.tier_stats();
     body.push_str(&format!(
         ",\"tier\":{{\"resident_tables\":{},\"mapped_tables\":{}}}",
         tier.resident_tables, tier.mapped_tables,
@@ -696,15 +699,17 @@ fn handle_metrics(
     close: bool,
 ) -> std::io::Result<()> {
     shared.metrics.metrics.inc();
-    let draining = shared.draining.load(Relaxed);
+    let walk = shared.metrics.walk(
+        &shared.backend,
+        shared.started.elapsed(),
+        shared.cfg.queue_capacity,
+        shared.draining.load(Relaxed),
+    );
     let wants_prometheus = req
         .header("accept")
         .is_some_and(|a| a.contains("text/plain"));
     if wants_prometheus {
-        let body =
-            shared
-                .metrics
-                .to_prometheus(&shared.backend, shared.cfg.queue_capacity, draining);
+        let body = crate::metrics::prometheus(&walk);
         shared.metrics.count_status(200);
         return write_response_typed(
             stream,
@@ -715,10 +720,7 @@ fn handle_metrics(
             close,
         );
     }
-    let body = shared
-        .metrics
-        .to_json(&shared.backend, shared.cfg.queue_capacity, draining);
-    respond_ok(stream, shared, &[], &body, close)
+    respond_ok(stream, shared, &[], &crate::metrics::json(&walk), close)
 }
 
 /// `GET /snapshot/{epoch}`: 200 when the published epoch matches, 410

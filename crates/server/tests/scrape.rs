@@ -256,6 +256,70 @@ fn concurrent_scrapes_stay_consistent_during_churn() {
     assert!(report.jobs_enqueued >= 75, "all writer searches admitted");
 }
 
+/// Every scrape reads the corpus from one pinned snapshot. One writer
+/// publishes one table per insert, so `tables − epoch` is the initial
+/// corpus size in any single snapshot; a document whose epoch and table
+/// count came from two different publishes reads otherwise.
+#[test]
+fn scrapes_never_tear_across_a_publish() {
+    const BASE: usize = 5;
+    const INSERTS: usize = 150;
+    let (server, serving) = util::serving_server(BASE, ServerConfig::default());
+    let addr = server.addr();
+    let stop = Arc::new(AtomicBool::new(false));
+
+    let scrapers: Vec<_> = (0..3)
+        .map(|kind| {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                let mut c = HttpClient::connect(addr).expect("scraper connect");
+                let mut scrapes = 0u32;
+                while !stop.load(Ordering::Relaxed) {
+                    let (epoch, tables, body) = match kind {
+                        0 => {
+                            let m = c.request("GET", "/metrics", &[], "").expect("json");
+                            (m.json_u64("epoch"), m.json_u64("tables"), m.body)
+                        }
+                        1 => {
+                            let m = c
+                                .request("GET", "/metrics", &[("Accept", "text/plain")], "")
+                                .expect("text");
+                            let read = |family| prom_value(&m.body, family).map(|v| v as u64);
+                            (
+                                read("lcdd_engine_epoch"),
+                                read("lcdd_engine_tables"),
+                                m.body,
+                            )
+                        }
+                        _ => {
+                            let h = c.request("GET", "/healthz", &[], "").expect("healthz");
+                            (h.json_u64("epoch"), h.json_u64("tables"), h.body)
+                        }
+                    };
+                    let (epoch, tables) = (epoch.expect("epoch"), tables.expect("tables"));
+                    assert_eq!(
+                        tables.checked_sub(epoch),
+                        Some(BASE as u64),
+                        "torn scrape (epoch {epoch}, tables {tables}):\n{body}"
+                    );
+                    scrapes += 1;
+                }
+                scrapes
+            })
+        })
+        .collect();
+
+    for table in lcdd_testkit::tiny_corpus(BASE + INSERTS).split_off(BASE) {
+        serving.insert_tables(vec![table]);
+    }
+    stop.store(true, Ordering::Relaxed);
+    for s in scrapers {
+        assert!(s.join().expect("scraper") > 0);
+    }
+    assert_eq!(serving.epoch(), INSERTS as u64);
+    server.shutdown();
+}
+
 /// Overflowing the span ring overwrites oldest-first and never corrupts
 /// what survives: after lapping, the newest spans replay intact and the
 /// evicted ones are simply absent.
