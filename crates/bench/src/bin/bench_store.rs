@@ -140,10 +140,8 @@ fn main() {
             batch: batch.to_bytes().expect("bench batch bytes"),
         },
     };
-    let record_bytes = match &record.op {
-        WalOp::Insert { batch } => batch.len() + 9 + 12,
-        _ => unreachable!(),
-    };
+    // Frame = 4-byte length + 8-byte checksum + payload.
+    let record_bytes = record.encode_payload().len() + 12;
     let (nosync_rps, nosync_mbs) = wal_append_throughput(&tmp, "nosync", &record, 4000, false);
     let (sync_rps, sync_mbs) = wal_append_throughput(&tmp, "sync", &record, 300, true);
     eprintln!(

@@ -5,8 +5,9 @@ use lcdd_fcm::{encode_tables, EngineError, FcmConfig, FcmModel};
 use lcdd_index::HybridConfig;
 use lcdd_table::{RepoEntry, Table, VisSpec};
 use lcdd_vision::VisualElementExtractor;
+use std::sync::Arc;
 
-use crate::engine::Engine;
+use crate::engine::{Engine, DEFAULT_COMPACTION_THRESHOLD};
 use crate::shard::{EngineShard, SlotData};
 use crate::state::{EngineShared, EngineState};
 
@@ -119,7 +120,11 @@ impl EngineBuilder {
             extractor: self.extractor,
             style: self.style,
         };
-        Ok(Engine::from_parts(shared, state))
+        Ok(Engine {
+            shared: Arc::new(shared),
+            state,
+            compaction_threshold: DEFAULT_COMPACTION_THRESHOLD,
+        })
     }
 }
 

@@ -1,21 +1,22 @@
 //! The single-threaded serving handle: typed queries in, ranked +
 //! attributed hits out.
 //!
-//! Since the concurrency split, `Engine` is a thin owner of two parts:
+//! `Engine` is a thin owner of two parts:
 //!
 //! * [`EngineShared`] — the immutable serving configuration (trained
-//!   model, index settings, extractor, chart style), and
+//!   model, index settings, extractor, chart style), behind the `Arc`
+//!   that [`crate::ServingEngine`]'s readers share, and
 //! * [`EngineState`] — the epoch-versioned corpus snapshot (shards +
 //!   global order + pooled-mean centering reference) that all search and
 //!   mutation logic lives on.
 //!
-//! Everything observable about `Engine` (the public API, the result
-//! ranking, shard-count invariance, delta-only encoding on ingest) is
-//! unchanged; the split exists so [`crate::ServingEngine`] can share the
-//! same state values across threads and publish them atomically. `Engine`
-//! mutates its state in place (its shard `Arc`s are uniquely owned, so
-//! copy-on-write never copies); queries need only `&self` and the engine
-//! is `Sync`, so one instance serves concurrent reads.
+//! Its `&mut self` mutators are the only corpus writes in the workspace.
+//! `Engine` mutates its state in place (its shard `Arc`s are uniquely
+//! owned, so copy-on-write never copies); queries need only `&self` and
+//! the engine is `Sync`, so one instance serves concurrent reads.
+//! [`crate::ServingEngine`] holds one `Engine` as its writer copy and runs
+//! the same mutators inside [`crate::ServingEngine::write`], which
+//! publishes the result; the durable store logs inside that same call.
 
 use lcdd_fcm::{EngineError, FcmModel};
 use lcdd_index::{CandidateSet, HybridConfig, IndexStrategy};
@@ -52,7 +53,9 @@ pub const DEFAULT_COMPACTION_THRESHOLD: f64 = 0.3;
 /// never re-encode resident tables. For lock-free serving *during*
 /// mutation, wrap the engine in a [`crate::ServingEngine`].
 pub struct Engine {
-    pub(crate) shared: EngineShared,
+    /// Shared with every reader of a [`crate::ServingEngine`] built from
+    /// this engine; never mutated once shared.
+    pub(crate) shared: Arc<EngineShared>,
     pub(crate) state: EngineState,
     /// Dead-slot fraction above which [`Engine::remove_tables`] compacts a
     /// shard automatically.
@@ -60,14 +63,6 @@ pub struct Engine {
 }
 
 impl Engine {
-    pub(crate) fn from_parts(shared: EngineShared, state: EngineState) -> Self {
-        Engine {
-            shared,
-            state,
-            compaction_threshold: DEFAULT_COMPACTION_THRESHOLD,
-        }
-    }
-
     /// Number of live ingested tables.
     pub fn len(&self) -> usize {
         self.state.len()
@@ -123,9 +118,15 @@ impl Engine {
 
     /// Replaces the visual element extractor (snapshots restore with the
     /// oracle extractor; serving raw [`Query::Chart`] images needs a
-    /// trained one).
-    pub fn set_extractor(&mut self, extractor: VisualElementExtractor) {
-        self.shared.extractor = extractor;
+    /// trained one). By value, like [`crate::EngineBuilder::extractor`]:
+    /// the extractor is configuration readers share, not a corpus write.
+    pub fn with_extractor(mut self, extractor: VisualElementExtractor) -> Engine {
+        // Only a serving engine shares the `Arc`, and it hands an engine
+        // out by value only after dropping its own reference.
+        Arc::get_mut(&mut self.shared)
+            .expect("an engine held by value owns its configuration alone")
+            .extractor = extractor;
+        self
     }
 
     /// Sets the tombstone fraction at which [`Engine::remove_tables`]
@@ -266,13 +267,5 @@ impl Engine {
     /// counterpart of `search`).
     pub fn score_one(&self, extracted: &ExtractedChart, index: usize) -> Result<f32, EngineError> {
         self.state.score_one(&self.shared.model, extracted, index)
-    }
-}
-
-impl Engine {
-    /// Decomposes the engine into its serving parts (the
-    /// [`crate::ServingEngine`] construction path).
-    pub(crate) fn into_parts(self) -> (EngineShared, EngineState, f64) {
-        (self.shared, self.state, self.compaction_threshold)
     }
 }

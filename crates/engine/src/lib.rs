@@ -47,7 +47,8 @@
 //! while a single writer applies insert / remove / compact / reshard by
 //! building the next state from the cached encodings (copy-on-write at
 //! shard granularity — no re-encode, no stop-the-world) and publishing it
-//! atomically. An epoch-tagged query-result LRU ([`cache::QueryCache`])
+//! atomically, all inside one critical section
+//! ([`ServingEngine::write`]). An epoch-tagged query-result LRU ([`cache::QueryCache`])
 //! memoizes repeat queries and is invalidated by each publish.
 //!
 //! Errors are surfaced as [`EngineError`] values — no panics on bad

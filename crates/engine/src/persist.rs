@@ -54,7 +54,7 @@ use lcdd_table::Table;
 use lcdd_tensor::Matrix;
 use lcdd_vision::VisualElementExtractor;
 
-use crate::engine::{Engine, TableMeta};
+use crate::engine::{Engine, TableMeta, DEFAULT_COMPACTION_THRESHOLD};
 use crate::frame::{self, Cursor};
 pub use crate::mapped::SegmentImage;
 use crate::mapped::{parse_segment_slots, write_segment_image, MappedSegment};
@@ -217,7 +217,7 @@ fn write_slot<W: Write>(
 /// engine needs to splice the tables in without touching the encoder
 /// again. Produced by [`encode_batch`], persisted via
 /// [`EncodedTableBatch::to_bytes`], consumed by
-/// [`Engine::insert_encoded`] / [`crate::ServingEngine::insert_encoded`].
+/// [`Engine::insert_encoded`].
 pub struct EncodedTableBatch {
     pub(crate) slots: Vec<SlotData>,
 }
@@ -555,7 +555,11 @@ fn finish_assembly(
         extractor: VisualElementExtractor::oracle(),
         style: ChartStyle::default(),
     };
-    Ok(Engine::from_parts(shared, state))
+    Ok(Engine {
+        shared: Arc::new(shared),
+        state,
+        compaction_threshold: DEFAULT_COMPACTION_THRESHOLD,
+    })
 }
 
 /// Checks a restored order is a bijection onto the restored shard slots.
@@ -584,11 +588,12 @@ fn validate_order(order: &[(u32, u32)], shards: &[EngineShard]) -> Result<(), En
     Ok(())
 }
 
-/// Overrides the engine's epoch counter. Recovery-only: after replaying a
-/// WAL record, the store pins the epoch to the one the crashed process
-/// recorded, so recovered and uncrashed engines agree epoch-for-epoch even
-/// where replay semantics differ benignly (e.g. a `compact` that was a
-/// no-op on the already-compacted recovered state).
+/// Overrides the engine's epoch counter. Record replay only: after
+/// applying a WAL record (at recovery, or on a replica), the store pins
+/// the epoch to the one the record carries, so replaying and original
+/// engines agree epoch-for-epoch even where apply semantics differ
+/// benignly (e.g. a `compact` that was a no-op on the already-compacted
+/// replaying state).
 pub fn force_epoch(engine: &mut Engine, epoch: u64) {
     engine.state.set_epoch(epoch);
 }
@@ -723,7 +728,7 @@ impl Engine {
     /// Restores an engine from a reader. Serving configuration is not part
     /// of a snapshot: the restored engine uses the oracle extractor,
     /// default chart style and the default compaction threshold — call
-    /// [`Engine::set_extractor`] to serve raw image queries and
+    /// [`Engine::with_extractor`] to serve raw image queries and
     /// [`Engine::set_compaction_threshold`] to re-apply a custom eviction
     /// policy.
     ///

@@ -10,12 +10,16 @@
 //!   immutable snapshot. They never block on mutation, never observe a
 //!   half-applied write, and every response reports the exact `epoch` it
 //!   was served from.
-//! * **The writer** (`insert_tables` / `remove_tables` / `compact` /
-//!   `reshard`) serializes behind one mutex, builds the next state from
-//!   the cached encodings (copy-on-write at shard granularity — resident
-//!   tables are never re-encoded and untouched shards are shared by
-//!   pointer with older epochs), and publishes it atomically. In-flight
-//!   queries keep serving from the epoch they started on.
+//! * **The writer** is one [`Engine`] behind one mutex — the writer copy.
+//!   Every corpus write goes through [`ServingEngine::write`], the only
+//!   critical section: it runs the write on the writer copy (copy-on-write
+//!   at shard granularity — resident tables are never re-encoded and
+//!   untouched shards are shared by pointer with older epochs), publishes
+//!   the result atomically if the epoch moved, and on `Err` restores the
+//!   writer copy from the published snapshot. `insert_tables` /
+//!   `remove_tables` / `compact` / `reshard` are one-line calls of it, and
+//!   the durable store logs inside it. In-flight queries keep serving
+//!   from the epoch they started on.
 //! * **The query cache** memoizes successful responses keyed by a 128-bit
 //!   content fingerprint and tagged with the serving epoch; a publish
 //!   invalidates it wholesale (logically at once, physically pruned by the
@@ -45,8 +49,8 @@
 //! assert_eq!(serving.len(), 3);
 //! ```
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::convert::Infallible;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use lcdd_fcm::{EngineError, FcmModel};
 use lcdd_index::{CandidateSet, IndexStrategy};
@@ -64,16 +68,14 @@ use crate::types::{Query, SearchOptions, SearchResponse};
 /// atomically published, epoch-versioned state snapshots, with a single
 /// serialized writer applying corpus mutations.
 pub struct ServingEngine {
+    /// The writer copy's configuration, shared with every reader.
     shared: Arc<EngineShared>,
     cell: ArcSwapCell<EngineState>,
-    /// The writer-side master copy of the state. Readers never touch it;
-    /// they see only what `publish` pushed into the cell.
-    writer: Mutex<EngineState>,
+    /// The writer copy. Readers never touch it; they see only what
+    /// [`ServingEngine::write`] published into the cell. Between writes
+    /// its state equals the published snapshot.
+    writer: Mutex<Engine>,
     cache: QueryCache,
-    /// Auto-compaction threshold as `f64` bits — atomic so the getter is
-    /// as lock-free as the rest of the read API (the durable write path
-    /// reads it per eviction while already holding its own lock).
-    compaction_threshold: AtomicU64,
 }
 
 impl ServingEngine {
@@ -86,32 +88,20 @@ impl ServingEngine {
     /// Wraps an engine, bounding the query-result cache at `capacity`
     /// entries (0 disables caching).
     pub fn with_cache_capacity(engine: Engine, capacity: usize) -> Self {
-        let (shared, state, compaction_threshold) = engine.into_parts();
         ServingEngine {
-            shared: Arc::new(shared),
-            cell: ArcSwapCell::new(Arc::new(state.clone())),
-            writer: Mutex::new(state),
+            shared: Arc::clone(&engine.shared),
+            cell: ArcSwapCell::new(Arc::new(engine.state.clone())),
+            writer: Mutex::new(engine),
             cache: QueryCache::new(capacity),
-            compaction_threshold: AtomicU64::new(compaction_threshold.to_bits()),
         }
     }
 
     /// Tears the serving wrapper back down to a plain [`Engine`] (e.g. to
     /// snapshot with [`Engine::save`] or hand to single-threaded code).
     pub fn into_engine(self) -> Engine {
-        let threshold = f64::from_bits(self.compaction_threshold.load(Ordering::Relaxed));
-        let state = self
-            .writer
+        self.writer
             .into_inner()
-            .unwrap_or_else(PoisonError::into_inner);
-        let Ok(shared) = Arc::try_unwrap(self.shared) else {
-            // `shared` is never cloned out of the serving engine, so the
-            // writer holding `self` by value owns the last reference.
-            unreachable!("ServingEngine::into_engine: shared config is uniquely owned");
-        };
-        let mut engine = Engine::from_parts(shared, state);
-        engine.set_compaction_threshold(threshold);
-        engine
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     // ---- read side -------------------------------------------------------
@@ -249,19 +239,37 @@ impl ServingEngine {
 
     // ---- write side ------------------------------------------------------
 
-    fn write(&self) -> MutexGuard<'_, EngineState> {
-        self.writer.lock().unwrap_or_else(PoisonError::into_inner)
+    /// The one corpus write: runs `f` on the writer copy under the writer
+    /// lock, then publishes the copy atomically if its epoch moved —
+    /// readers switch on their next snapshot and the query cache is
+    /// invalidated (logically by the epoch tag, physically pruned here).
+    /// If `f` returns `Err`, nothing is published and the writer copy is
+    /// restored from the published snapshot, so a failed write leaves no
+    /// trace: not in the corpus, not in the compaction threshold.
+    ///
+    /// Everything `f` does happens before its result is visible, which is
+    /// what lets the durable store log a write inside `f` — after it is
+    /// applied to the unpublished copy, before it is published. Readers
+    /// never take this lock.
+    pub fn write<T, E>(&self, f: impl FnOnce(&mut Engine) -> Result<T, E>) -> Result<T, E> {
+        let mut engine = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
+        let epoch_before = engine.epoch();
+        let threshold_before = engine.compaction_threshold;
+        let out = f(&mut engine);
+        if out.is_err() {
+            engine.state = EngineState::clone(&self.cell.load());
+            engine.compaction_threshold = threshold_before;
+        } else if engine.epoch() != epoch_before {
+            self.cell.store(Arc::new(engine.state.clone()));
+            self.cache.prune_stale(engine.epoch());
+        }
+        out
     }
 
-    /// Publishes the writer's state if its epoch moved. Readers switch to
-    /// the new epoch on their next snapshot; the query cache is
-    /// invalidated (logically by the epoch tag, physically pruned here).
-    fn publish(&self, state: &EngineState, epoch_before: u64) {
-        if state.epoch() == epoch_before {
-            return;
-        }
-        self.cell.store(Arc::new(state.clone()));
-        self.cache.prune_stale(state.epoch());
+    /// [`ServingEngine::write`] for a write that cannot fail.
+    fn apply<T>(&self, f: impl FnOnce(&mut Engine) -> T) -> T {
+        let Ok(out) = self.write(|e| Ok::<_, Infallible>(f(e)));
+        out
     }
 
     /// Ingests new tables without stopping reads: encodes only the delta,
@@ -269,85 +277,29 @@ impl ServingEngine {
     /// epoch atomically. Returns the assigned global positions. See
     /// [`Engine::insert_tables`] for semantics.
     pub fn insert_tables(&self, tables: Vec<Table>) -> Vec<usize> {
-        let mut ws = self.write();
-        let before = ws.epoch();
-        let assigned = ws.insert_tables(&self.shared.model, tables);
-        self.publish(&ws, before);
-        assigned
-    }
-
-    /// Ingests an already-encoded batch (see
-    /// [`crate::persist::encode_batch`]) without touching the encoder — the
-    /// durable write path logs the batch to its WAL first, then splices
-    /// exactly those bytes in here. Shard assignment is identical to
-    /// [`ServingEngine::insert_tables`].
-    pub fn insert_encoded(&self, batch: crate::persist::EncodedTableBatch) -> Vec<usize> {
-        let mut ws = self.write();
-        let before = ws.epoch();
-        let assigned = ws.insert_slots(batch.slots, self.shared.model.config.embed_dim);
-        self.publish(&ws, before);
-        assigned
+        self.apply(|e| e.insert_tables(tables))
     }
 
     /// Evicts live tables by id without stopping reads. Returns the number
     /// removed. See [`Engine::remove_tables`] for semantics.
     pub fn remove_tables(&self, ids: &[u64]) -> usize {
-        let threshold = self.compaction_threshold();
-        let mut ws = self.write();
-        let before = ws.epoch();
-        let removed = ws.remove_tables(ids, threshold, self.shared.model.config.embed_dim);
-        self.publish(&ws, before);
-        removed
+        self.apply(|e| e.remove_tables(ids))
     }
 
     /// Compacts tombstoned shards without stopping reads.
     pub fn compact(&self) {
-        let mut ws = self.write();
-        let before = ws.epoch();
-        ws.compact(self.shared.model.config.embed_dim);
-        self.publish(&ws, before);
+        self.apply(Engine::compact)
     }
 
     /// Redistributes the corpus across `n_shards` without stopping reads.
     pub fn reshard(&self, n_shards: usize) -> Result<(), EngineError> {
-        let mut ws = self.write();
-        let before = ws.epoch();
-        let result = ws.reshard(
-            n_shards,
-            self.shared.model.config.embed_dim,
-            &self.shared.hybrid_cfg,
-        );
-        self.publish(&ws, before);
-        result
-    }
-
-    /// Overrides the published epoch counter — replication/recovery
-    /// continuity only (the serving-side sibling of
-    /// [`crate::persist::force_epoch`]). A follower replaying a leader's
-    /// WAL records pins each applied epoch to the logged `epoch_after`, so
-    /// replica and leader agree epoch-for-epoch even where apply semantics
-    /// differ benignly (e.g. a logged `compact` that is a no-op on the
-    /// already-compacted replica). Publishes atomically like any mutation;
-    /// a no-op pin (same epoch) publishes nothing.
-    pub fn pin_epoch(&self, epoch: u64) {
-        let mut ws = self.write();
-        let before = ws.epoch();
-        ws.set_epoch(epoch);
-        self.publish(&ws, before);
+        self.write(|e| e.reshard(n_shards))
     }
 
     /// Sets the auto-compaction threshold for future removals (clamped to
-    /// `[0, 1]`). Lock-free: takes effect for the next eviction.
+    /// `[0, 1]`; see [`Engine::set_compaction_threshold`]).
     pub fn set_compaction_threshold(&self, frac: f64) {
-        self.compaction_threshold
-            .store(frac.clamp(0.0, 1.0).to_bits(), Ordering::Relaxed);
-    }
-
-    /// The auto-compaction threshold currently in effect (the durable
-    /// write path records it per eviction so replay compacts identically).
-    /// Lock-free like the rest of the read API.
-    pub fn compaction_threshold(&self) -> f64 {
-        f64::from_bits(self.compaction_threshold.load(Ordering::Relaxed))
+        self.apply(|e| e.set_compaction_threshold(frac))
     }
 
     /// Writes the published state to a snapshot file (readable by

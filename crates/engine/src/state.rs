@@ -73,7 +73,7 @@ impl EngineShared {
                 if self.extractor.is_oracle() {
                     return Err(EngineError::UnsupportedQuery(
                         "raw chart images need a trained extractor (the oracle \
-                         extractor requires renderer masks); use set_extractor \
+                         extractor requires renderer masks); use with_extractor \
                          or query with pre-extracted elements"
                             .into(),
                     ));
@@ -158,9 +158,9 @@ impl EngineState {
         self.epoch
     }
 
-    /// Overrides the epoch counter — recovery continuity only (see
-    /// [`crate::persist::force_epoch`]): a recovered state resumes epoch
-    /// numbering where the crashed process left off.
+    /// Overrides the epoch counter — record replay only (see
+    /// [`crate::persist::force_epoch`]): a recovered or replicated state
+    /// resumes epoch numbering where the logging process left off.
     pub(crate) fn set_epoch(&mut self, epoch: u64) {
         self.epoch = epoch;
     }

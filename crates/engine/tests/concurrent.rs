@@ -5,7 +5,8 @@
 
 use lcdd_engine::{IndexStrategy, SearchOptions, ServingEngine};
 use lcdd_table::{Column, Table};
-use lcdd_testkit::concurrent::{replay_serial, run_concurrent_session, WriterOp};
+use lcdd_testkit::concurrent::{replay_serial, run_concurrent_session};
+use lcdd_testkit::crash::ScriptedOp;
 use lcdd_testkit::{assert_same_hits, corpus, queries_for, tiny_engine, CorpusSpec};
 
 /// Fresh tables the writer ingests mid-session (ids disjoint from the
@@ -23,18 +24,18 @@ fn extra_tables(base_id: u64, n: usize) -> Vec<Table> {
 }
 
 /// The scripted mutation mix: growth, eviction, maintenance, relayout.
-fn op_script(spec: &CorpusSpec) -> Vec<WriterOp> {
+fn op_script(spec: &CorpusSpec) -> Vec<ScriptedOp> {
     vec![
-        WriterOp::Insert(extra_tables(100, 3)),
-        WriterOp::Remove(vec![1, 4]),
-        WriterOp::Insert(extra_tables(200, 2)),
-        WriterOp::Compact,
-        WriterOp::Reshard(3),
-        WriterOp::Remove(vec![102, 2]),
-        WriterOp::Insert(extra_tables(300, 2)),
-        WriterOp::Reshard(2),
-        WriterOp::Remove(vec![spec.n_tables as u64 - 1]),
-        WriterOp::Compact,
+        ScriptedOp::Insert(extra_tables(100, 3)),
+        ScriptedOp::Remove(vec![1, 4]),
+        ScriptedOp::Insert(extra_tables(200, 2)),
+        ScriptedOp::Compact,
+        ScriptedOp::Reshard(3),
+        ScriptedOp::Remove(vec![102, 2]),
+        ScriptedOp::Insert(extra_tables(300, 2)),
+        ScriptedOp::Reshard(2),
+        ScriptedOp::Remove(vec![spec.n_tables as u64 - 1]),
+        ScriptedOp::Compact,
     ]
 }
 

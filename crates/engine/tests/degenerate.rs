@@ -36,9 +36,7 @@ fn trained_extractor() -> VisualElementExtractor {
 }
 
 fn engine_with_extractor() -> Engine {
-    let mut engine = tiny_engine(corpus(&CorpusSpec::sized(0xde9e, 6)), 2);
-    engine.set_extractor(trained_extractor());
-    engine
+    tiny_engine(corpus(&CorpusSpec::sized(0xde9e, 6)), 2).with_extractor(trained_extractor())
 }
 
 /// Every degenerate series payload the suite probes.

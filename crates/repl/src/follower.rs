@@ -1,7 +1,7 @@
 //! The applying (follower) half of replication.
 //!
 //! A [`Follower`] owns a full [`DurableEngine`] of its own — every
-//! shipped record is logged to the replica's WAL before it is applied,
+//! shipped record is logged to the replica's WAL before it is published,
 //! so a follower restart recovers through exactly the PR 5 machinery
 //! (newest-valid manifest, WAL replay, torn-tail truncation) and then
 //! resumes streaming from its recovered epoch. Insert records carry the
@@ -35,7 +35,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
-use lcdd_engine::{CacheStats, Engine, EngineState, Query, SearchOptions, SearchResponse};
+use lcdd_engine::{Engine, Query, SearchOptions, SearchResponse};
 use lcdd_fcm::EngineError;
 use lcdd_store::{
     CheckpointPackage, DurableEngine, RecoveryReport, ReplicatedApply, StoreOptions, WalRecord,
@@ -44,7 +44,9 @@ use lcdd_store::{
 use crate::frame::Frame;
 use crate::instruments;
 
-/// Explicit staleness contract for a replica read.
+/// Explicit staleness contract for a read — on a replica, and at the
+/// gateway for every backend (a leader is its own leader, so it never
+/// lags).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ReadConsistency {
     /// Serve whatever the replica has (maximum availability).
@@ -56,6 +58,24 @@ pub enum ReadConsistency {
     /// Bounded staleness: the replica may trail the leader's last
     /// heartbeat by at most this many epochs.
     BoundedLag(u64),
+}
+
+impl ReadConsistency {
+    /// Checks the contract against a view serving `epoch` while the
+    /// leader is known to be at `leader_epoch`. Returns the violation, in
+    /// words, when the view cannot honour it.
+    pub fn violation(self, epoch: u64, leader_epoch: u64) -> Option<String> {
+        match self {
+            ReadConsistency::Any => None,
+            ReadConsistency::AtLeastEpoch(token) => (epoch < token)
+                .then(|| format!("serving epoch {epoch} is behind the requested token {token}")),
+            ReadConsistency::BoundedLag(max_lag) => {
+                let lag = leader_epoch.saturating_sub(epoch);
+                (lag > max_lag)
+                    .then(|| format!("replica lags the leader by {lag} epochs (max {max_lag})"))
+            }
+        }
+    }
 }
 
 /// What applying one received frame did.
@@ -249,12 +269,6 @@ impl Follower {
         self.leader_epoch_seen().saturating_sub(self.epoch())
     }
 
-    /// Query-cache counters of the replica's serving engine (lock-free;
-    /// surfaced by the gateway's `/metrics`).
-    pub fn cache_stats(&self) -> CacheStats {
-        self.state().store.cache_stats()
-    }
-
     /// The quarantine reason, when the replica has refused the stream.
     pub fn quarantine_reason(&self) -> Option<String> {
         self.state().quarantined.clone()
@@ -408,46 +422,13 @@ impl Follower {
         opts: &SearchOptions,
         consistency: ReadConsistency,
     ) -> Result<SearchResponse, EngineError> {
-        let store = {
-            let st = self.state();
-            let epoch = st.store.epoch();
-            match consistency {
-                ReadConsistency::Any => {}
-                ReadConsistency::AtLeastEpoch(token) => {
-                    if epoch < token {
-                        return Err(EngineError::Replication(format!(
-                            "staleness contract: replica at epoch {epoch}, read requires {token}"
-                        )));
-                    }
-                }
-                ReadConsistency::BoundedLag(max_lag) => {
-                    let leader = self.leader_epoch_seen();
-                    let lag = leader.saturating_sub(epoch);
-                    if lag > max_lag {
-                        return Err(EngineError::Replication(format!(
-                            "staleness contract: replica lags leader by {lag} epochs (max {max_lag})"
-                        )));
-                    }
-                }
-            }
-            st.store.clone()
-        };
+        let store = self.store();
+        let epoch = store.epoch();
+        if let Some(violation) = consistency.violation(epoch, self.leader_epoch_seen()) {
+            return Err(EngineError::Replication(format!(
+                "staleness contract: {violation}"
+            )));
+        }
         store.search(query, opts)
-    }
-
-    /// Pins the replica's current snapshot (for epoch-stable reads; pair
-    /// with [`Follower::search_at`]).
-    pub fn snapshot(&self) -> Arc<EngineState> {
-        self.state().store.snapshot()
-    }
-
-    /// Answers a query against a pinned snapshot.
-    pub fn search_at(
-        &self,
-        state: &EngineState,
-        query: &Query,
-        opts: &SearchOptions,
-    ) -> Result<SearchResponse, EngineError> {
-        self.state().store.search_at(state, query, opts)
     }
 }

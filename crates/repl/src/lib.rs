@@ -28,7 +28,7 @@
 //!   skipped idempotently, gaps are detected exactly, and resume is
 //!   "give me everything after epoch E" ([`Leader::attach`]).
 //! * **Followers are stores.** A replica logs each shipped record to its
-//!   own WAL before applying ([`lcdd_store::DurableEngine::apply_replicated`]),
+//!   own WAL before publishing it ([`lcdd_store::DurableEngine::apply_replicated`]),
 //!   so a follower restart is ordinary PR 5 crash recovery, including
 //!   torn-tail truncation, then resume-from-epoch.
 //! * **Corruption quarantines, loss resumes, neither panics.** A frame

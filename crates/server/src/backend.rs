@@ -16,28 +16,11 @@ use std::sync::Arc;
 use lcdd_engine::{
     CacheStats, EngineError, EngineState, Query, SearchOptions, SearchResponse, ServingEngine,
 };
-use lcdd_repl::Follower;
+use lcdd_repl::{Follower, ReadConsistency};
 use lcdd_store::DurableEngine;
 use lcdd_table::Table;
 
 use crate::error::ApiError;
-
-/// Per-request staleness contract, mirroring
-/// [`lcdd_repl::ReadConsistency`] but checked gateway-side against the
-/// pinned batch snapshot (so it applies to leader backends too — an
-/// `AtLeastEpoch` token from an `/insert` response is honoured
-/// everywhere).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Consistency {
-    /// Serve whatever the snapshot holds.
-    Any,
-    /// Read-your-writes: the pinned epoch must be at least this token
-    /// (round-tripped from a write response's `x-lcdd-epoch` header).
-    AtLeastEpoch(u64),
-    /// The replica may trail the leader's last heartbeat by at most this
-    /// many epochs (leader backends always report zero lag).
-    BoundedLag(u64),
-}
 
 /// The engine variant behind the gateway.
 pub enum Backend {
@@ -107,38 +90,19 @@ impl Backend {
     /// Checks one request's contract against a pinned view. Called by the
     /// batcher after pinning and before scoring, so an admitted request is
     /// guaranteed to be answered from an epoch that honours its contract.
+    /// The check is gateway-side, so it applies to leader backends too
+    /// (whose pins carry their own epoch as the leader's, so they never
+    /// lag): an `AtLeastEpoch` token from an `/insert` response is
+    /// honoured everywhere.
     pub fn check_consistency(
         &self,
         pin: &PinnedView,
-        consistency: Consistency,
+        consistency: ReadConsistency,
     ) -> Result<(), ApiError> {
         let epoch = pin.state.epoch();
-        match consistency {
-            Consistency::Any => Ok(()),
-            Consistency::AtLeastEpoch(token) => {
-                if epoch >= token {
-                    Ok(())
-                } else {
-                    Err(ApiError::stale(
-                        format!("serving epoch {epoch} is behind the requested token {token}"),
-                        epoch,
-                    ))
-                }
-            }
-            Consistency::BoundedLag(max_lag) => {
-                let lag = match self {
-                    Backend::Replica(_) => pin.leader_epoch.saturating_sub(epoch),
-                    _ => 0,
-                };
-                if lag <= max_lag {
-                    Ok(())
-                } else {
-                    Err(ApiError::stale(
-                        format!("replica lags the leader by {lag} epochs (max {max_lag})"),
-                        epoch,
-                    ))
-                }
-            }
+        match consistency.violation(epoch, pin.leader_epoch) {
+            None => Ok(()),
+            Some(violation) => Err(ApiError::stale(violation, epoch)),
         }
     }
 
@@ -168,7 +132,7 @@ impl Backend {
         match self {
             Backend::Serving(s) => s.cache_stats(),
             Backend::Durable(d) => d.cache_stats(),
-            Backend::Replica(f) => f.cache_stats(),
+            Backend::Replica(f) => f.store().cache_stats(),
         }
     }
 

@@ -34,8 +34,9 @@ use std::time::Instant;
 
 use lcdd_engine::{query_fingerprint, Query, SearchOptions, SearchResponse};
 use lcdd_obs::trace::{next_span_id, ring, with_ctx, Stage, TraceCtx, TraceId};
+use lcdd_repl::ReadConsistency;
 
-use crate::backend::{Backend, Consistency};
+use crate::backend::Backend;
 use crate::error::{from_engine_error, ApiError};
 use crate::metrics::Metrics;
 
@@ -43,7 +44,7 @@ use crate::metrics::Metrics;
 pub struct SearchJob {
     pub query: Query,
     pub opts: SearchOptions,
-    pub consistency: Consistency,
+    pub consistency: ReadConsistency,
     /// Absolute expiry; a job still queued past this instant is answered
     /// 504 without being scored.
     pub deadline: Instant,
@@ -150,7 +151,7 @@ impl Batcher {
         &self,
         query: Query,
         opts: SearchOptions,
-        consistency: Consistency,
+        consistency: ReadConsistency,
         deadline: Instant,
         deadline_ms: u64,
         ctx: Option<TraceCtx>,
@@ -424,7 +425,7 @@ mod tests {
             SearchJob {
                 query,
                 opts: SearchOptions::top_k(3),
-                consistency: Consistency::Any,
+                consistency: ReadConsistency::Any,
                 deadline,
                 deadline_ms: 1,
                 enqueued_at: Instant::now(),
@@ -511,7 +512,7 @@ mod tests {
         let j1 = SearchJob {
             query: lcdd_testkit::tiny_query(0),
             opts: SearchOptions::top_k(2),
-            consistency: Consistency::Any,
+            consistency: ReadConsistency::Any,
             deadline: far,
             deadline_ms: 1000,
             enqueued_at: Instant::now(),
@@ -522,7 +523,7 @@ mod tests {
         let j2 = SearchJob {
             query: lcdd_testkit::tiny_query(0),
             opts: SearchOptions::top_k(2).with_strategy(IndexStrategy::NoIndex),
-            consistency: Consistency::Any,
+            consistency: ReadConsistency::Any,
             deadline: far,
             deadline_ms: 1000,
             enqueued_at: Instant::now(),
@@ -550,7 +551,7 @@ mod tests {
             batcher.submit(
                 lcdd_testkit::tiny_query(i),
                 SearchOptions::top_k(3),
-                Consistency::Any,
+                ReadConsistency::Any,
                 far,
                 1000,
                 None,

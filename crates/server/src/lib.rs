@@ -42,7 +42,7 @@ pub mod metrics;
 pub mod server;
 pub mod wire;
 
-pub use backend::{Backend, Consistency, PinnedView};
+pub use backend::{Backend, PinnedView};
 pub use batcher::{Batcher, JobReply, SearchJob, Submit};
 pub use error::ApiError;
 pub use metrics::Metrics;

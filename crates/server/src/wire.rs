@@ -13,9 +13,9 @@ use std::time::Duration;
 
 use lcdd_engine::{Query, SearchOptions, SearchResponse};
 use lcdd_index::IndexStrategy;
+use lcdd_repl::ReadConsistency;
 use lcdd_table::{Column, Table};
 
-use crate::backend::Consistency;
 use crate::error::ApiError;
 use crate::http::Request;
 use crate::json::{self, opt_usize, quote, Json};
@@ -46,7 +46,7 @@ pub const MAX_REMOVE_IDS: usize = 4_096;
 pub struct SearchRequest {
     pub query: Query,
     pub opts: SearchOptions,
-    pub consistency: Consistency,
+    pub consistency: ReadConsistency,
     /// Validated, clamped deadline.
     pub deadline: Duration,
     pub deadline_ms: u64,
@@ -250,9 +250,9 @@ pub fn parse_search(
                 "set at most one of 'min_epoch' and 'max_lag'",
             ))
         }
-        (Some(epoch), None) => Consistency::AtLeastEpoch(epoch),
-        (None, Some(lag)) => Consistency::BoundedLag(lag),
-        (None, None) => Consistency::Any,
+        (Some(epoch), None) => ReadConsistency::AtLeastEpoch(epoch),
+        (None, Some(lag)) => ReadConsistency::BoundedLag(lag),
+        (None, None) => ReadConsistency::Any,
     };
 
     Ok(SearchRequest {
@@ -521,7 +521,7 @@ mod tests {
         assert_eq!(s.opts.strategy, IndexStrategy::LshOnly);
         assert_eq!(s.opts.min_score, Some(0.2));
         assert_eq!(s.deadline_ms, 250);
-        assert_eq!(s.consistency, Consistency::AtLeastEpoch(7));
+        assert_eq!(s.consistency, ReadConsistency::AtLeastEpoch(7));
     }
 
     #[test]
@@ -531,7 +531,7 @@ mod tests {
         r.headers.push(("x-lcdd-max-lag".into(), "3".into()));
         let s = parse_search(&r, 2000, 30000).unwrap();
         assert_eq!(s.deadline_ms, 99);
-        assert_eq!(s.consistency, Consistency::BoundedLag(3));
+        assert_eq!(s.consistency, ReadConsistency::BoundedLag(3));
     }
 
     #[test]

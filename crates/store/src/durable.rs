@@ -1,33 +1,45 @@
 //! [`DurableEngine`]: the serving engine with a durability contract.
 //!
 //! Wraps a [`ServingEngine`] so that every corpus mutation is **logged
-//! before it is published**: the op (with its already-encoded FCM delta)
-//! is appended to the WAL and — under the default [`StoreOptions`] —
-//! fsynced *before* the new epoch becomes visible to readers. A process
-//! that crashes at any instant recovers its exact corpus from
-//! {latest checkpoint segments + WAL tail}, without re-running the
-//! encoder on a single resident table.
+//! before it is published**: the op is applied to the serving engine's
+//! unpublished writer copy, its record (with the already-encoded FCM
+//! delta) is appended to the WAL and — under the default
+//! [`StoreOptions`] — fsynced, and only then does the new epoch become
+//! visible to readers. A process that crashes at any instant recovers its
+//! exact corpus from {latest checkpoint segments + WAL tail}, without
+//! re-running the encoder on a single resident table.
 //!
 //! The lock-free read path is untouched: [`DurableEngine::search`] /
-//! `search_batch` delegate straight to the serving engine's epoch
-//! snapshot machinery and never take the store's writer lock.
+//! `search_batch_at` delegate straight to the serving engine's epoch
+//! snapshot machinery and never take the store lock or the serving
+//! writer lock.
 //!
 //! ## Write path
 //!
 //! ```text
-//! insert/remove/compact/reshard
-//!   '- writer lock ─ encode delta (inserts only)
-//!        '- WAL append (+ fdatasync)      <- durability point
-//!             '- apply + publish epoch    <- visibility point
-//!                  '- checkpoint policy (ops/bytes since last hand-off)
-//!                       '- hand off: rotate WAL, pin state, enqueue
+//! insert/remove/compact/reshard   (inserts encode their delta first, unlocked)
+//!   '- store lock ─ serving writer lock   (ServingEngine::write)
+//!        '- apply to the writer copy
+//!             '- epoch moved? WAL append (+ fdatasync)   <- durability point
+//!                  '- publish epoch                       <- visibility point
+//!   '- checkpoint policy (ops/bytes since last hand-off)
+//!        '- hand off: rotate WAL, pin state, enqueue
 //! ```
 //!
-//! No-ops are not logged: an insert of zero tables, a removal matching no
-//! live id, a compact with no tombstones all return without touching the
-//! WAL, so every logged record bumps the epoch by exactly one — which is
-//! what lets each record carry `epoch_after` and recovery reproduce the
-//! uncrashed engine's epoch numbering exactly.
+//! Every write — local, replicated — goes through one private commit
+//! inside [`ServingEngine::write`]. A failed append or fsync makes the
+//! write return `Err`, and the serving engine then restores its writer
+//! copy from the published snapshot: the op was never visible. A write
+//! that changes nothing (an insert of zero tables, a removal matching no
+//! live id, a compact with no tombstones) does not move the epoch, so it
+//! is not logged — by construction, with no per-op check. Hence every
+//! logged record bumps the epoch by exactly one, which is what lets each
+//! record carry `epoch_after` and recovery reproduce the uncrashed
+//! engine's epoch numbering exactly.
+//!
+//! Lock order: follower state (`lcdd_repl`) → store → serving writer. The
+//! serving writer lock is held across the WAL fsync; readers are
+//! lock-free and never wait for it.
 //!
 //! ## Checkpoints
 //!
@@ -58,7 +70,9 @@
 //! manifest's log to its end, then `wal-<epoch reached>.log` while one
 //! exists — the newest manifest may trail the live log by any number of
 //! rotations (a checkpoint in flight or failed when the process died).
-//! Each replayed epoch is pinned to the logged `epoch_after`; a torn
+//! Records apply through the same function a replica uses for shipped
+//! ones ([`DurableEngine::apply_replicated`]), which pins each replayed
+//! epoch to the logged `epoch_after`; a torn
 //! final record of the *last* log is truncated away, a torn or missing
 //! link anywhere earlier is typed corruption. Corrupt files surface as
 //! typed [`EngineError::Wal`] / [`EngineError::Store`] /
@@ -76,10 +90,9 @@ use lcdd_engine::persist::{
     EncodedTableBatch, SegmentImage,
 };
 use lcdd_engine::{
-    CacheStats, EngineError, EngineShard, EngineState, Query, SearchOptions, SearchResponse,
-    ServingEngine, DEFAULT_COMPACTION_THRESHOLD,
+    CacheStats, Engine, EngineError, EngineShard, EngineState, Query, SearchOptions,
+    SearchResponse, ServingEngine, DEFAULT_COMPACTION_THRESHOLD,
 };
-use lcdd_fcm::FcmModel;
 use lcdd_obs::trace;
 use lcdd_table::Table;
 
@@ -217,7 +230,7 @@ pub struct WalCursor {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ReplicatedApply {
     /// The record advanced this replica by exactly one epoch (logged to
-    /// the replica's own WAL first, then applied and published).
+    /// the replica's own WAL before it was published).
     Applied,
     /// The record's `epoch_after` was at or below the replica's epoch — a
     /// duplicate delivery, skipped idempotently without logging.
@@ -867,15 +880,6 @@ impl DurableEngine {
         self.serving.search(query, opts)
     }
 
-    /// Answers a batch of queries from one snapshot (single epoch).
-    pub fn search_batch(
-        &self,
-        queries: &[Query],
-        opts: &SearchOptions,
-    ) -> Vec<Result<SearchResponse, EngineError>> {
-        self.serving.search_batch(queries, opts)
-    }
-
     /// Pins the current corpus snapshot (see [`ServingEngine::snapshot`]).
     pub fn snapshot(&self) -> Arc<EngineState> {
         self.serving.snapshot()
@@ -925,9 +929,11 @@ impl DurableEngine {
         self.serving.is_empty()
     }
 
-    /// The trained model serving this engine.
-    pub fn model(&self) -> &FcmModel {
-        self.serving.model()
+    /// Current length of the live WAL file in bytes (including the file
+    /// header). Drops back to the header length whenever a checkpoint
+    /// hand-off rotates the log.
+    pub fn wal_len(&self) -> u64 {
+        self.lock().wal.len()
     }
 
     /// Exports the published state as an engine snapshot file (readable by
@@ -943,39 +949,44 @@ impl DurableEngine {
         &self.shared.dir
     }
 
-    /// Current length of the live WAL file in bytes (including the file
-    /// header). Drops back to the header length whenever a checkpoint
-    /// hand-off rotates the log.
-    pub fn wal_len(&self) -> u64 {
-        self.lock().wal.len()
-    }
-
-    /// The durability policy in effect.
-    pub fn options(&self) -> &StoreOptions {
-        &self.shared.opts
-    }
-
     // ---- write side ------------------------------------------------------
 
     fn lock(&self) -> MutexGuard<'_, StoreInner> {
         self.shared.lock()
     }
 
-    /// Logs `record`, applies `apply`, updates the checkpoint policy
-    /// counters. The WAL append (with fsync under the default options)
-    /// strictly precedes the publish inside `apply` — the crash-
-    /// consistency invariant everything else rests on.
-    fn log_then_apply<T>(
+    /// The one durable write, run inside [`ServingEngine::write`] with
+    /// the store lock held (`inner` witnesses it): `apply` runs on the
+    /// unpublished writer copy and returns its result plus the op to log;
+    /// if the epoch moved, the record is appended (and fsynced under the
+    /// default options) before the serving engine publishes. An append
+    /// failure is the write's `Err`, so the serving engine restores its
+    /// writer copy and nothing becomes visible. A write that left the
+    /// epoch alone is neither logged nor counted by the checkpoint policy.
+    fn commit<T>(
         &self,
         inner: &mut StoreInner,
-        record: WalRecord,
-        apply: impl FnOnce() -> T,
+        apply: impl FnOnce(&mut Engine) -> Result<(T, WalOp), EngineError>,
     ) -> Result<T, EngineError> {
-        let before = inner.wal.len();
-        inner.wal.append(&record)?;
-        let out = apply();
-        inner.ops_since += 1;
-        inner.bytes_since += inner.wal.len() - before;
+        let mut logged = false;
+        let out = self.serving.write(|engine| -> Result<T, EngineError> {
+            let epoch_before = engine.epoch();
+            let (out, op) = apply(engine)?;
+            if engine.epoch() != epoch_before {
+                let len_before = inner.wal.len();
+                inner.wal.append(&WalRecord {
+                    epoch_after: engine.epoch(),
+                    op,
+                })?;
+                inner.ops_since += 1;
+                inner.bytes_since += inner.wal.len() - len_before;
+                logged = true;
+            }
+            Ok(out)
+        })?;
+        if logged {
+            self.maybe_checkpoint(inner);
+        }
         Ok(out)
     }
 
@@ -1074,94 +1085,51 @@ impl DurableEngine {
         }
     }
 
-    /// Ingests new tables durably: encodes the delta, logs the encoded
-    /// batch, then splices it in and publishes. Returns the assigned
-    /// global positions. On error the corpus is unchanged.
+    /// Ingests new tables durably: encodes the delta, splices it in, logs
+    /// the encoded batch, then publishes. Returns the assigned global
+    /// positions. On error the corpus is unchanged.
     pub fn insert_tables(&self, tables: Vec<Table>) -> Result<Vec<usize>, EngineError> {
-        if tables.is_empty() {
-            return Ok(Vec::new());
-        }
-        // Encode outside the store lock: the encoder reads only the
-        // immutable model, and it dominates insert latency — other
-        // mutations and wal_len()-style probes need not wait behind it.
+        // Encode outside both locks: the encoder reads only the immutable
+        // model, and it dominates insert latency — other mutations and
+        // wal_len()-style probes need not wait behind it.
         let batch = encode_batch(self.serving.model(), &tables);
-        let batch_bytes = batch.to_bytes()?;
-        let mut inner = self.lock();
-        let record = WalRecord {
-            epoch_after: self.serving.epoch() + 1,
-            op: WalOp::Insert { batch: batch_bytes },
-        };
-        let assigned =
-            self.log_then_apply(&mut inner, record, || self.serving.insert_encoded(batch))?;
-        self.maybe_checkpoint(&mut inner);
-        Ok(assigned)
+        let bytes = batch.to_bytes()?;
+        self.commit(&mut self.lock(), |engine| {
+            Ok((engine.insert_encoded(batch), WalOp::Insert { batch: bytes }))
+        })
     }
 
     /// Evicts live tables by id durably. Returns the number removed. A
     /// removal matching no live table is a no-op and is not logged.
     pub fn remove_tables(&self, ids: &[u64]) -> Result<usize, EngineError> {
-        let mut inner = self.lock();
-        let state = self.serving.snapshot();
-        // Liveness pre-check so a no-op removal is never logged (the
-        // epoch_after invariant requires every record to bump by one).
-        // Short-circuits on the first live hit; only a fully no-op call
-        // pays a complete scan on top of the removal's own pass.
-        let id_set: HashSet<u64> = ids.iter().copied().collect();
-        let any_live = (0..state.len()).any(|i| id_set.contains(&state.table_meta(i).id));
-        if !any_live {
-            return Ok(0);
-        }
-        let record = WalRecord {
-            epoch_after: state.epoch() + 1,
-            op: WalOp::Remove {
-                ids: ids.to_vec(),
-                threshold: self.serving.compaction_threshold(),
-            },
-        };
-        let removed =
-            self.log_then_apply(&mut inner, record, || self.serving.remove_tables(ids))?;
-        self.maybe_checkpoint(&mut inner);
-        Ok(removed)
+        self.commit(&mut self.lock(), |engine| {
+            // The record carries the threshold in effect, so replay
+            // compacts exactly the shards this removal compacts.
+            let threshold = engine.compaction_threshold();
+            let ids = ids.to_vec();
+            Ok((engine.remove_tables(&ids), WalOp::Remove { ids, threshold }))
+        })
     }
 
     /// Compacts tombstoned shards durably. A compact with nothing to
     /// reclaim is a no-op and is not logged.
     pub fn compact(&self) -> Result<(), EngineError> {
-        let mut inner = self.lock();
-        let state = self.serving.snapshot();
-        if state.shards().iter().all(|sh| sh.n_dead() == 0) {
-            return Ok(());
-        }
-        let record = WalRecord {
-            epoch_after: state.epoch() + 1,
-            op: WalOp::Compact,
-        };
-        self.log_then_apply(&mut inner, record, || self.serving.compact())?;
-        self.maybe_checkpoint(&mut inner);
-        Ok(())
+        self.commit(&mut self.lock(), |engine| {
+            engine.compact();
+            Ok(((), WalOp::Compact))
+        })
     }
 
     /// Redistributes the corpus across `n_shards` durably.
     pub fn reshard(&self, n_shards: usize) -> Result<(), EngineError> {
-        if n_shards == 0 {
-            return Err(EngineError::InvalidConfig(
-                "reshard: shard count must be at least 1".into(),
-            ));
-        }
-        let mut inner = self.lock();
-        let record = WalRecord {
-            epoch_after: self.serving.epoch() + 1,
-            op: WalOp::Reshard { n_shards },
-        };
-        self.log_then_apply(&mut inner, record, || self.serving.reshard(n_shards))??;
-        self.maybe_checkpoint(&mut inner);
-        Ok(())
+        self.commit(&mut self.lock(), |engine| {
+            Ok((engine.reshard(n_shards)?, WalOp::Reshard { n_shards }))
+        })
     }
 
     /// Sets the auto-compaction threshold for future removals. Not logged
     /// by itself — each removal record captures the threshold in effect.
     pub fn set_compaction_threshold(&self, frac: f64) {
-        let _guard = self.lock();
         self.serving.set_compaction_threshold(frac);
     }
 
@@ -1392,12 +1360,12 @@ impl DurableEngine {
         Ok(())
     }
 
-    /// Applies one record shipped from a leader. The replica logs the
-    /// record to its **own** WAL first (so it is itself crash-
-    /// recoverable), then applies and publishes — the same
-    /// log-before-publish discipline as local mutation, and replay never
-    /// re-runs the encoder because insert records carry the leader's
-    /// already-encoded batch.
+    /// Applies one record shipped from a leader through the same
+    /// `apply_record` recovery uses, on the unpublished writer copy, then
+    /// logs it to the replica's **own** WAL (so it is itself crash-
+    /// recoverable) and publishes — the same log-before-publish
+    /// discipline as local mutation. Neither apply nor replay re-runs the
+    /// encoder: insert records carry the leader's already-encoded batch.
     ///
     /// Sequencing by `epoch_after` (every logged record bumps the epoch
     /// by exactly one): a duplicate delivery is skipped idempotently, a
@@ -1405,6 +1373,8 @@ impl DurableEngine {
     /// real offset or requests a checkpoint transfer.
     pub fn apply_replicated(&self, record: &WalRecord) -> Result<ReplicatedApply, EngineError> {
         let mut inner = self.lock();
+        // Every write to the serving engine holds the store lock, so this
+        // epoch stays current until the commit below.
         let current = self.serving.epoch();
         if record.epoch_after <= current {
             return Ok(ReplicatedApply::AlreadyApplied);
@@ -1415,63 +1385,32 @@ impl DurableEngine {
                 record.epoch_after
             )));
         }
-        // Validate before logging: a record that cannot apply must never
-        // enter this replica's WAL (replay would hit the same wall).
-        let parsed_batch = match &record.op {
-            WalOp::Insert { batch } => Some(EncodedTableBatch::from_bytes(batch).map_err(|e| {
-                EngineError::Replication(format!("shipped insert batch does not parse: {e}"))
-            })?),
-            WalOp::Reshard { n_shards } if *n_shards == 0 => {
-                return Err(EngineError::Replication(
-                    "shipped reshard to zero shards".into(),
-                ));
-            }
-            _ => None,
-        };
-        self.log_then_apply(&mut inner, record.clone(), || -> Result<(), EngineError> {
-            match &record.op {
-                WalOp::Insert { .. } => {
-                    if let Some(batch) = parsed_batch {
-                        self.serving.insert_encoded(batch);
-                    }
-                }
-                WalOp::Remove { ids, threshold } => {
-                    self.serving.set_compaction_threshold(*threshold);
-                    self.serving.remove_tables(ids);
-                }
-                WalOp::Compact => {
-                    self.serving.compact();
-                }
-                WalOp::Reshard { n_shards } => self.serving.reshard(*n_shards)?,
-            }
-            // Apply semantics can differ benignly from the leader's (a
-            // logged compact that finds nothing to reclaim here); the
-            // published epoch must not.
-            self.serving.pin_epoch(record.epoch_after);
-            Ok(())
-        })??;
-        self.maybe_checkpoint(&mut inner);
+        // Applied before it is logged: a record that cannot apply never
+        // enters this replica's WAL (replay would hit the same wall).
+        self.commit(&mut inner, |engine| {
+            apply_record(engine, record).map_err(|e| {
+                EngineError::Replication(format!("shipped record does not apply: {e}"))
+            })?;
+            Ok(((), record.op.clone()))
+        })?;
         Ok(ReplicatedApply::Applied)
     }
 }
 
-/// Applies one replayed record to a recovering engine, then pins the
-/// epoch to the logged value (replay semantics can differ benignly — e.g.
-/// a logged `compact` that is a no-op on the already-compacted recovered
-/// state — but epochs must not).
-fn apply_record(engine: &mut lcdd_engine::Engine, record: &WalRecord) -> Result<(), EngineError> {
+/// Applies one logged record — replayed at recovery, or shipped to a
+/// replica — then pins the epoch to the logged value (apply semantics can
+/// differ benignly — e.g. a logged `compact` that is a no-op on an
+/// already-compacted state — but epochs must not).
+fn apply_record(engine: &mut Engine, record: &WalRecord) -> Result<(), EngineError> {
     match &record.op {
         WalOp::Insert { batch } => {
-            let batch = EncodedTableBatch::from_bytes(batch)?;
-            engine.insert_encoded(batch);
+            engine.insert_encoded(EncodedTableBatch::from_bytes(batch)?);
         }
         WalOp::Remove { ids, threshold } => {
             engine.set_compaction_threshold(*threshold);
             engine.remove_tables(ids);
         }
-        WalOp::Compact => {
-            engine.compact();
-        }
+        WalOp::Compact => engine.compact(),
         WalOp::Reshard { n_shards } => {
             engine
                 .reshard(*n_shards)

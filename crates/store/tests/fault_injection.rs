@@ -14,7 +14,10 @@ use lcdd_fcm::EngineError;
 use lcdd_store::{latest_manifest, wal, DurableEngine, FaultPlan, FaultPoint, StoreOptions};
 use lcdd_table::Table;
 use lcdd_testkit::assert_same_hits_bitwise;
-use lcdd_testkit::crash::{assert_recovered_equals_serial, TempDir};
+use lcdd_testkit::crash::{
+    apply_durable, apply_serial, assert_recovered_equals_serial, try_apply_durable, ScriptedOp,
+    TempDir,
+};
 use lcdd_testkit::{corpus, queries_for, query_like, tiny_engine, CorpusSpec};
 
 fn opts_with(plan: &Arc<FaultPlan>, sync_writes: bool, checkpoint_every_ops: u64) -> StoreOptions {
@@ -43,10 +46,19 @@ fn fresh_tables(tag: u64, n: usize, next_id: &mut u64) -> Vec<Table> {
     tables
 }
 
-/// The shape all single-fault tests share: op 1 succeeds, op 2 hits the
-/// armed fault and must be typed + invisible, op 3 succeeds, and recovery
-/// replays exactly ops 1 and 3 (the serial oracle).
-fn run_invisible_failure_case(tag: &str, sync_writes: bool, arm: impl Fn(&Arc<FaultPlan>)) {
+/// The shape all single-fault tests share: op 1 (a removal under a
+/// raised compaction threshold, leaving a tombstone) succeeds, op 2 —
+/// `failing` — hits the armed fault and must be typed + invisible, op 3
+/// succeeds, and recovery replays exactly ops 1 and 3 (the serial
+/// oracle). Op 2 runs on the serving engine's writer copy before its
+/// append fails, so "invisible" covers the rollback of the copy too.
+fn run_invisible_failure_case(
+    tag: &str,
+    sync_writes: bool,
+    failing: ScriptedOp,
+    arm: impl Fn(&Arc<FaultPlan>),
+) {
+    const THRESHOLD: f64 = 0.9;
     let tmp = TempDir::new(tag);
     let base = corpus(&CorpusSpec::sized(0xF417, 6));
     let plan = FaultPlan::new();
@@ -55,12 +67,15 @@ fn run_invisible_failure_case(tag: &str, sync_writes: bool, arm: impl Fn(&Arc<Fa
     let store = DurableEngine::create(&dir, tiny_engine(base.clone(), 2), opts.clone())
         .expect("store create");
     let mut serial = tiny_engine(base.clone(), 2);
-    let mut next_id = 1000;
+    store.set_compaction_threshold(THRESHOLD);
+    serial.set_compaction_threshold(THRESHOLD);
+    let mut next_id = 2000;
 
-    // Op 1: clean.
-    let t1 = fresh_tables(1, 2, &mut next_id);
-    store.insert_tables(t1.clone()).expect("clean insert");
-    serial.insert_tables(t1);
+    // Op 1: clean. One dead slot of three stays below the threshold, so
+    // its shard keeps a tombstone for a failing compact to reclaim.
+    let op1 = ScriptedOp::Remove(vec![base[5].id]);
+    apply_durable(&store, &op1);
+    apply_serial(&mut serial, &op1);
 
     // Op 2: the armed fault. Typed error, nothing observable changes.
     arm(&plan);
@@ -70,10 +85,7 @@ fn run_invisible_failure_case(tag: &str, sync_writes: bool, arm: impl Fn(&Arc<Fa
     let probe = query_like(&base[0]);
     let sopts = SearchOptions::default();
     let before = store.search(&probe, &sopts).expect("probe before");
-    let t2 = fresh_tables(2, 2, &mut next_id);
-    let err = store
-        .insert_tables(t2)
-        .expect_err("the armed fault must fail the op");
+    let err = try_apply_durable(&store, &failing).expect_err("the armed fault must fail the op");
     assert!(
         matches!(err, EngineError::Wal(_)),
         "{tag}: append-path faults must surface as EngineError::Wal, got {err:?}"
@@ -107,7 +119,15 @@ fn run_invisible_failure_case(tag: &str, sync_writes: bool, arm: impl Fn(&Arc<Fa
         .insert_tables(t3.clone())
         .expect("append after the error");
     serial.insert_tables(t3);
-    drop(store);
+    // Nothing since op 1 sets the threshold, so this reads what op 2
+    // left behind.
+    let engine = store.into_serving().into_engine();
+    assert_eq!(
+        engine.compaction_threshold(),
+        THRESHOLD,
+        "{tag}: a failed write must not move the compaction threshold"
+    );
+    drop(engine);
     let (recovered, report) = DurableEngine::open(&dir, opts).expect("recovery");
     assert_eq!(
         report.replayed_ops, 2,
@@ -121,9 +141,14 @@ fn run_invisible_failure_case(tag: &str, sync_writes: bool, arm: impl Fn(&Arc<Fa
     assert_recovered_equals_serial(&format!("{tag}: recovered"), &recovered, &serial, &queries);
 }
 
+/// The insert op 2 of the append-fault cases tries.
+fn failing_insert() -> ScriptedOp {
+    ScriptedOp::Insert(fresh_tables(2, 2, &mut 1000))
+}
+
 #[test]
 fn failed_wal_append_is_typed_and_invisible() {
-    run_invisible_failure_case("fi-append", false, |plan| {
+    run_invisible_failure_case("fi-append", false, failing_insert(), |plan| {
         // The seed engine's create doesn't append; op 2 is the 2nd append.
         plan.fail_at(FaultPoint::WalAppend, 2);
     });
@@ -131,16 +156,37 @@ fn failed_wal_append_is_typed_and_invisible() {
 
 #[test]
 fn failed_fsync_never_publishes_the_epoch() {
-    run_invisible_failure_case("fi-fsync", true, |plan| {
+    run_invisible_failure_case("fi-fsync", true, failing_insert(), |plan| {
         plan.fail_at(FaultPoint::WalSync, 2);
     });
 }
 
 #[test]
 fn short_write_rolls_back_to_a_clean_log() {
-    run_invisible_failure_case("fi-short", false, |plan| {
+    run_invisible_failure_case("fi-short", false, failing_insert(), |plan| {
         // 7 bytes of the frame land before the error — the torn shape a
         // crash or full disk leaves mid-write.
+        plan.short_write_at(2, 7);
+    });
+}
+
+#[test]
+fn failed_removal_is_typed_and_invisible() {
+    run_invisible_failure_case("fi-remove", true, ScriptedOp::Remove(vec![1]), |plan| {
+        plan.fail_at(FaultPoint::WalSync, 2);
+    });
+}
+
+#[test]
+fn failed_compact_over_tombstones_is_typed_and_invisible() {
+    run_invisible_failure_case("fi-compact", false, ScriptedOp::Compact, |plan| {
+        plan.fail_at(FaultPoint::WalAppend, 2);
+    });
+}
+
+#[test]
+fn failed_reshard_is_typed_and_invisible() {
+    run_invisible_failure_case("fi-reshard", false, ScriptedOp::Reshard(3), |plan| {
         plan.short_write_at(2, 7);
     });
 }

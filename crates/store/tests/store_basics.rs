@@ -233,3 +233,38 @@ fn recovery_resumes_epoch_numbering_and_appends_continue() {
     assert_eq!(durable.epoch(), 3);
     assert!(durable.wal_len() > wal_before);
 }
+
+#[test]
+fn writes_that_change_nothing_are_not_logged() {
+    // Every record must bump the epoch by exactly one (`epoch_after`), so
+    // a durable write that leaves the corpus alone must leave the log
+    // alone too.
+    let tmp = TempDir::new("noop-writes");
+    let dir = tmp.subdir("store");
+    let base = corpus(&CorpusSpec::sized(0x44, 6));
+    let opts = StoreOptions {
+        checkpoint_every_ops: 0,
+        checkpoint_every_bytes: 0,
+        ..StoreOptions::default()
+    };
+    let durable = DurableEngine::create(&dir, tiny_engine(base.clone(), 2), opts.clone()).unwrap();
+    // Real writes: a removal that leaves its tombstone (auto-compaction
+    // off), then the compact that reclaims it.
+    durable.set_compaction_threshold(1.0);
+    assert_eq!(durable.remove_tables(&[base[0].id]).unwrap(), 1);
+    durable.compact().unwrap();
+    let (epoch, wal_len) = (durable.epoch(), durable.wal_len());
+    assert_eq!(epoch, 2);
+
+    assert_eq!(durable.remove_tables(&[9_999]).unwrap(), 0);
+    durable.compact().unwrap();
+    assert!(durable.insert_tables(Vec::new()).unwrap().is_empty());
+    assert_eq!(durable.epoch(), epoch, "no-op writes publish nothing");
+    assert_eq!(durable.wal_len(), wal_len, "no-op writes log nothing");
+    drop(durable);
+
+    let (durable, report) = DurableEngine::open(&dir, opts).unwrap();
+    assert_eq!(report.replayed_ops, 2, "only the real writes replay");
+    assert_eq!(report.recovered_epoch, epoch);
+    assert_eq!(durable.len(), base.len() - 1);
+}

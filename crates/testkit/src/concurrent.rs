@@ -21,54 +21,13 @@
 //! `(epoch_after_op, len_after_op)` after each op and the map is total.
 
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
 use std::sync::Mutex;
 
 use lcdd_engine::{Engine, EngineError, Query, SearchOptions, ServingEngine};
-use lcdd_table::Table;
 
-/// One scripted writer operation.
-#[derive(Clone, Debug)]
-pub enum WriterOp {
-    Insert(Vec<Table>),
-    Remove(Vec<u64>),
-    Compact,
-    Reshard(usize),
-}
-
-impl WriterOp {
-    /// Applies the op to a concurrent serving engine.
-    pub fn apply_serving(&self, serving: &ServingEngine) {
-        match self {
-            WriterOp::Insert(tables) => {
-                serving.insert_tables(tables.clone());
-            }
-            WriterOp::Remove(ids) => {
-                serving.remove_tables(ids);
-            }
-            WriterOp::Compact => serving.compact(),
-            WriterOp::Reshard(n) => serving
-                .reshard(*n)
-                .expect("harness reshard counts are valid"),
-        }
-    }
-
-    /// Applies the op to a plain engine (the serial-replay reference).
-    pub fn apply_serial(&self, engine: &mut Engine) {
-        match self {
-            WriterOp::Insert(tables) => {
-                engine.insert_tables(tables.clone());
-            }
-            WriterOp::Remove(ids) => {
-                engine.remove_tables(ids);
-            }
-            WriterOp::Compact => engine.compact(),
-            WriterOp::Reshard(n) => engine
-                .reshard(*n)
-                .expect("harness reshard counts are valid"),
-        }
-    }
-}
+use crate::crash::{apply_serial, ScriptedOp};
 
 /// What one harness run observed.
 #[derive(Clone, Debug, Default)]
@@ -93,7 +52,7 @@ pub struct SessionReport {
 /// exercise cross-epoch interleavings.
 pub fn run_concurrent_session(
     serving: &ServingEngine,
-    ops: &[WriterOp],
+    ops: &[ScriptedOp],
     queries: &[Query],
     opts: &SearchOptions,
     n_readers: usize,
@@ -181,7 +140,10 @@ pub fn run_concurrent_session(
 
         // The single writer.
         for op in ops {
-            op.apply_serving(serving);
+            let Ok(()) = serving.write(|engine| {
+                apply_serial(engine, op);
+                Ok::<_, Infallible>(())
+            });
             ledger
                 .lock()
                 .expect("harness mutex")
@@ -214,8 +176,8 @@ pub fn run_concurrent_session(
 
 /// Serially replays `ops` onto `engine` (the equivalence reference for
 /// [`run_concurrent_session`]).
-pub fn replay_serial(engine: &mut Engine, ops: &[WriterOp]) {
+pub fn replay_serial(engine: &mut Engine, ops: &[ScriptedOp]) {
     for op in ops {
-        op.apply_serial(engine);
+        apply_serial(engine, op);
     }
 }

@@ -18,7 +18,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use lcdd_engine::{Engine, IndexStrategy, Query, SearchOptions};
+use lcdd_engine::{Engine, EngineError, IndexStrategy, Query, SearchOptions};
 use lcdd_store::{DurableEngine, FaultPlan, FaultPoint, StoreOptions};
 use lcdd_table::Table;
 use rand::rngs::StdRng;
@@ -27,7 +27,7 @@ use rand::{Rng, SeedableRng};
 use crate::{assert_same_hits_bitwise, corpus, query_like, tiny_engine, CorpusSpec};
 
 /// One scripted corpus mutation — the testkit mirror of the ops the WAL
-/// records.
+/// records, shared by the crash, replication and concurrent harnesses.
 #[derive(Clone, Debug)]
 pub enum ScriptedOp {
     Insert(Vec<Table>),
@@ -92,7 +92,8 @@ pub fn random_script(seed: u64, n_ops: usize, base_ids: &[u64]) -> Vec<ScriptedO
 }
 
 /// Applies one op to a plain single-process engine — the serial-replay
-/// oracle recovery is compared against.
+/// oracle recovery is compared against, and (inside
+/// [`lcdd_engine::ServingEngine::write`]) the concurrent harness's writer.
 pub fn apply_serial(engine: &mut Engine, op: &ScriptedOp) {
     match op {
         ScriptedOp::Insert(tables) => {
@@ -110,15 +111,21 @@ pub fn apply_serial(engine: &mut Engine, op: &ScriptedOp) {
     }
 }
 
-/// Applies one op through the durable (WAL-logged) engine.
-pub fn apply_durable(engine: &DurableEngine, op: &ScriptedOp) {
-    let outcome = match op {
+/// Applies one op through the durable (WAL-logged) engine, returning
+/// its outcome (the fault-injection suites expect some to fail).
+pub fn try_apply_durable(engine: &DurableEngine, op: &ScriptedOp) -> Result<(), EngineError> {
+    match op {
         ScriptedOp::Insert(tables) => engine.insert_tables(tables.clone()).map(|_| ()),
         ScriptedOp::Remove(ids) => engine.remove_tables(ids).map(|_| ()),
         ScriptedOp::Compact => engine.compact(),
         ScriptedOp::Reshard(n) => engine.reshard(*n),
-    };
-    outcome.unwrap_or_else(|e| panic!("durable {} failed: {e}", op.label()));
+    }
+}
+
+/// Applies one op through the durable (WAL-logged) engine; panics if it
+/// fails.
+pub fn apply_durable(engine: &DurableEngine, op: &ScriptedOp) {
+    try_apply_durable(engine, op).unwrap_or_else(|e| panic!("durable {} failed: {e}", op.label()));
 }
 
 // ---- temp dirs + dir snapshots ---------------------------------------------
