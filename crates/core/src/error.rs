@@ -13,8 +13,8 @@ pub enum EngineError {
     InvalidConfig(String),
     /// An underlying filesystem / stream error.
     Io(io::Error),
-    /// A weight file restored fewer (or differently shaped) parameters
-    /// than the model defines — almost always a config mismatch.
+    /// A weight block restored fewer parameters than the model defines —
+    /// almost always a config mismatch.
     WeightMismatch { expected: usize, restored: usize },
     /// A snapshot file is malformed, truncated, or from an unknown version.
     Snapshot(String),
@@ -49,7 +49,7 @@ impl fmt::Display for EngineError {
             EngineError::Io(e) => write!(f, "i/o error: {e}"),
             EngineError::WeightMismatch { expected, restored } => write!(
                 f,
-                "weight file restored {restored} of {expected} parameters; config mismatch?"
+                "weight block restored {restored} of {expected} parameters; config mismatch?"
             ),
             EngineError::Snapshot(msg) => write!(f, "bad engine snapshot: {msg}"),
             EngineError::Wal(msg) => write!(f, "bad write-ahead log: {msg}"),

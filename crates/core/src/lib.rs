@@ -16,8 +16,11 @@
 //!   (Sec. IV-D),
 //! * [`negatives`] / [`trainer`] — semi-hard negative sampling and the
 //!   Eq. 2 training loop (Sec. V-E),
-//! * [`scoring`] — cached repository encoding + top-k search,
-//! * [`persist`] — weight save/load.
+//! * [`scoring`] — cached repository encoding + top-k search.
+//!
+//! Trained weights are persisted by the engine (`lcdd_engine::persist`),
+//! as the weight block of the checksummed meta section every snapshot and
+//! store carries.
 //!
 //! Ablations from the paper are config switches: `hcman_enabled = false`
 //! gives FCM-HCMAN (Table V), `da_enabled = false` gives FCM-DA (Table VI).
@@ -34,7 +37,6 @@ pub mod input;
 pub mod matcher;
 pub mod model;
 pub mod negatives;
-pub mod persist;
 pub mod quant;
 pub mod scoring;
 pub mod trainer;

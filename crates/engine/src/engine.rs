@@ -261,11 +261,4 @@ impl Engine {
         self.state
             .candidates(&self.shared.model, extracted, strategy)
     }
-
-    /// Preprocesses + scores one query against the live table at global
-    /// position `index` through the cached encodings (the point-lookup
-    /// counterpart of `search`).
-    pub fn score_one(&self, extracted: &ExtractedChart, index: usize) -> Result<f32, EngineError> {
-        self.state.score_one(&self.shared.model, extracted, index)
-    }
 }

@@ -1,12 +1,26 @@
-//! The byte-level plumbing every persisted artifact shares: one checksum,
-//! one checksummed frame, one bounds-checked little-endian cursor.
+//! The byte-level plumbing every persisted or shipped artifact shares: one
+//! checksum, one checksummed frame, one bounds-checked little-endian
+//! reader ([`Cursor`]) and its mirror-image writer ([`Put`]). No other
+//! module encodes or decodes the bytes of a stored or shipped artifact
+//! (`scripts/check_one_codec.sh` enforces it).
 //!
 //! A *frame* is `magic (8 bytes) | version u32 | payload_len u64 |
-//! payload_hash u64 (FNV-1a) | payload`, all little-endian. Engine
-//! snapshots, `meta.seg`, `seg-*` files and manifests are each exactly one
-//! frame — nothing may follow the payload — so truncation, trailing
-//! garbage and bit flips anywhere surface as typed errors, never a panic
-//! and never silently different state.
+//! payload_hash u64 (FNV-1a) | payload`, all little-endian. Each of these
+//! is exactly one frame — nothing may follow the payload — so
+//! truncation, trailing garbage and bit flips anywhere surface as typed
+//! errors, never a panic and never silently different state:
+//!
+//! * engine snapshots (`LCDDSNAP`, [`crate::persist`]);
+//! * the store's `meta.seg`, `seg-*` and `MANIFEST-*` files;
+//! * replication stream messages (`lcdd_repl::Frame`).
+//!
+//! What those frames carry is written with [`Put`] and read with
+//! [`Cursor`]: the meta section with its `LCDDW001` weight block, `LCDDSEG2`
+//! segment images ([`crate::mapped`]), encoded table batches, manifests
+//! and checkpoint packages. The write-ahead log is the one file that is
+//! not a frame (it is appended record by record), but its header, its
+//! `len u32 | hash u64` record frames and its record payloads go through
+//! the same two types.
 //!
 //! Errors leave this module as [`EngineError::Store`] carrying only what
 //! went wrong; callers add the file name and re-label the variant
@@ -186,6 +200,56 @@ impl<'a> Cursor<'a> {
     }
 }
 
+/// Little-endian writes onto a byte buffer — the mirror image of
+/// [`Cursor`]: whatever one of these writes, the `Cursor` method of the
+/// same name reads back.
+pub trait Put {
+    fn put_u8(&mut self, v: u8);
+    fn put_u32(&mut self, v: u32);
+    fn put_u64(&mut self, v: u64);
+    /// A `usize` count or length, written as a `u64` ([`Cursor::count`]).
+    fn put_count(&mut self, n: usize);
+    fn put_f64(&mut self, v: f64);
+    /// A `u32`-length-prefixed UTF-8 string ([`Cursor::str`]).
+    fn put_str(&mut self, s: &str);
+    /// A run of f32s, no length prefix ([`Cursor::f32s`]).
+    fn put_f32s(&mut self, vs: &[f32]);
+}
+
+impl Put for Vec<u8> {
+    fn put_u8(&mut self, v: u8) {
+        self.push(v);
+    }
+
+    fn put_u32(&mut self, v: u32) {
+        self.extend_from_slice(&v.to_le_bytes());
+    }
+
+    fn put_u64(&mut self, v: u64) {
+        self.extend_from_slice(&v.to_le_bytes());
+    }
+
+    fn put_count(&mut self, n: usize) {
+        self.put_u64(n as u64);
+    }
+
+    fn put_f64(&mut self, v: f64) {
+        self.extend_from_slice(&v.to_le_bytes());
+    }
+
+    fn put_str(&mut self, s: &str) {
+        self.put_u32(s.len() as u32);
+        self.extend_from_slice(s.as_bytes());
+    }
+
+    fn put_f32s(&mut self, vs: &[f32]) {
+        self.reserve(vs.len() * 4);
+        for v in vs {
+            self.extend_from_slice(&v.to_le_bytes());
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -213,14 +277,22 @@ mod tests {
 
     #[test]
     fn cursor_reads_are_bounds_checked() {
-        let mut bytes = 7u32.to_le_bytes().to_vec();
-        bytes.extend_from_slice(&3u32.to_le_bytes());
-        bytes.extend_from_slice(b"abc");
-        bytes.extend_from_slice(&1.5f32.to_le_bytes());
+        let mut bytes = Vec::new();
+        bytes.put_u32(7);
+        bytes.put_str("abc");
+        bytes.put_f32s(&[1.5]);
+        bytes.put_u8(9);
+        bytes.put_u64(u64::MAX - 1);
+        bytes.put_count(5);
+        bytes.put_f64(-2.5);
         let mut cur = Cursor::new(&bytes);
         assert_eq!(cur.u32().unwrap(), 7);
         assert_eq!(cur.str().unwrap(), "abc");
         assert_eq!(cur.f32s(1).unwrap(), [1.5]);
+        assert_eq!(cur.u8().unwrap(), 9);
+        assert_eq!(cur.u64().unwrap(), u64::MAX - 1);
+        assert_eq!(cur.count().unwrap(), 5);
+        assert_eq!(cur.f64().unwrap(), -2.5);
         assert_eq!(cur.remaining(), 0);
         assert!(cur.u8().is_err());
         assert!(Cursor::new(&bytes).f32s(usize::MAX).is_err());

@@ -64,7 +64,7 @@ use lcdd_fcm::EngineError;
 use lcdd_tensor::Matrix;
 
 use crate::engine::TableMeta;
-use crate::frame::{self, decode_f32s, fnv1a64, Cursor};
+use crate::frame::{self, decode_f32s, fnv1a64, Cursor, Put};
 use crate::shard::{column_embedding_of, PooledStat, SlotData};
 
 pub(crate) const IMAGE_MAGIC: &[u8; 8] = b"LCDDSEG2";
@@ -514,10 +514,8 @@ impl SegmentImage {
         for slot in slots {
             n_slots += 1;
             let blob_start = blob.len();
-            summary.extend_from_slice(&slot.meta.id.to_le_bytes());
-            let name = slot.meta.name.as_bytes();
-            summary.extend_from_slice(&(name.len() as u32).to_le_bytes());
-            summary.extend_from_slice(name);
+            summary.put_u64(slot.meta.id);
+            summary.put_str(&slot.meta.name);
             let n_cols = slot.table.column_segments.len();
             if slot.encodings.len() != n_cols || slot.table.column_ranges.len() != n_cols {
                 return Err(EngineError::Store(format!(
@@ -528,30 +526,26 @@ impl SegmentImage {
                     slot.encodings.len()
                 )));
             }
-            summary.extend_from_slice(&(n_cols as u64).to_le_bytes());
+            summary.put_count(n_cols);
             for c in 0..n_cols {
                 let (lo, hi) = slot.table.column_ranges[c];
-                summary.extend_from_slice(&lo.to_le_bytes());
-                summary.extend_from_slice(&hi.to_le_bytes());
+                summary.put_f64(lo);
+                summary.put_f64(hi);
                 let seg = &slot.table.column_segments[c];
                 let enc = &slot.encodings[c];
                 for m in [seg, enc] {
-                    summary.extend_from_slice(&(m.rows() as u32).to_le_bytes());
-                    summary.extend_from_slice(&(m.cols() as u32).to_le_bytes());
+                    summary.put_u32(m.rows() as u32);
+                    summary.put_u32(m.cols() as u32);
                 }
-                for &v in column_embedding_of(enc).iter() {
-                    summary.extend_from_slice(&v.to_le_bytes());
-                }
+                summary.put_f32s(&column_embedding_of(enc));
             }
             let pooled = PooledStat::of(&slot.encodings, embed_dim);
-            summary.extend_from_slice(&pooled.rows.to_le_bytes());
-            for &v in &pooled.sum {
-                summary.extend_from_slice(&v.to_le_bytes());
-            }
-            summary.extend_from_slice(&(slot.intervals.len() as u64).to_le_bytes());
+            summary.put_u64(pooled.rows);
+            summary.put_f32s(&pooled.sum);
+            summary.put_count(slot.intervals.len());
             for &(lo, hi) in &slot.intervals {
-                summary.extend_from_slice(&lo.to_le_bytes());
-                summary.extend_from_slice(&hi.to_le_bytes());
+                summary.put_f64(lo);
+                summary.put_f64(hi);
             }
             for m in slot
                 .table
@@ -559,25 +553,23 @@ impl SegmentImage {
                 .iter()
                 .chain(slot.encodings.iter())
             {
-                for &v in m.as_slice() {
-                    blob.extend_from_slice(&v.to_le_bytes());
-                }
+                blob.put_f32s(m.as_slice());
             }
             let extent = &blob[blob_start..];
-            summary.extend_from_slice(&((extent.len() / 4) as u64).to_le_bytes());
-            summary.extend_from_slice(&fnv1a64(extent).to_le_bytes());
+            summary.put_count(extent.len() / 4);
+            summary.put_u64(fnv1a64(extent));
         }
         let blob_off = (HEADER_LEN + summary.len()).div_ceil(64) * 64;
         *pad = blob_off - HEADER_LEN - summary.len();
         header.extend_from_slice(IMAGE_MAGIC);
-        header.extend_from_slice(&IMAGE_FORMAT.to_le_bytes());
-        header.extend_from_slice(&(embed_dim as u32).to_le_bytes());
-        header.extend_from_slice(&n_slots.to_le_bytes());
-        header.extend_from_slice(&(summary.len() as u64).to_le_bytes());
-        header.extend_from_slice(&fnv1a64(summary).to_le_bytes());
-        header.extend_from_slice(&(blob_off as u64).to_le_bytes());
-        header.extend_from_slice(&(blob.len() as u64).to_le_bytes());
-        header.extend_from_slice(&0u64.to_le_bytes());
+        header.put_u32(IMAGE_FORMAT);
+        header.put_u32(embed_dim as u32);
+        header.put_u64(n_slots);
+        header.put_count(summary.len());
+        header.put_u64(fnv1a64(summary));
+        header.put_count(blob_off);
+        header.put_count(blob.len());
+        header.put_u64(0);
         Ok(())
     }
 }

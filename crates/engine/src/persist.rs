@@ -8,8 +8,9 @@
 //! The pieces, shared by engine snapshots and the `lcdd_store` crate:
 //!
 //! * **The meta section** ([`meta_bytes`]) — FCM config + hybrid-index
-//!   config + model weights. Immutable for the lifetime of a store (the
-//!   serving model never mutates), so it is written once.
+//!   config + the `LCDDW001` block of model weights, which must end the
+//!   section. Immutable for the lifetime of a store (the serving model
+//!   never mutates), so it is written once.
 //! * **Shard segments** ([`segment_bytes_into`]) — one shard's live slots
 //!   as an `LCDDSEG2` image, the unit of incremental checkpointing: a
 //!   checkpoint rewrites only the shards dirtied since the previous one.
@@ -47,61 +48,25 @@ use std::sync::Arc;
 
 use lcdd_chart::ChartStyle;
 use lcdd_fcm::input::ProcessedTable;
-use lcdd_fcm::persist::{read_model_into, write_model};
 use lcdd_fcm::{encode_tables, EngineError, FcmConfig, FcmModel};
 use lcdd_index::HybridConfig;
 use lcdd_table::Table;
-use lcdd_tensor::Matrix;
+use lcdd_tensor::{Matrix, ParamStore};
 use lcdd_vision::VisualElementExtractor;
 
 use crate::engine::{Engine, TableMeta, DEFAULT_COMPACTION_THRESHOLD};
-use crate::frame::{self, Cursor};
+use crate::frame::{self, Cursor, Put};
 pub use crate::mapped::SegmentImage;
 use crate::mapped::{parse_segment_slots, write_segment_image, MappedSegment};
 use crate::shard::{EngineShard, SlotData};
 use crate::state::{EngineShared, EngineState};
 
-// ---- primitive writers ---------------------------------------------------
+// ---- matrices and model weights -------------------------------------------
 
-fn wu32<W: Write>(w: &mut W, v: u32) -> Result<(), EngineError> {
-    w.write_all(&v.to_le_bytes())?;
-    Ok(())
-}
-
-fn wu64<W: Write>(w: &mut W, v: u64) -> Result<(), EngineError> {
-    w.write_all(&v.to_le_bytes())?;
-    Ok(())
-}
-
-fn wusize<W: Write>(w: &mut W, v: usize) -> Result<(), EngineError> {
-    wu64(w, v as u64)
-}
-
-fn wf64<W: Write>(w: &mut W, v: f64) -> Result<(), EngineError> {
-    w.write_all(&v.to_le_bytes())?;
-    Ok(())
-}
-
-fn wbool<W: Write>(w: &mut W, v: bool) -> Result<(), EngineError> {
-    w.write_all(&[u8::from(v)])?;
-    Ok(())
-}
-
-fn wstr<W: Write>(w: &mut W, s: &str) -> Result<(), EngineError> {
-    wu32(w, s.len() as u32)?;
-    w.write_all(s.as_bytes())?;
-    Ok(())
-}
-
-fn wmat<W: Write>(w: &mut W, m: &Matrix) -> Result<(), EngineError> {
-    wu32(w, m.rows() as u32)?;
-    wu32(w, m.cols() as u32)?;
-    let mut buf = Vec::with_capacity(m.len() * 4);
-    for &x in m.as_slice() {
-        buf.extend_from_slice(&x.to_le_bytes());
-    }
-    w.write_all(&buf)?;
-    Ok(())
+fn write_mat(w: &mut Vec<u8>, m: &Matrix) {
+    w.put_u32(m.rows() as u32);
+    w.put_u32(m.cols() as u32);
+    w.put_f32s(m.as_slice());
 }
 
 fn read_mat(cur: &mut Cursor) -> Result<Matrix, EngineError> {
@@ -111,9 +76,72 @@ fn read_mat(cur: &mut Cursor) -> Result<Matrix, EngineError> {
     Ok(Matrix::from_vec(rows, cols, data))
 }
 
+/// The weight block that ends the meta section: every FCM parameter by
+/// name (optimizer moments are not persisted).
+///
+/// ```text
+/// magic "LCDDW001" | count u32 | per parameter:
+///   name (u32 len + UTF-8) | rows u32 | cols u32 | rows*cols f32
+/// ```
+const WEIGHTS_MAGIC: &[u8; 8] = b"LCDDW001";
+
+fn write_weights(w: &mut Vec<u8>, store: &ParamStore) {
+    w.extend_from_slice(WEIGHTS_MAGIC);
+    w.put_u32(store.len() as u32);
+    for (name, value) in store.iter() {
+        w.put_str(name);
+        write_mat(w, value);
+    }
+}
+
+/// Reads a weight block into `model`, built from the block's own meta
+/// section: every parameter the config defines must be restored with the
+/// shape the config gives it (a partial restore is
+/// [`EngineError::WeightMismatch`]), and the block must end the section.
+fn read_weights(cur: &mut Cursor, model: &mut FcmModel) -> Result<(), EngineError> {
+    if cur.take(8)? != WEIGHTS_MAGIC {
+        return Err(EngineError::Store("bad weight block magic".into()));
+    }
+    let count = cur.u32()? as usize;
+    // A parameter takes at least 12 bytes: name length, rows, cols.
+    if count > cur.remaining() / 12 {
+        return Err(EngineError::Store(format!(
+            "implausible parameter count {count}"
+        )));
+    }
+    let mut restored = 0;
+    for _ in 0..count {
+        let name = cur.str()?;
+        let value = read_mat(cur)?;
+        let shape = value.shape();
+        match model.store.assign(&name, value) {
+            Ok(found) => restored += usize::from(found),
+            Err(expected) => {
+                return Err(EngineError::Store(format!(
+                    "weight {name} is {}x{}, the config makes it {}x{}",
+                    shape.0, shape.1, expected.0, expected.1
+                )))
+            }
+        }
+    }
+    if cur.remaining() != 0 {
+        return Err(EngineError::Store(format!(
+            "{} trailing bytes after the weights",
+            cur.remaining()
+        )));
+    }
+    if restored != model.store.len() {
+        return Err(EngineError::WeightMismatch {
+            expected: model.store.len(),
+            restored,
+        });
+    }
+    Ok(())
+}
+
 // ---- config sections -----------------------------------------------------
 
-fn write_fcm_config<W: Write>(w: &mut W, c: &FcmConfig) -> Result<(), EngineError> {
+fn write_fcm_config(w: &mut Vec<u8>, c: &FcmConfig) {
     for v in [
         c.embed_dim,
         c.n_heads,
@@ -129,13 +157,12 @@ fn write_fcm_config<W: Write>(w: &mut W, c: &FcmConfig) -> Result<(), EngineErro
         c.moe_hidden,
         c.matcher_hidden,
     ] {
-        wusize(w, v)?;
+        w.put_count(v);
     }
-    wbool(w, c.da_enabled)?;
-    wbool(w, c.hcman_enabled)?;
-    wf64(w, c.range_slack)?;
-    wu64(w, c.seed)?;
-    Ok(())
+    w.put_u8(u8::from(c.da_enabled));
+    w.put_u8(u8::from(c.hcman_enabled));
+    w.put_f64(c.range_slack);
+    w.put_u64(c.seed);
 }
 
 fn read_fcm_config(r: &mut Cursor) -> Result<FcmConfig, EngineError> {
@@ -175,12 +202,12 @@ fn read_fcm_config(r: &mut Cursor) -> Result<FcmConfig, EngineError> {
 /// back and ignored: a store may have recorded a non-default value.
 const RETIRED_IVF_NPROBE: u64 = 8;
 
-fn write_hybrid_config<W: Write>(w: &mut W, c: &HybridConfig) -> Result<(), EngineError> {
-    wusize(w, c.lsh_bits)?;
-    wu32(w, c.lsh_radius)?;
-    wf64(w, c.range_slack)?;
-    wu64(w, c.seed)?;
-    wu64(w, RETIRED_IVF_NPROBE)
+fn write_hybrid_config(w: &mut Vec<u8>, c: &HybridConfig) {
+    w.put_count(c.lsh_bits);
+    w.put_u32(c.lsh_radius);
+    w.put_f64(c.range_slack);
+    w.put_u64(c.seed);
+    w.put_u64(RETIRED_IVF_NPROBE);
 }
 
 fn read_hybrid_config(r: &mut Cursor) -> Result<HybridConfig, EngineError> {
@@ -197,20 +224,15 @@ fn read_hybrid_config(r: &mut Cursor) -> Result<HybridConfig, EngineError> {
 // ---- encoded table batches ------------------------------------------------
 
 /// One table's identity + preprocessed columns, as a WAL batch records them.
-fn write_slot<W: Write>(
-    w: &mut W,
-    meta: &TableMeta,
-    pt: &ProcessedTable,
-) -> Result<(), EngineError> {
-    wu64(w, meta.id)?;
-    wstr(w, &meta.name)?;
-    wusize(w, pt.column_segments.len())?;
+fn write_slot(w: &mut Vec<u8>, meta: &TableMeta, pt: &ProcessedTable) {
+    w.put_u64(meta.id);
+    w.put_str(&meta.name);
+    w.put_count(pt.column_segments.len());
     for (seg, &(lo, hi)) in pt.column_segments.iter().zip(&pt.column_ranges) {
-        wmat(w, seg)?;
-        wf64(w, lo)?;
-        wf64(w, hi)?;
+        write_mat(w, seg);
+        w.put_f64(lo);
+        w.put_f64(hi);
     }
-    Ok(())
 }
 
 /// An ingest delta after the FCM dataset encoder ran: everything the
@@ -251,17 +273,17 @@ impl EncodedTableBatch {
     /// Serializes the batch (tables, cached encodings, index intervals).
     pub fn to_bytes(&self) -> Result<Vec<u8>, EngineError> {
         let mut w = Vec::new();
-        wusize(&mut w, self.slots.len())?;
+        w.put_count(self.slots.len());
         for s in &self.slots {
-            write_slot(&mut w, &s.meta, &s.table)?;
-            wusize(&mut w, s.encodings.len())?;
+            write_slot(&mut w, &s.meta, &s.table);
+            w.put_count(s.encodings.len());
             for m in &s.encodings {
-                wmat(&mut w, m)?;
+                write_mat(&mut w, m);
             }
-            wusize(&mut w, s.intervals.len())?;
+            w.put_count(s.intervals.len());
             for &(lo, hi) in &s.intervals {
-                wf64(&mut w, lo)?;
-                wf64(&mut w, hi)?;
+                w.put_f64(lo);
+                w.put_f64(hi);
             }
         }
         Ok(w)
@@ -339,16 +361,16 @@ pub fn encode_batch(model: &FcmModel, tables: &[Table]) -> EncodedTableBatch {
 
 /// Serializes the engine's immutable serving configuration: FCM config +
 /// hybrid-index config + model weights. Written once per store.
-pub fn meta_bytes(engine: &Engine) -> Result<Vec<u8>, EngineError> {
+pub fn meta_bytes(engine: &Engine) -> Vec<u8> {
     meta_section(&engine.shared)
 }
 
-fn meta_section(shared: &EngineShared) -> Result<Vec<u8>, EngineError> {
+fn meta_section(shared: &EngineShared) -> Vec<u8> {
     let mut w = Vec::new();
-    write_fcm_config(&mut w, &shared.model.config)?;
-    write_hybrid_config(&mut w, &shared.hybrid_cfg)?;
-    write_model(&shared.model, &mut w)?;
-    Ok(w)
+    write_fcm_config(&mut w, &shared.model.config);
+    write_hybrid_config(&mut w, &shared.hybrid_cfg);
+    write_weights(&mut w, &shared.model.store);
+    w
 }
 
 /// Serializes shard `shard` of `state` as a self-contained segment: its
@@ -530,12 +552,13 @@ pub fn assemble_engine_mapped(
 }
 
 fn parse_meta(meta: &[u8]) -> Result<(FcmModel, HybridConfig), EngineError> {
+    let ctx = frame::context("meta section");
     let mut cur = Cursor::new(meta);
-    let config = read_fcm_config(&mut cur).map_err(meta_err)?;
+    let config = read_fcm_config(&mut cur).map_err(&ctx)?;
     config.validated()?;
-    let hybrid_cfg = read_hybrid_config(&mut cur).map_err(meta_err)?;
+    let hybrid_cfg = read_hybrid_config(&mut cur).map_err(&ctx)?;
     let mut model = FcmModel::new(config);
-    read_model_into(&mut model, cur.rest()).map_err(meta_err)?;
+    read_weights(&mut cur, &mut model).map_err(&ctx)?;
     Ok((model, hybrid_cfg))
 }
 
@@ -598,14 +621,6 @@ pub fn force_epoch(engine: &mut Engine, epoch: u64) {
     engine.state.set_epoch(epoch);
 }
 
-fn meta_err(e: EngineError) -> EngineError {
-    match e {
-        EngineError::Io(e) => EngineError::Store(format!("meta section: {e}")),
-        EngineError::Store(m) => EngineError::Store(format!("meta section: {m}")),
-        other => other,
-    }
-}
-
 // ---- snapshots -----------------------------------------------------------
 
 const SNAPSHOT_MAGIC: &[u8; 8] = b"LCDDSNAP";
@@ -620,22 +635,22 @@ fn write_snapshot<W: Write>(
     state: &EngineState,
     mut w: W,
 ) -> Result<(), EngineError> {
-    let meta = meta_section(shared)?;
+    let meta = meta_section(shared);
     let order = live_order(state)?;
     let mut p = Vec::new();
-    wusize(&mut p, meta.len())?;
+    p.put_count(meta.len());
     p.extend_from_slice(&meta);
-    wusize(&mut p, state.shards.len())?;
-    wusize(&mut p, order.len())?;
+    p.put_count(state.shards.len());
+    p.put_count(order.len());
     for &(s, compact) in &order {
-        wu32(&mut p, s)?;
-        wu32(&mut p, compact)?;
+        p.put_u32(s);
+        p.put_u32(compact);
     }
     let mut image = SegmentImage::new();
     for shard in 0..state.shards.len() {
         segment_bytes_into(state, shard, &mut image)?;
         let parts = image.parts();
-        wusize(&mut p, parts.iter().map(|part| part.len()).sum())?;
+        p.put_count(parts.iter().map(|part| part.len()).sum());
         for part in parts {
             p.extend_from_slice(part);
         }

@@ -20,9 +20,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use lcdd_chart::{render, ChartStyle};
-use lcdd_fcm::{
-    encode_tables, process_query, EngineError, FcmModel, ProcessedQuery, QuantizedVec, QueryScorer,
-};
+use lcdd_fcm::{encode_tables, process_query, EngineError, FcmModel, QuantizedVec, QueryScorer};
 use lcdd_index::{CandidateSet, HybridConfig, IndexStrategy};
 use lcdd_table::Table;
 use lcdd_tensor::{pool, Matrix};
@@ -717,26 +715,6 @@ impl EngineState {
             after_lsh: sum_stage(|c| c.after_lsh),
             ids,
         }
-    }
-
-    /// Preprocesses + scores one query against the live table at global
-    /// position `index`; see [`crate::Engine::score_one`].
-    pub(crate) fn score_one(
-        &self,
-        model: &FcmModel,
-        extracted: &ExtractedChart,
-        index: usize,
-    ) -> Result<f32, EngineError> {
-        let pq: ProcessedQuery = process_query(extracted, &model.config);
-        if pq.line_patches.is_empty() {
-            return Err(EngineError::EmptyQuery);
-        }
-        let ev = model.encode_query_values(&pq);
-        let (s, l) = self.order[index];
-        let sh = &self.shards[s as usize];
-        let pt = sh.slot_table(l as usize);
-        let enc = sh.slot_encodings(l as usize);
-        Ok(QueryScorer::new(model, &ev).score_table_parts(&pt, &enc, &pq, &self.pooled_mean))
     }
 }
 

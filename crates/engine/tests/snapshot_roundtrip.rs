@@ -3,10 +3,10 @@
 //! provenance on fixed queries; snapshot bytes must round-trip
 //! bit-identically per shard and be tombstone-independent; a failed save
 //! must leave the previous snapshot intact; and corrupt bytes — frame,
-//! length prefixes, or the interior of an embedded `LCDDSEG2` image — as
-//! well as the retired formats must surface as `EngineError::Snapshot`,
-//! never a panic. The meta word that held the retired IVF probe width is
-//! read and ignored, whatever value a snapshot carries.
+//! length prefixes, the weight block, or the interior of an embedded
+//! `LCDDSEG2` image — as well as the retired formats must surface as
+//! typed errors, never a panic. The meta word that held the retired IVF
+//! probe width is read and ignored, whatever value a snapshot carries.
 
 use lcdd_engine::{frame, Engine, EngineError, IndexStrategy, Query, SearchOptions, ServingEngine};
 use lcdd_testkit::crash::{SnapshotLayout, TempDir};
@@ -257,6 +257,94 @@ fn retired_ivf_word_is_read_and_ignored() {
     let mut resaved = Vec::new();
     restored.save_to(&mut resaved).unwrap();
     assert_eq!(resaved, buf);
+}
+
+#[test]
+fn hostile_weight_blocks_are_typed_errors() {
+    // The weight block follows the FCM config (13 u64 fields, two bool
+    // bytes, f64 range slack, u64 seed) and the hybrid config with its
+    // retired word (u64, u32, f64, u64, u64): magic, u32 count, then per
+    // parameter a u32-prefixed name, u32 rows, u32 cols and the f32s.
+    const WEIGHTS: usize = 13 * 8 + 2 + 8 + 8 + (8 + 4 + 8 + 8 + 8);
+    let mut buf = Vec::new();
+    build_engine(2).save_to(&mut buf).unwrap();
+    let lay = SnapshotLayout::of(&buf);
+    let block = lay.meta.start + WEIGHTS;
+    assert_eq!(&buf[block..block + 8], b"LCDDW001");
+    let u32_at = |at: usize| u32::from_le_bytes(buf[at..at + 4].try_into().unwrap());
+    let count = block + 8;
+    let name = count + 8;
+    let dims = name + u32_at(count + 4) as usize;
+    let (rows, cols) = (u32_at(dims), u32_at(dims + 4));
+    assert!(
+        rows * cols > 1,
+        "the first parameter has a shape to disagree with"
+    );
+    let patched = |at: usize, words: &[u32]| {
+        let mut bad = buf.clone();
+        for (i, w) in words.iter().enumerate() {
+            bad[at + 4 * i..at + 4 * i + 4].copy_from_slice(&w.to_le_bytes());
+        }
+        resealed(&bad)
+    };
+    let expect = |bytes: &[u8], what: &str, needle: &str| match Engine::load_from(bytes) {
+        Err(EngineError::Snapshot(msg)) => assert!(msg.contains(needle), "{what}: {msg}"),
+        Err(other) => panic!("{what}: expected Snapshot error, got {other:?}"),
+        Ok(_) => panic!("{what}: hostile weights loaded"),
+    };
+
+    expect(
+        &patched(block, &[u32::from_le_bytes(*b"NOTW")]),
+        "bad magic",
+        "bad weight block magic",
+    );
+    expect(
+        &patched(dims, &[u32::MAX, u32::MAX]),
+        "u32::MAX x u32::MAX parameter",
+        "ended early",
+    );
+    expect(
+        &patched(count, &[u32::MAX]),
+        "u32::MAX parameters",
+        "implausible parameter count",
+    );
+    let reshaped = if cols == 1 {
+        [1, rows * cols]
+    } else {
+        [rows * cols, 1]
+    };
+    expect(
+        &patched(dims, &reshaped),
+        "same elements, another shape",
+        "the config makes it",
+    );
+
+    // One byte after the last weight, inside the meta section: the meta
+    // length prefix grows with it, so only the weight reader can object.
+    let mut long = buf[..lay.meta.end].to_vec();
+    long.push(0);
+    long.extend_from_slice(&buf[lay.meta.end..]);
+    let meta_len = lay.meta.len() as u64 + 1;
+    let at = lay.prefixes[0];
+    long[at..at + 8].copy_from_slice(&meta_len.to_le_bytes());
+    expect(
+        &resealed(&long),
+        "trailing byte",
+        "trailing bytes after the weights",
+    );
+
+    // A parameter the config does not define leaves one it does unset.
+    let mut renamed = buf.clone();
+    renamed[name] ^= 0x20;
+    match Engine::load_from(resealed(&renamed).as_slice()) {
+        Err(EngineError::WeightMismatch { expected, restored }) => {
+            assert_eq!(restored + 1, expected)
+        }
+        other => panic!(
+            "renamed parameter: expected WeightMismatch, got {:?}",
+            other.map(|_| ())
+        ),
+    }
 }
 
 #[test]

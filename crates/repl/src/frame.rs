@@ -1,28 +1,28 @@
-//! The replication wire format: one self-checking frame per message.
+//! The replication wire format: one [`lcdd_engine::frame`] frame per
+//! message.
 //!
 //! ```text
-//! kind  u8   (1 record | 2 snapshot | 3 heartbeat)
-//! len   u32  (payload bytes)
-//! hash  u64  (FNV-1a over the payload — same checksum the WAL uses)
-//! payload
+//! frame "LCDDREPL" v1, payload:
+//!   kind u8 (1 record | 2 snapshot | 3 heartbeat)
+//!   body    (record: WAL payload bytes | snapshot: checkpoint package |
+//!            heartbeat: leader epoch u64)
 //! ```
 //!
-//! A frame that fails its checksum, promises more bytes than it carries,
-//! or names an unknown kind decodes to [`EngineError::Replication`] —
-//! the follower's response is quarantine-and-resync, never a panic. The
-//! checksum is the *transport* integrity layer; record payloads are the
-//! leader's WAL payload bytes verbatim, and checkpoint packages keep each
-//! file's own frame, so corruption that slips past one layer is still
-//! caught by the next.
+//! A frame that fails its checksum, is cut short or runs long, or names
+//! an unknown kind decodes to [`EngineError::Replication`] — the
+//! follower's response is quarantine-and-resync, never a panic. The frame
+//! checksum is the *transport* integrity layer and covers the kind byte
+//! too; record bodies are the leader's WAL payload bytes verbatim, and
+//! checkpoint packages keep each file's own frame, so corruption that
+//! slips past one layer is still caught by the next. Nothing persists
+//! these frames, so the layout carries no compatibility promise beyond
+//! one leader and its followers running the same build.
 
-use lcdd_engine::frame::fnv1a64;
+use lcdd_engine::frame::{self, Cursor, Put};
 use lcdd_fcm::EngineError;
 
-/// Largest accepted frame payload (matches the WAL's record cap).
-const MAX_FRAME_BYTES: usize = 1 << 31;
-
-/// Header bytes before the payload (kind + len + hash).
-pub const FRAME_HEADER_LEN: usize = 13;
+const MAGIC: &[u8; 8] = b"LCDDREPL";
+const VERSION: u32 = 1;
 
 /// One replication stream message.
 #[derive(Clone, Debug, PartialEq)]
@@ -40,33 +40,22 @@ pub enum Frame {
 }
 
 impl Frame {
-    fn kind(&self) -> u8 {
-        match self {
-            Frame::Record { .. } => 1,
-            Frame::Snapshot { .. } => 2,
-            Frame::Heartbeat { .. } => 3,
-        }
-    }
-
     /// Serializes the frame (header + checksummed payload).
     pub fn encode(&self) -> Vec<u8> {
-        let payload: &[u8] = match self {
-            Frame::Record { payload } => payload,
-            Frame::Snapshot { package } => package,
-            Frame::Heartbeat { .. } => &[],
+        let mut heartbeat = Vec::new();
+        let (kind, body): (u8, &[u8]) = match self {
+            Frame::Record { payload } => (1, payload),
+            Frame::Snapshot { package } => (2, package),
+            Frame::Heartbeat { leader_epoch } => {
+                heartbeat.put_u64(*leader_epoch);
+                (3, &heartbeat)
+            }
         };
-        let hb_bytes;
-        let payload = if let Frame::Heartbeat { leader_epoch } = self {
-            hb_bytes = leader_epoch.to_le_bytes();
-            &hb_bytes[..]
-        } else {
-            payload
-        };
-        let mut out = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
-        out.push(self.kind());
-        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&fnv1a64(payload).to_le_bytes());
-        out.extend_from_slice(payload);
+        let head = frame::head(MAGIC, VERSION, &[&[kind], body]);
+        let mut out = Vec::with_capacity(head.len() + 1 + body.len());
+        out.extend_from_slice(&head);
+        out.put_u8(kind);
+        out.extend_from_slice(body);
         out
     }
 
@@ -74,52 +63,32 @@ impl Frame {
     /// truncation, checksum mismatch, unknown kind, trailing bytes — is
     /// [`EngineError::Replication`] with the detail spelled out.
     pub fn decode(bytes: &[u8]) -> Result<Frame, EngineError> {
-        let bad = |m: String| EngineError::Replication(format!("frame: {m}"));
-        if bytes.len() < FRAME_HEADER_LEN {
-            return Err(bad(format!(
-                "{} bytes is shorter than the {FRAME_HEADER_LEN}-byte header",
-                bytes.len()
-            )));
-        }
-        let kind = bytes[0];
-        let len = u32::from_le_bytes([bytes[1], bytes[2], bytes[3], bytes[4]]) as usize;
-        if len > MAX_FRAME_BYTES {
-            return Err(bad(format!("implausible payload length {len}")));
-        }
-        let expect_hash = u64::from_le_bytes([
-            bytes[5], bytes[6], bytes[7], bytes[8], bytes[9], bytes[10], bytes[11], bytes[12],
-        ]);
-        let body = &bytes[FRAME_HEADER_LEN..];
-        if body.len() != len {
-            return Err(bad(format!(
-                "payload promises {len} bytes, {} present",
-                body.len()
-            )));
-        }
-        let got = fnv1a64(body);
-        if got != expect_hash {
-            return Err(bad(format!(
-                "checksum mismatch: expected {expect_hash:#018x}, got {got:#018x}"
-            )));
-        }
+        let bad = |e: EngineError| match e {
+            EngineError::Store(m) => EngineError::Replication(format!("frame: {m}")),
+            other => other,
+        };
+        let mut cur = Cursor::new(frame::verify(bytes, MAGIC, VERSION).map_err(bad)?);
+        let kind = cur.u8().map_err(bad)?;
         match kind {
             1 => Ok(Frame::Record {
-                payload: body.to_vec(),
+                payload: cur.rest().to_vec(),
             }),
             2 => Ok(Frame::Snapshot {
-                package: body.to_vec(),
+                package: cur.rest().to_vec(),
             }),
             3 => {
-                if body.len() != 8 {
-                    return Err(bad(format!("heartbeat payload of {} bytes", body.len())));
+                let leader_epoch = cur.u64().map_err(bad)?;
+                if cur.remaining() != 0 {
+                    return Err(EngineError::Replication(format!(
+                        "frame: {} trailing bytes after the heartbeat",
+                        cur.remaining()
+                    )));
                 }
-                Ok(Frame::Heartbeat {
-                    leader_epoch: u64::from_le_bytes([
-                        body[0], body[1], body[2], body[3], body[4], body[5], body[6], body[7],
-                    ]),
-                })
+                Ok(Frame::Heartbeat { leader_epoch })
             }
-            other => Err(bad(format!("unknown kind {other}"))),
+            other => Err(EngineError::Replication(format!(
+                "frame: unknown kind {other}"
+            ))),
         }
     }
 }

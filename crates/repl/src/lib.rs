@@ -65,4 +65,4 @@ pub use follower::{Follower, FollowerStats, FrameOutcome, ReadConsistency};
 pub use frame::Frame;
 pub use lcdd_fcm::EngineError;
 pub use leader::{Attach, Leader, PumpStats, RetryPolicy};
-pub use transport::{ChannelTransport, FileTransport, Transport};
+pub use transport::{ChannelTransport, Transport};

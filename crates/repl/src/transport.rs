@@ -7,17 +7,12 @@
 //! is what lets the fault layer ([`crate::FaultyTransport`]) drop,
 //! duplicate, reorder and corrupt frames without breaking correctness.
 //!
-//! Two implementations:
-//!
-//! * [`ChannelTransport`] — an in-process queue (clones share it). The
-//!   harness default: deterministic, fast, no filesystem.
-//! * [`FileTransport`] — a spool directory of numbered frame files,
-//!   written tmp+rename so a reader never sees a half-written frame.
-//!   Survives both ends restarting; the shape of log-shipping over a
-//!   shared mount.
+//! [`ChannelTransport`] is the implementation: an in-process queue
+//! (clones share it) — deterministic, fast, no filesystem. Nothing
+//! persists a frame; a follower that restarts re-attaches and the leader
+//! resumes or resyncs it by epoch.
 
 use std::collections::VecDeque;
-use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use lcdd_fcm::EngineError;
@@ -71,85 +66,5 @@ impl Transport for ChannelTransport {
 
     fn pending(&self) -> usize {
         lock(&self.queue).len()
-    }
-}
-
-/// Spool-directory transport: each frame is one `frame-<seq>.bin` file,
-/// written to a temp name and renamed (a reader never observes a partial
-/// frame file). Receive order is sequence order. Both ends can restart:
-/// the sender resumes numbering after the highest spooled sequence, the
-/// receiver always takes the lowest.
-pub struct FileTransport {
-    dir: PathBuf,
-    next_seq: Mutex<u64>,
-}
-
-impl FileTransport {
-    /// Opens (creating if absent) a spool at `dir`.
-    pub fn new(dir: impl AsRef<Path>) -> Result<FileTransport, EngineError> {
-        let dir = dir.as_ref().to_path_buf();
-        std::fs::create_dir_all(&dir)?;
-        let next = Self::spooled(&dir)?
-            .last()
-            .map(|(seq, _)| seq + 1)
-            .unwrap_or(0);
-        Ok(FileTransport {
-            dir,
-            next_seq: Mutex::new(next),
-        })
-    }
-
-    /// Spooled `(sequence, path)` pairs in sequence order.
-    fn spooled(dir: &Path) -> Result<Vec<(u64, PathBuf)>, EngineError> {
-        let mut out = Vec::new();
-        let entries = std::fs::read_dir(dir)
-            .map_err(|e| EngineError::Replication(format!("cannot list spool: {e}")))?;
-        for entry in entries.flatten() {
-            let Ok(name) = entry.file_name().into_string() else {
-                continue;
-            };
-            let Some(seq) = name
-                .strip_prefix("frame-")
-                .and_then(|s| s.strip_suffix(".bin"))
-                .and_then(|s| s.parse::<u64>().ok())
-            else {
-                continue;
-            };
-            out.push((seq, entry.path()));
-        }
-        out.sort();
-        Ok(out)
-    }
-}
-
-impl Transport for FileTransport {
-    fn send(&self, frame: &[u8]) -> Result<(), EngineError> {
-        let mut seq = lock(&self.next_seq);
-        let final_path = self.dir.join(format!("frame-{:012}.bin", *seq));
-        let tmp_path = self.dir.join(format!(".tmp-frame-{:012}", *seq));
-        std::fs::write(&tmp_path, frame)
-            .and_then(|()| std::fs::rename(&tmp_path, &final_path))
-            .map_err(|e| EngineError::Replication(format!("spool write: {e}")))?;
-        *seq += 1;
-        Ok(())
-    }
-
-    fn recv(&self) -> Result<Option<Vec<u8>>, EngineError> {
-        // Hold the sequence lock so a concurrent sender cannot race the
-        // listing, and take the lowest spooled frame.
-        let _seq = lock(&self.next_seq);
-        let Some((_, path)) = Self::spooled(&self.dir)?.into_iter().next() else {
-            return Ok(None);
-        };
-        let bytes = std::fs::read(&path)
-            .map_err(|e| EngineError::Replication(format!("spool read: {e}")))?;
-        std::fs::remove_file(&path)
-            .map_err(|e| EngineError::Replication(format!("spool consume: {e}")))?;
-        Ok(Some(bytes))
-    }
-
-    fn pending(&self) -> usize {
-        let _seq = lock(&self.next_seq);
-        Self::spooled(&self.dir).map(|v| v.len()).unwrap_or(0)
     }
 }

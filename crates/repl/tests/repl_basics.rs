@@ -15,8 +15,7 @@ use lcdd_engine::SearchOptions;
 use lcdd_fcm::{table_encode_count, EngineError};
 use lcdd_repl::{
     elect, probe, promote, sync_to_convergence, Attach, ChannelTransport, FaultAction,
-    FaultyTransport, FileTransport, Follower, Frame, Leader, ReadConsistency, RetryPolicy,
-    Transport,
+    FaultyTransport, Follower, Frame, Leader, ReadConsistency, RetryPolicy, Transport,
 };
 use lcdd_store::{latest_manifest, DurableEngine, FaultPlan, FaultPoint, StoreOptions};
 use lcdd_table::Table;
@@ -115,26 +114,6 @@ fn channel_transport_is_fifo() {
     assert_eq!(t.recv().unwrap().as_deref(), Some(&b"one"[..]));
     assert_eq!(t.recv().unwrap().as_deref(), Some(&b"two"[..]));
     assert_eq!(t.recv().unwrap(), None);
-}
-
-#[test]
-fn file_transport_spools_across_restart() {
-    let _gate = encode_gate();
-    let tmp = TempDir::new("ft");
-    let spool = tmp.subdir("spool");
-    let t = FileTransport::new(&spool).expect("file transport");
-    t.send(b"alpha").unwrap();
-    t.send(b"beta").unwrap();
-    drop(t);
-    // A fresh endpoint over the same directory sees the spooled frames in
-    // order and resumes sequence numbering past them.
-    let t2 = FileTransport::new(&spool).expect("reopen");
-    assert_eq!(t2.pending(), 2);
-    t2.send(b"gamma").unwrap();
-    assert_eq!(t2.recv().unwrap().as_deref(), Some(&b"alpha"[..]));
-    assert_eq!(t2.recv().unwrap().as_deref(), Some(&b"beta"[..]));
-    assert_eq!(t2.recv().unwrap().as_deref(), Some(&b"gamma"[..]));
-    assert_eq!(t2.recv().unwrap(), None);
 }
 
 // ------------------------------------------------------------ happy path

@@ -65,7 +65,7 @@ pub fn create_bulk(
         &dir.join(META_FILE),
         META_MAGIC,
         STORE_FILE_VERSION,
-        &meta_bytes(template)?,
+        &meta_bytes(template),
         &None,
         FaultPoint::SegmentWrite,
     )?;

@@ -1,15 +1,15 @@
-//! Little-endian primitive writers and the framed-file container every
-//! store file uses.
+//! The framed-file container every store file but the WAL uses.
 //!
 //! A *framed file* is exactly one [`lcdd_engine::frame`] frame — `magic |
 //! version | payload_len | FNV-1a | payload` — the envelope engine
 //! snapshots carry too, so every store artifact (segment, meta section,
 //! manifest) gets total corruption detection: truncation, trailing bytes
 //! and bit flips anywhere surface as typed [`EngineError`]s, never a panic
-//! and never silently different state. The header layout, its validation,
-//! the checksum and the bounds-checked cursor payloads are parsed with
-//! all live in that module; this one adds only what is the store's own:
-//! fault-hooked, fsync-chunked writes and file names in error messages.
+//! and never silently different state. The header layout and its
+//! validation, the checksum, and the `Put` / `Cursor` pair that payloads
+//! are written and parsed with all live in that module; this one adds
+//! only what is the store's own: fault-hooked, fsync-chunked writes and
+//! file names in error messages.
 
 use std::io::Write;
 use std::path::Path;
@@ -23,23 +23,6 @@ use crate::fault::{self, FaultHook, FaultPoint};
 /// untrusted: callers reject larger values before sizing anything by
 /// them. Within `usize` on 32-bit targets.
 pub(crate) const MAX_PAYLOAD_BYTES: usize = 1 << 31;
-
-pub(crate) fn wu32(w: &mut Vec<u8>, v: u32) {
-    w.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn wu64(w: &mut Vec<u8>, v: u64) {
-    w.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn wf64(w: &mut Vec<u8>, v: f64) {
-    w.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn wstr(w: &mut Vec<u8>, s: &str) {
-    wu32(w, s.len() as u32);
-    w.extend_from_slice(s.as_bytes());
-}
 
 /// Writes `payload` to `path` under a checksummed frame. The file is
 /// written whole and fsynced; callers needing atomic replacement write to

@@ -84,7 +84,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use lcdd_engine::frame::Cursor;
+use lcdd_engine::frame::{Cursor, Put};
 use lcdd_engine::persist::{
     self, assemble_engine, encode_batch, live_order, meta_bytes, segment_bytes_into,
     EncodedTableBatch, SegmentImage,
@@ -96,7 +96,7 @@ use lcdd_engine::{
 use lcdd_obs::trace;
 use lcdd_table::Table;
 
-use crate::codec::{read_framed, sync_dir, write_framed, write_framed_parts, wstr, wu64};
+use crate::codec::{read_framed, sync_dir, write_framed, write_framed_parts};
 use crate::fault::{FaultHook, FaultPoint};
 use crate::instruments;
 use crate::manifest::{
@@ -263,12 +263,12 @@ impl CheckpointPackage {
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut p = Vec::new();
         let man = self.manifest.to_payload();
-        wu64(&mut p, man.len() as u64);
+        p.put_count(man.len());
         p.extend_from_slice(&man);
-        wu64(&mut p, self.files.len() as u64);
+        p.put_count(self.files.len());
         for (name, bytes) in &self.files {
-            wstr(&mut p, name);
-            wu64(&mut p, bytes.len() as u64);
+            p.put_str(name);
+            p.put_count(bytes.len());
             p.extend_from_slice(bytes);
         }
         p
@@ -680,7 +680,7 @@ impl DurableEngine {
             &dir.join(META_FILE),
             META_MAGIC,
             STORE_FILE_VERSION,
-            &meta_bytes(&engine)?,
+            &meta_bytes(&engine),
             &opts.fault,
             FaultPoint::SegmentWrite,
         )?;

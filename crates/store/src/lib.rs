@@ -36,8 +36,10 @@
 //!   dirtied since the previous checkpoint off the write path. The
 //!   lock-free read path of [`lcdd_engine::ServingEngine`] is untouched.
 //!
-//! The codecs live in [`lcdd_engine::persist`] and the frame every file
-//! but the WAL is wrapped in lives in [`lcdd_engine::frame`]; an engine
+//! The codecs live in [`lcdd_engine::persist`]; the frame every file but
+//! the WAL is wrapped in, and the `Put` / `Cursor` pair every byte of
+//! every file — WAL included — is written and read with, live in
+//! [`lcdd_engine::frame`]; an engine
 //! snapshot ([`DurableEngine::save`]) is a container of the same meta and
 //! segment payloads. Segments carry the memory-mappable `LCDDSEG2` image
 //! (summary + aligned f32 blob), so they

@@ -18,10 +18,10 @@
 
 use std::path::{Path, PathBuf};
 
-use lcdd_engine::frame::Cursor;
+use lcdd_engine::frame::{Cursor, Put};
 use lcdd_fcm::EngineError;
 
-use crate::codec::{read_framed, sync_dir, write_framed, wstr, wu32, wu64};
+use crate::codec::{read_framed, sync_dir, write_framed};
 use crate::fault::{FaultHook, FaultPoint};
 
 pub(crate) const MANIFEST_MAGIC: &[u8; 8] = b"LCDDMAN1";
@@ -55,18 +55,18 @@ impl Manifest {
 
     pub(crate) fn to_payload(&self) -> Vec<u8> {
         let mut p = Vec::new();
-        wu64(&mut p, self.epoch);
-        wstr(&mut p, &self.meta_file);
-        wstr(&mut p, &self.wal_file);
-        wu64(&mut p, self.wal_offset);
-        wu64(&mut p, self.segments.len() as u64);
+        p.put_u64(self.epoch);
+        p.put_str(&self.meta_file);
+        p.put_str(&self.wal_file);
+        p.put_u64(self.wal_offset);
+        p.put_count(self.segments.len());
         for s in &self.segments {
-            wstr(&mut p, s);
+            p.put_str(s);
         }
-        wu64(&mut p, self.order.len() as u64);
+        p.put_count(self.order.len());
         for &(s, l) in &self.order {
-            wu32(&mut p, s);
-            wu32(&mut p, l);
+            p.put_u32(s);
+            p.put_u32(l);
         }
         p
     }

@@ -19,6 +19,12 @@
 //! ([`lcdd_engine::persist::EncodedTableBatch`] bytes), so replay splices
 //! cached encodings back in and never re-runs the encoder.
 //!
+//! The log is the one store file that is not an [`lcdd_engine::frame`]
+//! frame — it grows record by record, and a frame's length and checksum
+//! cover a finished payload — but its bytes go through the same codec:
+//! records are written with `frame::Put` and [`scan`] reads the header,
+//! every record frame and every payload with `frame::Cursor`.
+//!
 //! ## Torn tails vs corruption
 //!
 //! A crash mid-append leaves an *incomplete* final record (the frame
@@ -66,11 +72,11 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
-use lcdd_engine::frame::{fnv1a64, Cursor};
+use lcdd_engine::frame::{fnv1a64, Cursor, Put};
 use lcdd_fcm::EngineError;
 use lcdd_obs::registry::{Counter, Histogram};
 
-use crate::codec::{sync_dir, wf64, wu64};
+use crate::codec::sync_dir;
 use crate::fault::{FaultDecision, FaultHook, FaultPlan, FaultPoint};
 use crate::instruments;
 use crate::manifest::Manifest;
@@ -79,6 +85,8 @@ pub(crate) const WAL_MAGIC: &[u8; 8] = b"LCDDWAL1";
 pub(crate) const WAL_VERSION: u32 = 1;
 /// Byte length of the WAL file header (magic + version).
 pub const WAL_HEADER_LEN: u64 = 12;
+/// Byte length of a record's frame before its payload (length + hash).
+const RECORD_HEAD_LEN: usize = 12;
 
 /// Largest accepted record payload. A corrupt length prefix beyond this is
 /// classified by position: at EOF it is a torn tail, mid-file it is
@@ -129,30 +137,25 @@ impl WalRecord {
 
     fn payload(&self) -> Vec<u8> {
         let mut p = Vec::new();
+        let kind = match &self.op {
+            WalOp::Insert { .. } => 1,
+            WalOp::Remove { .. } => 2,
+            WalOp::Compact => 3,
+            WalOp::Reshard { .. } => 4,
+        };
+        p.put_u8(kind);
+        p.put_u64(self.epoch_after);
         match &self.op {
-            WalOp::Insert { batch } => {
-                p.push(1u8);
-                wu64(&mut p, self.epoch_after);
-                p.extend_from_slice(batch);
-            }
+            WalOp::Insert { batch } => p.extend_from_slice(batch),
             WalOp::Remove { ids, threshold } => {
-                p.push(2u8);
-                wu64(&mut p, self.epoch_after);
-                wf64(&mut p, *threshold);
-                wu64(&mut p, ids.len() as u64);
+                p.put_f64(*threshold);
+                p.put_count(ids.len());
                 for &id in ids {
-                    wu64(&mut p, id);
+                    p.put_u64(id);
                 }
             }
-            WalOp::Compact => {
-                p.push(3u8);
-                wu64(&mut p, self.epoch_after);
-            }
-            WalOp::Reshard { n_shards } => {
-                p.push(4u8);
-                wu64(&mut p, self.epoch_after);
-                wu64(&mut p, *n_shards as u64);
-            }
+            WalOp::Compact => {}
+            WalOp::Reshard { n_shards } => p.put_count(*n_shards),
         }
         p
     }
@@ -166,12 +169,12 @@ impl WalRecord {
         if payload.is_empty() {
             return Err(wal_err("empty payload".into()));
         }
-        let kind = payload[0];
-        let mut r2 = Cursor::new(&payload[1..]);
+        let mut r2 = Cursor::new(payload);
+        let kind = r2.u8().map_err(remap)?;
         let epoch_after = r2.u64().map_err(remap)?;
         let op = match kind {
             1 => WalOp::Insert {
-                batch: payload[1 + 8..].to_vec(),
+                batch: r2.rest().to_vec(),
             },
             2 => {
                 let threshold = r2.f64().map_err(remap)?;
@@ -249,9 +252,10 @@ impl WalWriter {
     pub fn create(path: &Path, sync: bool) -> Result<WalWriter, EngineError> {
         let file_name = file_name_of(path)?;
         let tmp = path.with_file_name(format!(".tmp-{file_name}"));
+        let mut head = WAL_MAGIC.to_vec();
+        head.put_u32(WAL_VERSION);
         let mut file = File::create(&tmp)?;
-        file.write_all(WAL_MAGIC)?;
-        file.write_all(&WAL_VERSION.to_le_bytes())?;
+        file.write_all(&head)?;
         if sync {
             file.sync_all()?;
         }
@@ -346,9 +350,9 @@ impl WalWriter {
                 payload.len()
             )));
         }
-        let mut frame = Vec::with_capacity(payload.len() + 12);
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
+        let mut frame = Vec::with_capacity(RECORD_HEAD_LEN + payload.len());
+        frame.put_u32(payload.len() as u32);
+        frame.put_u64(fnv1a64(&payload));
         frame.extend_from_slice(&payload);
         let append_start = Instant::now();
         // Consult the fault schedule (tests only): a `Fail` decision
@@ -443,10 +447,17 @@ pub fn scan(path: &Path, from: u64) -> Result<WalScan, EngineError> {
             bytes.len()
         )));
     }
-    if &bytes[0..8] != WAL_MAGIC {
+    // Every read below is preceded by a check that its bytes are present,
+    // so a cursor error here would be a bug in that check, not a bad log.
+    let wal_err = |e: EngineError| match e {
+        EngineError::Store(m) => EngineError::Wal(m),
+        other => other,
+    };
+    let mut cur = Cursor::new(&bytes);
+    if cur.take(WAL_MAGIC.len()).map_err(wal_err)? != WAL_MAGIC {
         return Err(EngineError::Wal("bad magic".into()));
     }
-    let version = u32::from_le_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]);
+    let version = cur.u32().map_err(wal_err)?;
     if version != WAL_VERSION {
         return Err(EngineError::Wal(format!(
             "unsupported version {version} (expected {WAL_VERSION})"
@@ -458,58 +469,51 @@ pub fn scan(path: &Path, from: u64) -> Result<WalScan, EngineError> {
             bytes.len()
         )));
     }
-    let mut pos = from as usize;
+    cur.take(from as usize - WAL_HEADER_LEN as usize)
+        .map_err(wal_err)?;
+    let mut valid_len = from;
     let mut records = Vec::new();
     let mut torn = None;
-    while pos < bytes.len() {
-        let remaining = bytes.len() - pos;
-        if remaining < 12 {
+    while cur.remaining() > 0 {
+        let pos = valid_len;
+        if cur.remaining() < RECORD_HEAD_LEN {
             torn = Some(format!(
-                "{remaining}-byte partial frame at offset {pos} (crash mid-append)"
+                "{}-byte partial frame at offset {pos} (crash mid-append)",
+                cur.remaining()
             ));
             break;
         }
-        let len = u32::from_le_bytes([bytes[pos], bytes[pos + 1], bytes[pos + 2], bytes[pos + 3]])
-            as usize;
-        let expect_hash = u64::from_le_bytes([
-            bytes[pos + 4],
-            bytes[pos + 5],
-            bytes[pos + 6],
-            bytes[pos + 7],
-            bytes[pos + 8],
-            bytes[pos + 9],
-            bytes[pos + 10],
-            bytes[pos + 11],
-        ]);
+        let len = cur.u32().map_err(wal_err)? as usize;
+        let expect_hash = cur.u64().map_err(wal_err)?;
         // A crash mid-append writes a prefix of one frame, so a record
-        // with >= 12 bytes present carries its true length; a length
-        // beyond the cap is therefore corruption, not a tear.
+        // with its whole length prefix present carries its true length; a
+        // length beyond the cap is therefore corruption, not a tear.
         if len > MAX_RECORD_BYTES {
             return Err(EngineError::Wal(format!(
                 "record at offset {pos}: implausible length prefix {len}"
             )));
         }
-        if remaining - 12 < len {
+        if cur.remaining() < len {
             torn = Some(format!(
                 "record at offset {pos} promises {len} payload bytes, {} remain (crash mid-append)",
-                remaining - 12
+                cur.remaining()
             ));
             break;
         }
-        let payload = &bytes[pos + 12..pos + 12 + len];
+        let payload = cur.take(len).map_err(wal_err)?;
         let got = fnv1a64(payload);
         if got != expect_hash {
             return Err(EngineError::Wal(format!(
                 "record at offset {pos}: checksum mismatch: expected {expect_hash:#018x}, got {got:#018x}"
             )));
         }
-        let record = WalRecord::parse(payload, pos as u64)?;
-        pos += 12 + len;
-        records.push((pos as u64, record));
+        let record = WalRecord::parse(payload, pos)?;
+        valid_len = (bytes.len() - cur.remaining()) as u64;
+        records.push((valid_len, record));
     }
     Ok(WalScan {
         records,
-        valid_len: pos as u64,
+        valid_len,
         torn,
     })
 }

@@ -15,7 +15,9 @@
 //! * [`pool`] — the scoped-thread work pool behind every parallel hot path,
 //! * [`Tape`]/[`Var`] — define-by-run reverse-mode autograd,
 //! * fused `softmax_rows` / `layer_norm` kernels,
-//! * [`ParamStore`] — persistent parameters re-bound to each fresh tape,
+//! * [`ParamStore`] — persistent parameters re-bound to each fresh tape
+//!   (their bytes on disk are the engine's to write: `lcdd_engine::persist`
+//!   keeps the weight block inside the meta section it belongs to),
 //! * [`optim`] — SGD and Adam,
 //! * [`grad_check()`] — finite-difference verification used by the test suite.
 //!
@@ -34,7 +36,6 @@
 
 pub mod grad_check;
 pub mod init;
-pub mod io;
 pub mod kernels;
 pub mod matrix;
 pub mod ops;

@@ -79,6 +79,20 @@ impl ParamStore {
         self.entries[id.0].value = value;
     }
 
+    /// Overwrites the value of the parameter called `name` (weight
+    /// loading). `Ok(false)` when no parameter has that name; the
+    /// parameter's own shape as the error when `value`'s differs.
+    pub fn assign(&mut self, name: &str, value: Matrix) -> Result<bool, (usize, usize)> {
+        let Some(entry) = self.entries.iter_mut().find(|e| e.name == name) else {
+            return Ok(false);
+        };
+        if entry.value.shape() != value.shape() {
+            return Err(entry.value.shape());
+        }
+        entry.value = value;
+        Ok(true)
+    }
+
     /// Parameter name (for serialization and debugging).
     pub fn name(&self, id: ParamId) -> &str {
         &self.entries[id.0].name
@@ -148,6 +162,18 @@ mod tests {
         assert_eq!(store.num_scalars(), 4);
         assert_eq!(store.value(id).get(1, 1), 4.0);
         assert_eq!(store.name(id), "w");
+    }
+
+    #[test]
+    fn assign_matches_by_name_and_checks_shape() {
+        let mut store = ParamStore::new();
+        let id = store.add("layer.w", Matrix::zeros(1, 2));
+        let value = Matrix::from_vec(1, 2, vec![7.0, 8.0]);
+        assert_eq!(store.assign("layer.w", value), Ok(true));
+        assert_eq!(store.value(id).as_slice(), &[7.0, 8.0]);
+        assert_eq!(store.assign("layer.extra", Matrix::zeros(1, 1)), Ok(false));
+        assert_eq!(store.assign("layer.w", Matrix::zeros(2, 1)), Err((1, 2)));
+        assert_eq!(store.value(id).as_slice(), &[7.0, 8.0]);
     }
 
     #[test]

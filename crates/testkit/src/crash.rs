@@ -18,6 +18,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
+use lcdd_engine::frame::{self, Cursor};
 use lcdd_engine::{Engine, EngineError, IndexStrategy, Query, SearchOptions};
 use lcdd_store::{DurableEngine, FaultPlan, FaultPoint, StoreOptions};
 use lcdd_table::Table;
@@ -211,25 +212,31 @@ pub struct SnapshotLayout {
 
 impl SnapshotLayout {
     pub fn of(snap: &[u8]) -> SnapshotLayout {
-        let u64_at = |off: usize| {
-            let bytes = snap[off..off + 8].try_into().expect("8 bytes");
-            u64::from_le_bytes(bytes) as usize
-        };
-        let mut at = lcdd_engine::frame::HEAD_LEN;
-        assert_eq!(snap.len(), at + u64_at(12), "frame length");
-        let mut prefixes = vec![at];
-        let meta = at + 8..at + 8 + u64_at(at);
-        at = meta.end;
-        let (n_shards, n_order) = (u64_at(at), u64_at(at + 8));
-        prefixes.extend([at, at + 8]);
-        at += 16 + n_order * 8;
+        let mut cur = Cursor::new(snap);
+        let at = |cur: &Cursor| snap.len() - cur.remaining();
+        let count = |cur: &mut Cursor| cur.count().expect("snapshot layout: length prefix");
+        cur.take(12).expect("frame magic and version");
+        assert_eq!(
+            count(&mut cur),
+            snap.len() - frame::HEAD_LEN,
+            "frame length"
+        );
+        cur.u64().expect("frame checksum");
+        let mut prefixes = vec![at(&cur)];
+        let meta_len = count(&mut cur);
+        let meta = at(&cur)..at(&cur) + meta_len;
+        cur.take(meta_len).expect("meta block");
+        prefixes.extend([at(&cur), at(&cur) + 8]);
+        let (n_shards, n_order) = (count(&mut cur), count(&mut cur));
+        cur.take(n_order * 8).expect("order pairs");
         let mut images = Vec::new();
         for _ in 0..n_shards {
-            prefixes.push(at);
-            images.push(at + 8..at + 8 + u64_at(at));
-            at += 8 + u64_at(at);
+            prefixes.push(at(&cur));
+            let len = count(&mut cur);
+            images.push(at(&cur)..at(&cur) + len);
+            cur.take(len).expect("segment image");
         }
-        assert_eq!(at, snap.len(), "the last image ends the payload");
+        assert_eq!(cur.remaining(), 0, "the last image ends the payload");
         SnapshotLayout {
             prefixes,
             meta,
