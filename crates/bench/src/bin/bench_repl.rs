@@ -13,7 +13,7 @@
 //! * **catchup_vs_backlog** — the replica detaches, the leader builds a
 //!   WAL backlog of 16 / 64 / 256 records, then one sync drains it.
 //!   Reports wall-clock and records/s for the catch-up, asserting it
-//!   stayed on the record path (zero checkpoint resyncs).
+//!   stayed on the record path (zero snapshot resyncs).
 //! * **failover** — at 96 / 384 / 1536 tables: kill the leader, probe +
 //!   elect over the replica set, promote the winner. Reports the full
 //!   probe→elect→promote wall-clock (dominated by the promoted store's

@@ -16,11 +16,12 @@
 //!
 //! What those frames carry is written with [`Put`] and read with
 //! [`Cursor`]: the meta section with its `LCDDW001` weight block, `LCDDSEG2`
-//! segment images ([`crate::mapped`]), encoded table batches, manifests
-//! and checkpoint packages. The write-ahead log is the one file that is
-//! not a frame (it is appended record by record), but its header, its
-//! `len u32 | hash u64` record frames and its record payloads go through
-//! the same two types.
+//! segment images ([`crate::mapped`]), encoded table batches and
+//! manifests (a replication resync message carries a whole `LCDDSNAP`
+//! frame). The write-ahead log is the one file that is not a frame (it
+//! is appended record by record), but its header, its `len u32 | hash
+//! u64` record frames and its record payloads go through the same two
+//! types.
 //!
 //! Errors leave this module as [`EngineError::Store`] carrying only what
 //! went wrong; callers add the file name and re-label the variant

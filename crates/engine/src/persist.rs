@@ -628,9 +628,10 @@ const SNAPSHOT_MAGIC: &[u8; 8] = b"LCDDSNAP";
 const SNAPSHOT_VERSION: u32 = 3;
 
 /// Writes `state` as one snapshot frame (layout in the module docs).
-/// Shared by [`Engine::save_to`] and [`crate::ServingEngine::save`], which
-/// persists an immutable published [`EngineState`] without pausing readers.
-fn write_snapshot<W: Write>(
+/// Shared by [`Engine::save_to`], [`crate::ServingEngine::save`] and
+/// [`crate::ServingEngine::save_state_to`], which persist an immutable
+/// published [`EngineState`] without pausing readers.
+pub(crate) fn write_snapshot<W: Write>(
     shared: &EngineShared,
     state: &EngineState,
     mut w: W,

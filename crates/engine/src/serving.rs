@@ -308,4 +308,16 @@ impl ServingEngine {
     pub fn save(&self, path: impl AsRef<std::path::Path>) -> Result<(), EngineError> {
         crate::persist::save_snapshot(&self.shared, &self.snapshot(), path.as_ref())
     }
+
+    /// Writes `state` — a snapshot pinned from this engine by
+    /// [`ServingEngine::snapshot`] — to a writer as one snapshot frame
+    /// (readable by [`Engine::load_from`]). The state is immutable, so
+    /// neither readers nor the writer wait for this.
+    pub fn save_state_to<W: std::io::Write>(
+        &self,
+        state: &EngineState,
+        w: W,
+    ) -> Result<(), EngineError> {
+        crate::persist::write_snapshot(&self.shared, state, w)
+    }
 }

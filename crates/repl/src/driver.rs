@@ -1,6 +1,6 @@
 //! The reference shipping loop: pump, drain, and react to faults the way
 //! a production replication driver must — resume-from-offset on lag,
-//! checkpoint resync on quarantine, bounded rounds, typed failure.
+//! snapshot resync on quarantine, bounded rounds, typed failure.
 //!
 //! [`sync_to_convergence`] is what the partition/lag harness (and the
 //! example walkthrough) drive between churn batches: it guarantees that
@@ -35,8 +35,12 @@ pub struct SyncStats {
 ///   a permanent failure surfaces here and costs the round.
 /// * epoch gaps (lost frames) — [`Leader::attach`] re-positions the
 ///   cursor at the follower's true epoch (resume-from-offset).
-/// * quarantine (corruption) — [`Leader::ship_snapshot`] transfers a
-///   checkpoint; the follower installs it into a fresh generation.
+/// * quarantine (corruption) — [`Leader::ship_snapshot`] transfers the
+///   leader's engine snapshot; the follower installs it into a fresh
+///   generation.
+/// * a cursor the leader's WAL chain cannot honour (garbage-collected, or
+///   behind a log recovery would reject) — the pump itself degrades to a
+///   snapshot transfer.
 /// * a stalled round (no progress, queue drained, still behind) — also
 ///   re-attached, which covers frames dropped *after* the last record.
 pub fn sync_to_convergence(

@@ -15,7 +15,7 @@
 //! Followers that lag the winner re-attach to the new leader and resume
 //! (or resync) by the normal shipping machinery. A replica *ahead* of
 //! the winner (impossible unless its extra epochs were never durable
-//! anywhere else) is resynced by checkpoint — divergent suffixes are
+//! anywhere else) is resynced by snapshot — divergent suffixes are
 //! discarded, never merged.
 
 use std::path::{Path, PathBuf};

@@ -11,10 +11,14 @@
 //! ## Generations
 //!
 //! The replica's store lives in a *generation* subdirectory
-//! (`<root>/gen-<n>`). A checkpoint resync installs into `gen-<n+1>` and
-//! only switches over once the new store opens cleanly — a crash mid-
-//! install leaves a directory without a manifest, which
-//! [`Follower::open`] skips, falling back to the previous generation.
+//! (`<root>/gen-<n>`). Every store a follower serves is installed the
+//! same way: the engine is written as a fresh store
+//! ([`DurableEngine::create`], manifest last) and then opened with the
+//! follower's own [`StoreOptions`]. A snapshot resync installs into
+//! `gen-<n+1>` and only switches over once the new store opens cleanly —
+//! a crash mid-install leaves a directory without a manifest, which
+//! [`Follower::open`] skips and sweeps, falling back to the previous
+//! generation.
 //! This is also what makes divergence handling safe: a stale generation
 //! with a *higher* epoch (a demoted ex-leader's leftovers) can never
 //! shadow the freshly installed truth, because generation order, not
@@ -35,11 +39,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
-use lcdd_engine::{Engine, Query, SearchOptions, SearchResponse};
+use lcdd_engine::{persist, Engine, Query, SearchOptions, SearchResponse};
 use lcdd_fcm::EngineError;
-use lcdd_store::{
-    CheckpointPackage, DurableEngine, RecoveryReport, ReplicatedApply, StoreOptions, WalRecord,
-};
+use lcdd_store::{DurableEngine, RecoveryReport, ReplicatedApply, StoreOptions, WalRecord};
 
 use crate::frame::Frame;
 use crate::instruments;
@@ -88,7 +90,7 @@ pub enum FrameOutcome {
     Duplicate,
     /// A heartbeat; the replica now knows the leader is at this epoch.
     Heartbeat(u64),
-    /// A checkpoint resync installed and opened; the replica is at this
+    /// A snapshot resync installed and opened; the replica is at this
     /// epoch (and no longer quarantined).
     Resynced(u64),
     /// A record skipped ahead of the replica (frames were lost). Nothing
@@ -131,11 +133,21 @@ fn parse_gen(name: &str) -> Option<u64> {
     name.strip_prefix("gen-")?.parse().ok()
 }
 
+/// The one install path: writes `engine` as a fresh store at `dir`
+/// through [`DurableEngine::create`] (so `opts.fault` applies, and the
+/// manifest — the commit point — is written last), then opens it with
+/// `opts` (so `opts.cold_open` applies).
+fn install(dir: &Path, engine: Engine, opts: &StoreOptions) -> Result<DurableEngine, EngineError> {
+    drop(DurableEngine::create(dir, engine, opts.clone())?);
+    Ok(DurableEngine::open(dir, opts.clone())?.0)
+}
+
 impl Follower {
-    /// Bootstraps a brand-new replica at `root` around `engine` (which
-    /// must match the leader's corpus at the epoch streaming will start
-    /// from — typically an empty or seed engine; otherwise attach via
-    /// [`Follower::from_package`]).
+    /// Bootstraps a replica at `root` around `engine`, which must match
+    /// the leader's corpus at `engine.epoch()`, where streaming starts: a
+    /// copy of the leader's seed engine, or the leader's snapshot
+    /// ([`DurableEngine::export_snapshot`], loaded and pinned to the
+    /// exported epoch with [`persist::force_epoch`]).
     pub fn create(
         root: impl AsRef<Path>,
         engine: Engine,
@@ -143,32 +155,7 @@ impl Follower {
     ) -> Result<Follower, EngineError> {
         let root = root.as_ref().to_path_buf();
         std::fs::create_dir_all(&root)?;
-        let store = DurableEngine::create(gen_dir(&root, 0), engine, opts.clone())?;
-        Ok(Follower {
-            root,
-            opts,
-            state: Mutex::new(FollowerState {
-                generation: 0,
-                store: Arc::new(store),
-                quarantined: None,
-                stats: FollowerStats::default(),
-            }),
-            leader_epoch_seen: AtomicU64::new(0),
-        })
-    }
-
-    /// Bootstraps a replica at `root` from a shipped checkpoint — the
-    /// first-attach path when the leader already has history.
-    pub fn from_package(
-        root: impl AsRef<Path>,
-        package: &CheckpointPackage,
-        opts: StoreOptions,
-    ) -> Result<Follower, EngineError> {
-        let root = root.as_ref().to_path_buf();
-        std::fs::create_dir_all(&root)?;
-        let dir = gen_dir(&root, 0);
-        DurableEngine::install_checkpoint(&dir, package)?;
-        let (store, _) = DurableEngine::open(&dir, opts.clone())?;
+        let store = install(&gen_dir(&root, 0), engine, &opts)?;
         Ok(Follower {
             root,
             opts,
@@ -315,7 +302,7 @@ impl Follower {
         if let Some(reason) = &st.quarantined {
             if !matches!(frame, Frame::Snapshot { .. }) {
                 return Err(EngineError::Replication(format!(
-                    "quarantined ({reason}); awaiting checkpoint resync"
+                    "quarantined ({reason}); awaiting snapshot resync"
                 )));
             }
         }
@@ -382,24 +369,24 @@ impl Follower {
                     }
                 }
             }
-            Frame::Snapshot { package } => {
-                let package = CheckpointPackage::from_bytes(&package).map_err(|e| {
+            Frame::Snapshot { epoch, snapshot } => {
+                let mut engine = Engine::load_from(&snapshot[..]).map_err(|e| {
                     // A damaged snapshot cannot resync; stay quarantined
                     // (or enter quarantine) and wait for the next one.
                     instruments::quarantines_total().add(u64::from(st.quarantined.is_none()));
                     st.stats.quarantines += u64::from(st.quarantined.is_none());
-                    let reason = format!("undecodable checkpoint package: {e}");
+                    let reason = format!("undecodable snapshot: {e}");
                     st.quarantined = Some(reason.clone());
                     EngineError::Replication(format!("quarantined: {reason}"))
                 })?;
+                persist::force_epoch(&mut engine, epoch);
                 let next_gen = st.generation + 1;
                 let dir = gen_dir(&self.root, next_gen);
                 // Install into the next generation and only switch over
                 // once it opens cleanly; the old generation keeps serving
                 // through any failure below.
                 let _ = std::fs::remove_dir_all(&dir);
-                DurableEngine::install_checkpoint(&dir, &package)?;
-                let (store, _) = DurableEngine::open(&dir, self.opts.clone())?;
+                let store = install(&dir, engine, &self.opts)?;
                 let old_dir = gen_dir(&self.root, st.generation);
                 st.generation = next_gen;
                 st.store = Arc::new(store);

@@ -4,7 +4,8 @@
 //! ```text
 //! frame "LCDDREPL" v1, payload:
 //!   kind u8 (1 record | 2 snapshot | 3 heartbeat)
-//!   body    (record: WAL payload bytes | snapshot: checkpoint package |
+//!   body    (record: WAL payload bytes |
+//!            snapshot: epoch u64 | LCDDSNAP engine snapshot frame |
 //!            heartbeat: leader epoch u64)
 //! ```
 //!
@@ -12,9 +13,9 @@
 //! an unknown kind decodes to [`EngineError::Replication`] — the
 //! follower's response is quarantine-and-resync, never a panic. The frame
 //! checksum is the *transport* integrity layer and covers the kind byte
-//! too; record bodies are the leader's WAL payload bytes verbatim, and
-//! checkpoint packages keep each file's own frame, so corruption that
-//! slips past one layer is still caught by the next. Nothing persists
+//! too; record bodies are the leader's WAL payload bytes verbatim, and a
+//! snapshot is a whole engine snapshot frame with its own checksum, so
+//! corruption that slips past one layer is still caught by the next. Nothing persists
 //! these frames, so the layout carries no compatibility promise beyond
 //! one leader and its followers running the same build.
 
@@ -30,10 +31,12 @@ pub enum Frame {
     /// One WAL record, as [`lcdd_store::WalRecord::encode_payload`]
     /// bytes — appended and applied by the follower without re-encoding.
     Record { payload: Vec<u8> },
-    /// A full checkpoint transfer, as
-    /// [`lcdd_store::CheckpointPackage::to_bytes`] bytes — the resync
-    /// path for a follower that cannot be caught up record-by-record.
-    Snapshot { package: Vec<u8> },
+    /// A full state transfer — the resync path for a follower that cannot
+    /// be caught up record-by-record: the leader's published state as an
+    /// engine snapshot ([`lcdd_store::DurableEngine::export_snapshot`]
+    /// bytes) and the epoch it was published at, which the snapshot
+    /// itself does not carry.
+    Snapshot { epoch: u64, snapshot: Vec<u8> },
     /// Leader liveness and progress: the leader's published epoch.
     /// Followers use it to evaluate bounded-staleness read contracts.
     Heartbeat { leader_epoch: u64 },
@@ -42,19 +45,24 @@ pub enum Frame {
 impl Frame {
     /// Serializes the frame (header + checksummed payload).
     pub fn encode(&self) -> Vec<u8> {
-        let mut heartbeat = Vec::new();
+        // Snapshot and heartbeat bodies start with an epoch.
+        let mut epoch_bytes = Vec::new();
         let (kind, body): (u8, &[u8]) = match self {
             Frame::Record { payload } => (1, payload),
-            Frame::Snapshot { package } => (2, package),
+            Frame::Snapshot { epoch, snapshot } => {
+                epoch_bytes.put_u64(*epoch);
+                (2, snapshot)
+            }
             Frame::Heartbeat { leader_epoch } => {
-                heartbeat.put_u64(*leader_epoch);
-                (3, &heartbeat)
+                epoch_bytes.put_u64(*leader_epoch);
+                (3, &[])
             }
         };
-        let head = frame::head(MAGIC, VERSION, &[&[kind], body]);
-        let mut out = Vec::with_capacity(head.len() + 1 + body.len());
+        let head = frame::head(MAGIC, VERSION, &[&[kind], &epoch_bytes, body]);
+        let mut out = Vec::with_capacity(head.len() + 1 + epoch_bytes.len() + body.len());
         out.extend_from_slice(&head);
         out.put_u8(kind);
+        out.extend_from_slice(&epoch_bytes);
         out.extend_from_slice(body);
         out
     }
@@ -74,7 +82,8 @@ impl Frame {
                 payload: cur.rest().to_vec(),
             }),
             2 => Ok(Frame::Snapshot {
-                package: cur.rest().to_vec(),
+                epoch: cur.u64().map_err(bad)?,
+                snapshot: cur.rest().to_vec(),
             }),
             3 => {
                 let leader_epoch = cur.u64().map_err(bad)?;
@@ -104,7 +113,8 @@ mod tests {
                 payload: vec![1, 2, 3, 4, 5],
             },
             Frame::Snapshot {
-                package: vec![0; 64],
+                epoch: 7,
+                snapshot: vec![0; 64],
             },
             Frame::Heartbeat { leader_epoch: 42 },
         ] {

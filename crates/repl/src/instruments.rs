@@ -21,11 +21,11 @@ pub(crate) fn records_shipped_total() -> Arc<Counter> {
     )
 }
 
-/// Full checkpoint packages shipped (resync path).
+/// Engine snapshots shipped (resync path).
 pub(crate) fn snapshots_shipped_total() -> Arc<Counter> {
     global().counter(
         "lcdd_repl_snapshots_shipped_total",
-        "Checkpoint packages shipped to resync followers.",
+        "Engine snapshots shipped to resync followers.",
     )
 }
 
@@ -77,11 +77,11 @@ pub(crate) fn gaps_total() -> Arc<Counter> {
     )
 }
 
-/// Checkpoint resyncs completed by followers.
+/// Snapshot resyncs completed by followers.
 pub(crate) fn resyncs_total() -> Arc<Counter> {
     global().counter(
         "lcdd_repl_resyncs_total",
-        "Checkpoint resyncs installed and opened by followers.",
+        "Snapshot resyncs installed and opened by followers.",
     )
 }
 
@@ -89,7 +89,7 @@ pub(crate) fn resyncs_total() -> Arc<Counter> {
 pub(crate) fn quarantines_total() -> Arc<Counter> {
     global().counter(
         "lcdd_repl_quarantines_total",
-        "Times a follower entered quarantine pending a checkpoint resync.",
+        "Times a follower entered quarantine pending a snapshot resync.",
     )
 }
 

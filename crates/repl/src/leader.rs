@@ -1,26 +1,28 @@
 //! The shipping (leader) half of replication.
 //!
 //! A [`Leader`] wraps the authoritative [`DurableEngine`] and tails its
-//! WAL chain — the records it ships are the bytes the store already made
-//! durable, not a second in-memory stream, so a leader that crashes and
-//! recovers resumes shipping from its own log with nothing lost. Each
-//! follower gets a named session holding a [`WalCursor`]; a
-//! [`Leader::pump`] reads everything logged past the cursor, ships each
-//! record (with retry + exponential backoff on transient transport
-//! failures), then a heartbeat carrying the leader's published epoch.
+//! WAL chain with the walk recovery replays — the records it ships are
+//! the bytes the store already made durable, not a second in-memory
+//! stream, so a leader that crashes and recovers resumes shipping from
+//! its own log with nothing lost. Each follower gets a named session
+//! holding a [`WalCursor`]; a [`Leader::pump`] reads everything logged
+//! past the cursor, ships each record (with retry + exponential backoff
+//! on transient transport failures), then a heartbeat carrying the
+//! leader's published epoch.
 //!
 //! When a cursor cannot be honoured any more (the follower fell behind a
-//! garbage-collected checkpoint, or quarantined itself on corruption),
-//! the session degrades to a full checkpoint transfer
-//! ([`Leader::ship_snapshot`]) and resumes tailing from the shipped
-//! checkpoint's log position.
+//! garbage-collected checkpoint, the chain behind it is one recovery
+//! would reject, or the follower quarantined itself on corruption), the
+//! session degrades to a snapshot transfer ([`Leader::ship_snapshot`]):
+//! the published state as an engine snapshot, and tailing resumes from
+//! the WAL position pinned with it.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use lcdd_fcm::EngineError;
-use lcdd_store::{DurableEngine, WalCursor, WAL_HEADER_LEN};
+use lcdd_store::{DurableEngine, WalCursor};
 
 use crate::frame::Frame;
 use crate::instruments;
@@ -72,8 +74,8 @@ pub enum Attach {
     /// pump resumes record-by-record from there.
     Resumed,
     /// The history needed is gone (garbage-collected) or the follower is
-    /// ahead of / diverged from this leader; the next pump ships a full
-    /// checkpoint instead.
+    /// ahead of / diverged from this leader; the next pump ships a
+    /// snapshot instead.
     NeedsSnapshot,
 }
 
@@ -89,7 +91,7 @@ pub struct PumpStats {
 }
 
 /// Per-follower shipping position. `cursor == None` means the next pump
-/// must ship a checkpoint.
+/// must ship a snapshot.
 struct Session {
     cursor: Option<WalCursor>,
 }
@@ -124,10 +126,10 @@ impl Leader {
     /// Creates or repositions the session for `name` at a follower that
     /// is currently at `follower_epoch`. Resume-from-offset when the
     /// leader's WAL chain still covers that epoch; otherwise the session
-    /// is marked for a checkpoint transfer. A follower *ahead* of this
+    /// is marked for a snapshot transfer. A follower *ahead* of this
     /// leader (possible after a failover promoted a lagging replica) also
-    /// resyncs by checkpoint — divergent suffixes are discarded by
-    /// design, never merged.
+    /// resyncs by snapshot — divergent suffixes are discarded by design,
+    /// never merged.
     pub fn attach(&self, name: &str, follower_epoch: u64) -> Attach {
         let cursor = if follower_epoch > self.store.epoch() {
             None
@@ -174,24 +176,22 @@ impl Leader {
         }))
     }
 
-    /// Ships a full checkpoint to `name` and repositions its session to
-    /// tail from the checkpoint's log. The resync path for quarantined or
-    /// unresumable followers.
+    /// Ships the published state to `name` as an engine snapshot and
+    /// repositions its session to tail from the WAL position pinned with
+    /// it. The resync path for quarantined or unresumable followers.
     pub fn ship_snapshot(
         &self,
         name: &str,
         transport: &dyn Transport,
     ) -> Result<PumpStats, EngineError> {
         let mut stats = PumpStats::default();
-        let package = self.store.export_checkpoint()?;
-        let cursor = WalCursor {
-            file: package.manifest.wal_file.clone(),
-            offset: WAL_HEADER_LEN,
-        };
+        let mut snapshot = Vec::new();
+        let cursor = self.store.export_snapshot(&mut snapshot)?;
         self.send_with_retry(
             transport,
             &Frame::Snapshot {
-                package: package.to_bytes(),
+                epoch: cursor.epoch,
+                snapshot,
             },
             &mut stats.retries,
         )?;
@@ -203,10 +203,10 @@ impl Leader {
                 cursor: Some(cursor),
             },
         );
-        // Records logged since that checkpoint follow immediately. No
-        // second degrade here: the cursor was just derived from the live
-        // manifest, so a Replication error now is a real fault to surface,
-        // not a stale-cursor condition (and this bounds the recursion).
+        // Records logged since that snapshot follow immediately. No second
+        // degrade here: the cursor was just pinned at the live log's tail,
+        // so a Replication error now is a real fault to surface, not a
+        // stale-cursor condition (and this bounds the recursion).
         let tail = self.pump_impl(name, transport, false)?;
         stats.records_sent += tail.records_sent;
         stats.retries += tail.retries;
@@ -216,8 +216,8 @@ impl Leader {
 
     /// Ships every record logged past `name`'s cursor, then a heartbeat.
     /// A session marked for snapshot (or never attached) ships the
-    /// checkpoint first. On a permanent send failure the cursor is rolled
-    /// back to cover exactly the frames actually delivered, so the next
+    /// snapshot first. On a permanent send failure the cursor is rolled
+    /// back to just past the last record actually delivered, so the next
     /// pump resumes from the true offset.
     pub fn pump(&self, name: &str, transport: &dyn Transport) -> Result<PumpStats, EngineError> {
         self.pump_impl(name, transport, true)
@@ -245,41 +245,38 @@ impl Leader {
             }
         };
         let mut stats = PumpStats::default();
-        let (records, new_cursor) = match self.store.wal_records_since(&cursor) {
+        let (records, end) = match self.store.wal_records_since(&cursor) {
             Ok(ok) => ok,
             Err(EngineError::Replication(_)) if degrade_to_snapshot => {
                 // The chain no longer covers this cursor (GC overtook a
-                // long-stalled follower): degrade to a full transfer.
+                // long-stalled follower, or a log behind it is torn):
+                // degrade to a full transfer.
                 return self.ship_snapshot(name, transport);
             }
             Err(e) => return Err(e),
         };
-        let mut last_sent_epoch = None;
-        for record in &records {
+        let mut delivered = cursor;
+        for (record, past) in records {
             let frame = Frame::Record {
                 payload: record.encode_payload(),
             };
             if let Err(e) = self.send_with_retry(transport, &frame, &mut stats.retries) {
                 // Roll the session back to just past the last delivered
                 // record — resume-from-offset on the next pump.
-                let rollback = match last_sent_epoch {
-                    Some(epoch) => self.store.wal_cursor_for_epoch(epoch).ok(),
-                    None => Some(cursor),
-                };
-                self.sessions()
-                    .insert(name.to_string(), Session { cursor: rollback });
+                self.sessions().insert(
+                    name.to_string(),
+                    Session {
+                        cursor: Some(delivered),
+                    },
+                );
                 return Err(e);
             }
             stats.records_sent += 1;
             instruments::records_shipped_total().inc();
-            last_sent_epoch = Some(record.epoch_after);
+            delivered = past;
         }
-        self.sessions().insert(
-            name.to_string(),
-            Session {
-                cursor: Some(new_cursor),
-            },
-        );
+        self.sessions()
+            .insert(name.to_string(), Session { cursor: Some(end) });
         stats.leader_epoch = self.store.epoch();
         self.send_with_retry(
             transport,

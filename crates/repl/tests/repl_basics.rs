@@ -15,7 +15,8 @@ use lcdd_engine::SearchOptions;
 use lcdd_fcm::{table_encode_count, EngineError};
 use lcdd_repl::{
     elect, probe, promote, sync_to_convergence, Attach, ChannelTransport, FaultAction,
-    FaultyTransport, Follower, Frame, Leader, ReadConsistency, RetryPolicy, Transport,
+    FaultyTransport, Follower, Frame, FrameOutcome, Leader, ReadConsistency, RetryPolicy,
+    Transport,
 };
 use lcdd_store::{latest_manifest, DurableEngine, FaultPlan, FaultPoint, StoreOptions};
 use lcdd_table::Table;
@@ -461,6 +462,228 @@ fn permanent_send_failure_is_typed_and_recoverable() {
     // The schedule is exhausted; the rolled-back cursor resumes cleanly.
     sync_to_convergence(&leader, "f", &transport, &follower, 32).expect("recovers");
     assert_replica_matches("after permanent failure", &leader, &follower, &base);
+}
+
+// ------------------------------------------------------------------- resync
+
+/// The leader walks its WAL chain with recovery's rules: a log behind the
+/// follower that recovery would reject (torn, with a successor) is not
+/// shipped from — the follower is resynced by snapshot instead of being
+/// fed the records around the tear and re-attached at the gap forever.
+#[test]
+fn torn_log_behind_a_follower_resyncs_by_snapshot() {
+    let _gate = encode_gate();
+    let tmp = TempDir::new("repl-torn-chain");
+    let (leader, follower, base) = pair(&tmp, opts_keeping(10_000, 8));
+    leader.attach("f", follower.epoch());
+    let transport = ChannelTransport::default();
+    let mut next_id = 1000;
+    churn_batch(leader.store(), 0, &mut next_id);
+    leader.store().checkpoint().expect("checkpoint");
+    churn_batch(leader.store(), 1, &mut next_id);
+    // The oldest log is retained (keep 8) and rotated out: tearing its
+    // last record breaks the chain the follower's cursor sits on.
+    let oldest = std::fs::read_dir(leader.store().dir())
+        .expect("list leader dir")
+        .filter_map(|e| e.ok()?.file_name().into_string().ok())
+        .filter(|n| n.starts_with("wal-") && n.ends_with(".log"))
+        .min()
+        .expect("a WAL file");
+    let path = leader.store().dir().join(oldest);
+    let len = std::fs::metadata(&path).expect("stat log").len();
+    std::fs::OpenOptions::new()
+        .write(true)
+        .open(&path)
+        .expect("open log")
+        .set_len(len - 5)
+        .expect("tear log");
+    let stats = sync_to_convergence(&leader, "f", &transport, &follower, 16).expect("converge");
+    assert!(
+        stats.resyncs >= 1,
+        "a torn link is resynced by snapshot (stats: {stats:?})"
+    );
+    assert_replica_matches("past the torn log", &leader, &follower, &base);
+}
+
+/// A snapshot frame that passes the transport checksum but carries a
+/// damaged engine snapshot is refused: the follower stays quarantined on
+/// its old generation and epoch, and the next good snapshot resyncs it.
+#[test]
+fn damaged_snapshot_keeps_the_follower_quarantined_until_a_good_one() {
+    let _gate = encode_gate();
+    let tmp = TempDir::new("repl-bad-snapshot");
+    let (leader, follower, base) = pair(&tmp, opts(10_000));
+    leader.attach("f", follower.epoch());
+    let mut next_id = 1000;
+    churn_batch(leader.store(), 0, &mut next_id);
+    let old_epoch = follower.epoch();
+    let old_dir = follower.store_dir();
+
+    let mut bad = Frame::Heartbeat { leader_epoch: 1 }.encode();
+    bad[10] ^= 0x40;
+    follower.apply_frame(&bad).expect_err("checksum failure");
+    assert!(follower.quarantine_reason().is_some());
+
+    let transport = ChannelTransport::default();
+    leader.ship_snapshot("f", &transport).expect("ship");
+    let good = transport.recv().unwrap().expect("snapshot frame");
+    let Frame::Snapshot {
+        epoch,
+        mut snapshot,
+    } = Frame::decode(&good).expect("decodes")
+    else {
+        panic!("the first frame of a resync is the snapshot");
+    };
+    let mid = snapshot.len() / 2;
+    snapshot[mid] ^= 0x40;
+    let damaged = Frame::Snapshot { epoch, snapshot }.encode();
+    let err = follower
+        .apply_frame(&damaged)
+        .expect_err("a damaged snapshot must not install");
+    assert!(matches!(err, EngineError::Replication(_)), "got {err}");
+    assert!(
+        follower.quarantine_reason().is_some(),
+        "still quarantined after a damaged snapshot"
+    );
+    assert_eq!(follower.epoch(), old_epoch);
+    assert_eq!(follower.store_dir(), old_dir);
+    assert_eq!(follower.stats().resyncs, 0);
+    follower
+        .search(
+            &queries_for(&base, 1)[0],
+            &SearchOptions::default(),
+            ReadConsistency::Any,
+        )
+        .expect("the old generation keeps serving");
+
+    assert_eq!(
+        follower.apply_frame(&good).expect("good snapshot"),
+        FrameOutcome::Resynced(epoch)
+    );
+    while let Some(bytes) = transport.recv().unwrap() {
+        follower.apply_frame(&bytes).expect("tail frames apply");
+    }
+    assert!(follower.quarantine_reason().is_none());
+    assert_ne!(follower.store_dir(), old_dir);
+    assert_replica_matches("after the good snapshot", &leader, &follower, &base);
+}
+
+/// A follower that opens its stores cold serves a resynced generation
+/// cold too: the install opens it with the follower's own options.
+#[test]
+fn resync_of_a_cold_follower_serves_the_new_generation_cold() {
+    let _gate = encode_gate();
+    let tmp = TempDir::new("repl-cold-resync");
+    let base = corpus(&CorpusSpec::sized(0x9e97, 6));
+    let leader_store = DurableEngine::create(
+        tmp.subdir("leader"),
+        tiny_engine(base.clone(), 2),
+        opts(10_000),
+    )
+    .expect("leader store");
+    let leader = Leader::new(Arc::new(leader_store), RetryPolicy::immediate());
+    let follower = Follower::create(
+        tmp.subdir("follower"),
+        tiny_engine(base.clone(), 2),
+        StoreOptions {
+            cold_open: true,
+            ..opts(10_000)
+        },
+    )
+    .expect("follower");
+    let mut next_id = 1000;
+    for batch in 0..2 {
+        churn_batch(leader.store(), batch, &mut next_id);
+    }
+    let transport = ChannelTransport::default();
+    leader.ship_snapshot("f", &transport).expect("ship");
+    let mut resynced = false;
+    while let Some(bytes) = transport.recv().unwrap() {
+        resynced |= matches!(
+            follower.apply_frame(&bytes).expect("frames apply"),
+            FrameOutcome::Resynced(_)
+        );
+    }
+    assert!(resynced);
+    let store = follower.store();
+    assert_eq!(
+        store.snapshot().tier_stats().mapped_tables,
+        store.len() as u64,
+        "the resynced generation is served from mapped segments"
+    );
+    assert_replica_matches("cold resync", &leader, &follower, &base);
+}
+
+/// A resync that dies before its manifest commits fails with a typed
+/// error and leaves the old generation serving; a restart skips the
+/// manifest-less generation and sweeps it.
+#[test]
+fn resync_dying_before_its_manifest_leaves_the_old_generation_serving() {
+    let _gate = encode_gate();
+    let tmp = TempDir::new("repl-torn-install");
+    let root = tmp.subdir("follower");
+    let base = corpus(&CorpusSpec::sized(0x9e97, 6));
+    let leader_store = DurableEngine::create(
+        tmp.subdir("leader"),
+        tiny_engine(base.clone(), 2),
+        opts(10_000),
+    )
+    .expect("leader store");
+    let leader = Leader::new(Arc::new(leader_store), RetryPolicy::immediate());
+    let plan = FaultPlan::new();
+    let follower = Follower::create(
+        &root,
+        tiny_engine(base.clone(), 2),
+        StoreOptions {
+            fault: Some(plan.clone()),
+            ..opts(10_000)
+        },
+    )
+    .expect("follower");
+    let mut next_id = 1000;
+    churn_batch(leader.store(), 0, &mut next_id);
+    let old_epoch = follower.epoch();
+    let old_dir = follower.store_dir();
+
+    plan.fail_at(
+        FaultPoint::ManifestWrite,
+        plan.count(FaultPoint::ManifestWrite) + 1,
+    );
+    let transport = ChannelTransport::default();
+    leader.ship_snapshot("f", &transport).expect("ship");
+    let snapshot = transport.recv().unwrap().expect("snapshot frame");
+    let err = follower
+        .apply_frame(&snapshot)
+        .expect_err("the install dies at its manifest");
+    assert!(
+        matches!(err, EngineError::Io(_)) && err.to_string().contains("injected fault"),
+        "got {err}"
+    );
+    assert_eq!(follower.epoch(), old_epoch);
+    assert_eq!(follower.store_dir(), old_dir);
+    follower
+        .search(
+            &queries_for(&base, 1)[0],
+            &SearchOptions::default(),
+            ReadConsistency::Any,
+        )
+        .expect("the old generation keeps serving");
+    let torn = root.join("gen-0001");
+    assert!(torn.is_dir(), "the install got as far as its data files");
+    assert!(
+        latest_manifest(&torn).expect("listable").is_none(),
+        "but never committed a manifest"
+    );
+
+    drop(follower);
+    let (follower, _) = Follower::open(&root, opts(10_000)).expect("restart");
+    assert_eq!(follower.store_dir(), old_dir);
+    assert_eq!(follower.epoch(), old_epoch);
+    assert!(!torn.exists(), "the manifest-less generation is swept");
+    assert_eq!(leader.attach("f", follower.epoch()), Attach::Resumed);
+    let transport = ChannelTransport::default();
+    sync_to_convergence(&leader, "f", &transport, &follower, 16).expect("converge");
+    assert_replica_matches("after the torn install", &leader, &follower, &base);
 }
 
 // ------------------------------------------------------- restart + staleness

@@ -84,7 +84,6 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use lcdd_engine::frame::{Cursor, Put};
 use lcdd_engine::persist::{
     self, assemble_engine, encode_batch, live_order, meta_bytes, segment_bytes_into,
     EncodedTableBatch, SegmentImage,
@@ -100,11 +99,11 @@ use crate::codec::{read_framed, sync_dir, write_framed, write_framed_parts};
 use crate::fault::{FaultHook, FaultPoint};
 use crate::instruments;
 use crate::manifest::{
-    latest_manifest, latest_manifest_impl, read_manifest, write_manifest, Manifest, MANIFEST_PREFIX,
+    latest_manifest, latest_manifest_impl, manifest_paths, read_manifest, write_manifest, Manifest,
+    MANIFEST_PREFIX,
 };
 use crate::wal::{
-    self, chain_successor, wal_file_epoch, wal_file_name, WalOp, WalRecord, WalWriter,
-    WAL_HEADER_LEN,
+    self, wal_file_epoch, wal_file_name, WalOp, WalRecord, WalWriter, WAL_HEADER_LEN,
 };
 
 pub(crate) const META_MAGIC: &[u8; 8] = b"LCDDMET1";
@@ -211,19 +210,24 @@ pub struct RecoveryReport {
     pub fallback: bool,
 }
 
-/// A position in a store's WAL chain: the log file a reader has reached
-/// and the byte offset just past the last record frame it consumed.
-/// Cursors are handed out by [`DurableEngine::wal_tail_cursor`] /
-/// [`DurableEngine::wal_cursor_for_epoch`] and advanced by
-/// [`DurableEngine::wal_records_since`] — the leader half of WAL-shipping
-/// replication uses them to resume a follower from exactly where it left
-/// off.
+/// A position in a store's WAL chain: the log file a reader has reached,
+/// the byte offset just past the last record frame it consumed, and the
+/// epoch the store was at there. Cursors are handed out by
+/// [`DurableEngine::wal_tail_cursor`], [`DurableEngine::wal_cursor_for_epoch`]
+/// and [`DurableEngine::export_snapshot`] and advanced by
+/// [`DurableEngine::wal_records_since`], which resumes
+/// [`wal::walk_chain`] — the walk recovery replays — from one. The leader
+/// half of WAL-shipping replication uses them to resume a follower from
+/// exactly where it left off.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WalCursor {
     /// WAL file name within the store directory (`wal-<epoch>.log`).
     pub file: String,
     /// Byte offset just past the last consumed record frame.
     pub offset: u64,
+    /// The epoch reached at `offset` — where the chain walk's link check
+    /// starts.
+    pub epoch: u64,
 }
 
 /// Outcome of [`DurableEngine::apply_replicated`].
@@ -235,83 +239,6 @@ pub enum ReplicatedApply {
     /// The record's `epoch_after` was at or below the replica's epoch — a
     /// duplicate delivery, skipped idempotently without logging.
     AlreadyApplied,
-}
-
-/// A full checkpoint captured for shipping to a follower that cannot be
-/// caught up record-by-record (first attach, or a resync after checksum
-/// mismatch / WAL-chain truncation). Carries the manifest plus the raw
-/// framed bytes of every file it references; each file keeps its own
-/// checksum frame, so corruption in transit is caught at install or open
-/// time, never served.
-#[derive(Clone, Debug)]
-pub struct CheckpointPackage {
-    /// The checkpoint's manifest, normalized to replay from an empty WAL
-    /// (records after the checkpoint arrive through the stream instead).
-    pub manifest: Manifest,
-    /// `(file name, raw framed contents)` for the meta section and every
-    /// segment the manifest references.
-    pub files: Vec<(String, Vec<u8>)>,
-}
-
-impl CheckpointPackage {
-    /// Total payload bytes across the packaged files.
-    pub fn payload_bytes(&self) -> u64 {
-        self.files.iter().map(|(_, b)| b.len() as u64).sum()
-    }
-
-    /// Serializes the package for shipping.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut p = Vec::new();
-        let man = self.manifest.to_payload();
-        p.put_count(man.len());
-        p.extend_from_slice(&man);
-        p.put_count(self.files.len());
-        for (name, bytes) in &self.files {
-            p.put_str(name);
-            p.put_count(bytes.len());
-            p.extend_from_slice(bytes);
-        }
-        p
-    }
-
-    /// Parses bytes produced by [`CheckpointPackage::to_bytes`].
-    /// Malformed input is [`EngineError::Replication`] — the receiver's
-    /// response is to request the package again, not to crash.
-    pub fn from_bytes(bytes: &[u8]) -> Result<CheckpointPackage, EngineError> {
-        let repl = |e: EngineError| EngineError::Replication(format!("checkpoint package: {e}"));
-        let cap = |n: usize, what: &str| {
-            if n > crate::codec::MAX_PAYLOAD_BYTES {
-                Err(EngineError::Replication(format!(
-                    "checkpoint package: implausible {what} length {n}"
-                )))
-            } else {
-                Ok(n)
-            }
-        };
-        let mut r = Cursor::new(bytes);
-        let man_len = cap(r.count().map_err(repl)?, "manifest")?;
-        let man_bytes = r.take(man_len).map_err(repl)?;
-        let manifest = Manifest::from_payload(man_bytes, "shipped manifest").map_err(repl)?;
-        let n_files = r.count().map_err(repl)?;
-        if n_files == 0 || n_files > 65_537 {
-            return Err(EngineError::Replication(format!(
-                "checkpoint package: implausible file count {n_files}"
-            )));
-        }
-        let mut files = Vec::with_capacity(n_files);
-        for _ in 0..n_files {
-            let name = r.str().map_err(repl)?;
-            let len = cap(r.count().map_err(repl)?, "file")?;
-            files.push((name, r.take(len).map_err(repl)?.to_vec()));
-        }
-        if r.remaining() != 0 {
-            return Err(EngineError::Replication(format!(
-                "checkpoint package: {} trailing bytes",
-                r.remaining()
-            )));
-        }
-        Ok(CheckpointPackage { manifest, files })
-    }
 }
 
 struct StoreInner {
@@ -339,6 +266,19 @@ struct StoreInner {
     /// logged and durable, so its result must not report a checkpoint
     /// problem as an op failure (see [`DurableEngine::last_checkpoint_error`]).
     checkpoint_error: Option<String>,
+}
+
+impl StoreInner {
+    /// The cursor one past the live log's last record, which the store at
+    /// `epoch` has reached. Caller holds the store lock and read `epoch`
+    /// under it.
+    fn tail(&self, epoch: u64) -> WalCursor {
+        WalCursor {
+            file: self.wal.file_name().to_string(),
+            offset: self.wal.len(),
+            epoch,
+        }
+    }
 }
 
 /// One hand-off: the published state the writer pinned right after
@@ -584,9 +524,9 @@ impl StoreShared {
     /// are left alone too (after a manifest-corruption fallback they
     /// belong to the damaged checkpoint; the next checkpoint past that
     /// epoch sweeps them). Runs under the store lock (`inner` witnesses
-    /// it): a rotation, an export or a chain read never sees files vanish
-    /// mid-way. Best effort: GC failures never fail the checkpoint that
-    /// triggered them.
+    /// it): a rotation or a chain read never sees files vanish mid-way.
+    /// Best effort: GC failures never fail the checkpoint that triggered
+    /// them.
     fn collect_garbage(&self, inner: &StoreInner) {
         let keep = self.opts.keep_checkpoints.max(1);
         let Ok(entries) = std::fs::read_dir(&self.dir) else {
@@ -1168,196 +1108,121 @@ impl DurableEngine {
     // replica is itself a fully crash-recoverable store. Errors meaning
     // "this cursor or stream is unusable as-is — resync" are typed
     // [`EngineError::Replication`]; the shipping layer reacts with
-    // resume-from-offset or a full checkpoint transfer, never a panic.
+    // resume-from-offset or a snapshot transfer, never a panic.
 
     /// The cursor one past the last durable record — where a freshly
     /// attached follower that is already at [`DurableEngine::epoch`]
     /// starts tailing.
     pub fn wal_tail_cursor(&self) -> WalCursor {
-        let inner = self.lock();
-        WalCursor {
-            file: inner.wal.file_name().to_string(),
-            offset: inner.wal.len(),
-        }
+        self.lock().tail(self.serving.epoch())
     }
 
-    /// Every record logged after `cursor`, in log order, with the cursor
-    /// just past the last one. Walks the chain of rotated WAL files
-    /// (every checkpoint hand-off starts a fresh log), holding the store
-    /// lock so rotation and GC cannot race the read. A cursor the chain no longer
-    /// covers (its file was garbage-collected, or its offset does not lie
-    /// on a record boundary) is [`EngineError::Replication`] — the
-    /// follower needs a checkpoint transfer instead.
+    /// Every record logged after `cursor`, in log order, each with the
+    /// cursor just past it, and the cursor at the end of the chain. Walks
+    /// the rotated logs with [`wal::walk_chain`], holding the store lock
+    /// so rotation and GC cannot race the read; under that lock the chain
+    /// ends at the writer's live log, because a rotation always starts
+    /// `wal-<published epoch>.log`. A cursor the chain no longer covers
+    /// (its file was garbage-collected, or its offset does not lie on a
+    /// record boundary), or a chain recovery would reject (a torn
+    /// non-final log, a broken link), is [`EngineError::Replication`] —
+    /// the follower needs a snapshot transfer instead.
     pub fn wal_records_since(
         &self,
         cursor: &WalCursor,
-    ) -> Result<(Vec<WalRecord>, WalCursor), EngineError> {
-        let inner = self.lock();
-        self.collect_chain(&inner, cursor.clone(), None)
+    ) -> Result<(Vec<(WalRecord, WalCursor)>, WalCursor), EngineError> {
+        let _inner = self.lock();
+        let mut records = Vec::new();
+        let end = wal::walk_chain(
+            &self.shared.dir,
+            &cursor.file,
+            cursor.offset,
+            cursor.epoch,
+            |file, offset, record| {
+                let past = WalCursor {
+                    file: file.to_string(),
+                    offset,
+                    epoch: record.epoch_after,
+                };
+                records.push((record, past));
+                Ok(())
+            },
+        )
+        .map_err(tailing)?;
+        let end = WalCursor {
+            file: end.file,
+            offset: end.valid_len,
+            epoch: end.epoch,
+        };
+        Ok((records, end))
     }
 
     /// The cursor just past the record that produced `target` — where a
-    /// follower already at epoch `target` resumes tailing. Starts from
-    /// the newest on-disk checkpoint at or below `target` and walks
-    /// forward. [`EngineError::Replication`] when the history needed is
-    /// gone (garbage-collected) or `target` is beyond this store's
-    /// durable epoch.
+    /// follower already at epoch `target` resumes tailing. Walks the chain
+    /// from the newest valid manifest at or below `target` to the live
+    /// log, with the same walk and the same errors as
+    /// [`DurableEngine::wal_records_since`]. [`EngineError::Replication`]
+    /// when the history needed is gone (garbage-collected) or `target` is
+    /// beyond this store's durable epoch.
     pub fn wal_cursor_for_epoch(&self, target: u64) -> Result<WalCursor, EngineError> {
-        let inner = self.lock();
-        let mut base: Option<Manifest> = None;
+        let _inner = self.lock();
         let dir = &self.shared.dir;
-        let entries = std::fs::read_dir(dir)
-            .map_err(|e| EngineError::Replication(format!("cannot list store dir: {e}")))?;
-        for entry in entries.flatten() {
-            let Ok(name) = entry.file_name().into_string() else {
-                continue;
-            };
-            if !name.starts_with(MANIFEST_PREFIX) {
-                continue;
-            }
-            let Ok(m) = read_manifest(&dir.join(&name)) else {
-                continue;
-            };
-            if m.epoch <= target && base.as_ref().is_none_or(|b| m.epoch > b.epoch) {
-                base = Some(m);
-            }
-        }
-        let Some(base) = base else {
-            return Err(EngineError::Replication(format!(
-                "no checkpoint at or below epoch {target} (history garbage-collected)"
-            )));
-        };
-        let cursor = WalCursor {
+        let base = manifest_paths(dir)
+            .map_err(tailing)?
+            .iter()
+            .find_map(|path| read_manifest(path).ok().filter(|m| m.epoch <= target))
+            .ok_or_else(|| {
+                EngineError::Replication(format!(
+                    "no checkpoint at or below epoch {target} (history garbage-collected)"
+                ))
+            })?;
+        let mut found = (base.epoch == target).then(|| WalCursor {
             file: base.wal_file.clone(),
             offset: base.wal_offset,
-        };
-        if base.epoch == target {
-            return Ok(cursor);
-        }
-        let (records, cursor) = self.collect_chain(&inner, cursor, Some(target))?;
-        match records.last() {
-            Some(r) if r.epoch_after == target => Ok(cursor),
-            _ => Err(EngineError::Replication(format!(
-                "epoch {target} is beyond this store's durable history"
-            ))),
-        }
-    }
-
-    /// Walks the WAL chain from `cursor`, collecting records until the
-    /// live log is exhausted or (with `stop_at`) a record reaches that
-    /// epoch. The live log is the one the writer holds — the newest
-    /// manifest may still name an older one. Caller holds the store lock
-    /// (`inner` witnesses it), so the chain is stable underneath.
-    fn collect_chain(
-        &self,
-        inner: &StoreInner,
-        mut cursor: WalCursor,
-        stop_at: Option<u64>,
-    ) -> Result<(Vec<WalRecord>, WalCursor), EngineError> {
-        let dir = &self.shared.dir;
-        let repl =
-            |file: &str, e: EngineError| EngineError::Replication(format!("tailing {file}: {e}"));
-        let mut out = Vec::new();
-        loop {
-            let path = dir.join(&cursor.file);
-            if !path.exists() {
-                return Err(EngineError::Replication(format!(
-                    "WAL file {} no longer exists (chain garbage-collected past the cursor)",
-                    cursor.file
-                )));
-            }
-            let scan = wal::scan(&path, cursor.offset).map_err(|e| repl(&cursor.file, e))?;
-            for (end, record) in scan.records {
-                let epoch = record.epoch_after;
-                out.push(record);
-                cursor.offset = end;
-                if stop_at == Some(epoch) {
-                    return Ok((out, cursor));
+            epoch: target,
+        });
+        wal::walk_chain(
+            dir,
+            &base.wal_file,
+            base.wal_offset,
+            base.epoch,
+            |file, offset, record| {
+                if record.epoch_after == target {
+                    found = Some(WalCursor {
+                        file: file.to_string(),
+                        offset,
+                        epoch: target,
+                    });
                 }
-            }
-            if cursor.file == inner.wal.file_name() {
-                return Ok((out, cursor));
-            }
-            // This file was rotated out by a checkpoint hand-off; move to
-            // the next log in the chain.
-            let next = chain_successor(dir, &cursor.file).map_err(|e| repl(&cursor.file, e))?;
-            let Some((_, file)) = next else {
-                return Err(EngineError::Replication(format!(
-                    "WAL chain broken: no successor log after {}",
-                    cursor.file
-                )));
-            };
-            cursor = WalCursor {
-                file,
-                offset: WAL_HEADER_LEN,
-            };
-        }
+                Ok(())
+            },
+        )
+        .map_err(tailing)?;
+        found.ok_or_else(|| {
+            EngineError::Replication(format!(
+                "epoch {target} is beyond this store's durable history"
+            ))
+        })
     }
 
-    /// Captures the current checkpoint for shipping to a follower: the
-    /// authoritative manifest plus the raw bytes of every file it
-    /// references, read under the store lock so the checkpointer's
-    /// commit + GC cannot swap files out mid-read (an in-flight
-    /// checkpoint that has not committed yet is simply not exported). The shipped manifest is
-    /// normalized to replay from an empty WAL — records logged after the
-    /// checkpoint travel through the record stream instead.
-    pub fn export_checkpoint(&self) -> Result<CheckpointPackage, EngineError> {
-        let inner = self.lock();
-        let manifest = Manifest {
-            wal_offset: WAL_HEADER_LEN,
-            ..inner.current.clone()
+    /// Writes the published state to `w` as one engine snapshot frame
+    /// (`LCDDSNAP`, readable by [`lcdd_engine::Engine::load_from`]) and
+    /// returns the WAL cursor at that state's epoch (`cursor.epoch`):
+    /// tailing from it ships exactly the records the snapshot does not
+    /// hold. State and cursor are pinned together under the store lock —
+    /// every write commits under it — and the snapshot is written after
+    /// the lock is released, so writers wait only for the pin. A snapshot
+    /// names no store file, so no checkpoint or GC can race it. This is
+    /// what a follower resync ships.
+    pub fn export_snapshot(&self, w: impl std::io::Write) -> Result<WalCursor, EngineError> {
+        let (state, cursor) = {
+            let inner = self.lock();
+            let state = self.serving.snapshot();
+            let cursor = inner.tail(state.epoch());
+            (state, cursor)
         };
-        let mut names: Vec<String> = Vec::with_capacity(manifest.segments.len() + 1);
-        names.push(manifest.meta_file.clone());
-        names.extend(manifest.segments.iter().cloned());
-        names.dedup();
-        let mut files = Vec::with_capacity(names.len());
-        for name in names {
-            let bytes = std::fs::read(self.shared.dir.join(&name)).map_err(|e| {
-                EngineError::Store(format!("export checkpoint: cannot read {name}: {e}"))
-            })?;
-            files.push((name, bytes));
-        }
-        Ok(CheckpointPackage { manifest, files })
-    }
-
-    /// Materializes a shipped checkpoint into `dir` (created if absent).
-    /// Write order is crash-safe: data files first, then a fresh empty
-    /// WAL, then the manifest — the commit point. A crash at any earlier
-    /// instant leaves no manifest, so the directory is simply not (yet) a
-    /// store; after this returns, [`DurableEngine::open`] on `dir`
-    /// recovers exactly the packaged epoch.
-    pub fn install_checkpoint(
-        dir: impl AsRef<Path>,
-        package: &CheckpointPackage,
-    ) -> Result<(), EngineError> {
-        let dir = dir.as_ref();
-        std::fs::create_dir_all(dir)?;
-        let have = |name: &String| package.files.iter().any(|(n, _)| n == name);
-        for name in
-            std::iter::once(&package.manifest.meta_file).chain(package.manifest.segments.iter())
-        {
-            if !have(name) {
-                return Err(EngineError::Replication(format!(
-                    "checkpoint package does not carry {name}, which its manifest references"
-                )));
-            }
-        }
-        for (name, bytes) in &package.files {
-            // File names come off the wire: only bare names may touch
-            // the target directory.
-            if name.is_empty() || name.contains('/') || name.contains('\\') || name.contains("..") {
-                return Err(EngineError::Replication(format!(
-                    "checkpoint package file name {name:?} is not a bare file name"
-                )));
-            }
-            let mut f = std::fs::File::create(dir.join(name))?;
-            std::io::Write::write_all(&mut f, bytes)?;
-            f.sync_all()?;
-        }
-        WalWriter::create(&dir.join(&package.manifest.wal_file), true)?;
-        write_manifest(dir, &package.manifest, &None)?;
-        Ok(())
+        self.serving.save_state_to(&state, w)?;
+        Ok(cursor)
     }
 
     /// Applies one record shipped from a leader through the same
@@ -1370,7 +1235,7 @@ impl DurableEngine {
     /// Sequencing by `epoch_after` (every logged record bumps the epoch
     /// by exactly one): a duplicate delivery is skipped idempotently, a
     /// gap is [`EngineError::Replication`] — the caller resumes from its
-    /// real offset or requests a checkpoint transfer.
+    /// real offset or requests a snapshot transfer.
     pub fn apply_replicated(&self, record: &WalRecord) -> Result<ReplicatedApply, EngineError> {
         let mut inner = self.lock();
         // Every write to the serving engine holds the store lock, so this
@@ -1423,6 +1288,12 @@ fn apply_record(engine: &mut Engine, record: &WalRecord) -> Result<(), EngineErr
 
 pub(crate) fn segment_file_name(epoch: u64, shard: usize) -> String {
     format!("seg-{epoch:016x}-{shard:04}.seg")
+}
+
+/// Relabels a chain walk's error for the shipping layer, which answers
+/// [`EngineError::Replication`] with a snapshot transfer.
+fn tailing(e: EngineError) -> EngineError {
+    EngineError::Replication(format!("tailing the WAL chain: {e}"))
 }
 
 /// Extracts the 16-hex-digit epoch a segment or manifest file name embeds

@@ -65,8 +65,7 @@ mod instruments;
 
 pub use bulk::create_bulk;
 pub use durable::{
-    CheckpointPackage, CheckpointStats, DurableEngine, RecoveryReport, ReplicatedApply,
-    StoreOptions, WalCursor,
+    CheckpointStats, DurableEngine, RecoveryReport, ReplicatedApply, StoreOptions, WalCursor,
 };
 pub use fault::{FaultPlan, FaultPoint};
 pub use lcdd_fcm::EngineError;

@@ -163,6 +163,23 @@ fn is_manifest_name(name: &str) -> bool {
         .is_some_and(|hex| hex.len() == 16 && hex.bytes().all(|b| b.is_ascii_hexdigit()))
 }
 
+/// Every `MANIFEST-*` file in `dir` (by [`is_manifest_name`]), newest
+/// first — names embed the epoch in fixed-width hex. Not validated.
+pub(crate) fn manifest_paths(dir: &Path) -> Result<Vec<PathBuf>, EngineError> {
+    let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)
+        .map_err(|e| EngineError::Store(format!("cannot list {}: {e}", dir.display())))?
+        .filter_map(|entry| entry.ok().map(|e| e.path()))
+        .filter(|p| {
+            p.file_name()
+                .and_then(|n| n.to_str())
+                .is_some_and(is_manifest_name)
+        })
+        .collect();
+    paths.sort();
+    paths.reverse();
+    Ok(paths)
+}
+
 /// Scans `dir` for the newest manifest that validates, falling back past
 /// corrupt ones. `Ok(None)` when no `MANIFEST-*` file exists at all;
 /// [`EngineError::Store`] when manifests exist but none validates (the
@@ -177,21 +194,10 @@ pub fn latest_manifest(dir: &Path) -> Result<Option<(PathBuf, Manifest)>, Engine
 pub(crate) fn latest_manifest_impl(
     dir: &Path,
 ) -> Result<Option<(PathBuf, Manifest, bool)>, EngineError> {
-    let mut candidates: Vec<PathBuf> = std::fs::read_dir(dir)
-        .map_err(|e| EngineError::Store(format!("cannot list {}: {e}", dir.display())))?
-        .filter_map(|entry| entry.ok().map(|e| e.path()))
-        .filter(|p| {
-            p.file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(is_manifest_name)
-        })
-        .collect();
+    let candidates = manifest_paths(dir)?;
     if candidates.is_empty() {
         return Ok(None);
     }
-    // Newest first (names embed the epoch in fixed-width hex).
-    candidates.sort();
-    candidates.reverse();
     let mut failures = Vec::new();
     for path in candidates {
         match read_manifest(&path) {

@@ -16,6 +16,8 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
+use lcdd_engine::{persist, Engine};
+use lcdd_repl::Follower;
 use lcdd_store::{DurableEngine, StoreOptions};
 use lcdd_testkit::crash::{
     apply_durable, apply_serial, assert_recovered_equals_serial, battery, encode_gate,
@@ -155,9 +157,10 @@ fn drop_while_a_checkpoint_is_in_flight_then_reopen() {
 
 /// A writer churning through the policy's hand-offs while other threads
 /// call `checkpoint()` (enqueue-and-wait on the same path) and
-/// `export_checkpoint()`: every explicit checkpoint succeeds, every
-/// export installs and opens at exactly its manifest's epoch, and the
-/// store afterwards recovers the serial replay with zero re-encodes.
+/// `export_snapshot()`: every explicit checkpoint succeeds, every export
+/// decodes, installs through the follower's install path and opens at
+/// exactly the epoch it was exported at, and the store afterwards
+/// recovers the serial replay with zero re-encodes.
 #[test]
 fn writer_churn_racing_explicit_checkpoints_and_exports() {
     let _gate = encode_gate();
@@ -184,12 +187,16 @@ fn writer_churn_racing_explicit_checkpoints_and_exports() {
         let exports = scope.spawn(|| {
             let mut n = 0;
             while writing.load(Ordering::Acquire) {
-                let package = durable.export_checkpoint().expect("export under churn");
-                let replica_dir = tmp.subdir(&format!("export-{n}"));
-                DurableEngine::install_checkpoint(&replica_dir, &package).expect("install");
-                let (replica, _) =
-                    DurableEngine::open(&replica_dir, churn_opts()).expect("export opens");
-                assert_eq!(replica.epoch(), package.manifest.epoch);
+                let mut snapshot = Vec::new();
+                let at = durable
+                    .export_snapshot(&mut snapshot)
+                    .expect("export under churn");
+                let mut engine = Engine::load_from(&snapshot[..]).expect("export decodes");
+                persist::force_epoch(&mut engine, at.epoch);
+                let replica =
+                    Follower::create(tmp.subdir(&format!("export-{n}")), engine, churn_opts())
+                        .expect("export installs and opens");
+                assert_eq!(replica.epoch(), at.epoch);
                 n += 1;
             }
         });

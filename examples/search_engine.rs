@@ -326,11 +326,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         std::env::temp_dir().join(format!("lcdd_search_engine_repl_{}", std::process::id()));
     std::fs::remove_dir_all(&repl_root).ok();
     let leader = Leader::new(std::sync::Arc::new(recovered), RetryPolicy::immediate());
-    // Bootstrap the replica from a shipped checkpoint, then attach its
-    // cursor so subsequent syncs stream WAL records.
-    let package = leader.store().export_checkpoint()?;
-    let follower =
-        Follower::from_package(repl_root.join("replica"), &package, StoreOptions::default())?;
+    // Bootstrap the replica from the leader's engine snapshot (the bytes a
+    // resync ships), pinned to the epoch it was exported at, then attach
+    // its cursor so subsequent syncs stream WAL records.
+    let mut snapshot = Vec::new();
+    let at = leader.store().export_snapshot(&mut snapshot)?;
+    let mut replica_engine = Engine::load_from(&snapshot[..])?;
+    linechart_discovery::engine::persist::force_epoch(&mut replica_engine, at.epoch);
+    let follower = Follower::create(
+        repl_root.join("replica"),
+        replica_engine,
+        StoreOptions::default(),
+    )?;
     leader.attach("replica", follower.epoch());
     let transport = ChannelTransport::default();
     leader.store().insert_tables(vec![mk(95_100, 41.0)])?;
