@@ -5,9 +5,10 @@
 //! Coverage:
 //! * square matmul 64–512 — blocked/packed kernel vs the seed's skip-zero
 //!   i-k-j loop vs the naive i-j-k reference,
-//! * score-GEMM shapes — the short, wide `matmul_nt` calls the panel-packed
-//!   candidate scorer issues, timed at 1 thread vs the pool's resolved
-//!   count to regression-test the per-band-work parallel gate,
+//! * candidate scoring — the exact scorer at `FcmConfig::small()` on 1-,
+//!   2- and 4-column candidates: ns and heap allocations per candidate on
+//!   the blocked path the engine runs (asserted allocation-free once its
+//!   scratch is warm), and ns per candidate scored alone,
 //! * DTW — full 128×128 and Sakoe-Chiba banded at 128 and 512,
 //! * end-to-end query latency — linear-scan `search_top_k` over an encoded
 //!   repository (the path Sec. VI's indexes prune).
@@ -15,16 +16,47 @@
 //! Usage: `cargo run --release --bin bench_kernels [-- out.json]`
 //! (defaults to `BENCH_kernels.json` in the current directory).
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use lcdd_chart::{render, ChartStyle};
 use lcdd_fcm::scoring::{encode_repository, search_top_k};
-use lcdd_fcm::{process_query, FcmConfig, FcmModel};
+use lcdd_fcm::{process_query, FcmConfig, FcmModel, QueryScorer, ScoreScratch};
 use lcdd_relevance::{dtw_distance, dtw_distance_banded};
 use lcdd_table::series::{DataSeries, UnderlyingData};
 use lcdd_table::{Column, Table};
 use lcdd_tensor::{matmul_naive, pool, Matrix};
 use lcdd_vision::VisualElementExtractor;
+
+/// Counts heap allocations (and reallocations) process-wide, so the
+/// scoring section can report allocations per candidate.
+struct CountingAlloc;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every call forwards to `System` unchanged; the counter is a
+// relaxed atomic that allocates nothing.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.alloc_zeroed(layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// The seed repository's scalar matmul (i-k-j with a per-element zero
 /// branch), kept verbatim as the baseline the acceptance criterion
@@ -143,39 +175,65 @@ fn main() {
         });
     }
 
-    // --- score-GEMM shapes (small n, large k·m) ---------------------------
-    // The panel-packed candidate scorer produces wide, short `matmul_nt`
-    // calls. The old parallel gate (`n >= 2 * MR`) left these permanently
-    // serial; the per-band-work gate splits them by column panels. Timing
-    // each shape at 1 thread vs the resolved count is the regression
-    // check: if the gate regresses to serial, the ratio collapses to ~1.
-    let resolved = pool::num_threads();
-    let mut score_gemm_rows = Vec::new();
-    for &(n, m, p) in &[(6usize, 512usize, 1024usize), (12, 300, 512), (2, 768, 768)] {
-        let a = Matrix::from_vec(
-            n,
-            m,
-            (0..n * m)
-                .map(|i| ((i * 29 + 7) % 173) as f32 / 86.0 - 1.0)
-                .collect(),
+    // --- candidate scoring ------------------------------------------------
+    // The exact scorer as the engine runs it: one query against 64
+    // candidates of 1, 2 or 4 columns (the shapes stackbench's corpus
+    // cycles through), single-threaded, through one warm scratch. `alone`
+    // is one `score_table` call per candidate, the path stackbench's
+    // `core.score_us_per_table` times.
+    let model = FcmModel::new(FcmConfig::small());
+    let mut score_rows = Vec::new();
+    for &n_cols in &[1usize, 2, 4] {
+        let tables: Vec<Table> = (0..64usize)
+            .map(|i| {
+                let columns = (0..n_cols)
+                    .map(|c| Column::new(format!("c{c}"), series(200, (i * 7 + c) as f64)))
+                    .collect();
+                Table::new(i as u64, format!("t{i}"), columns)
+            })
+            .collect();
+        let repo = encode_repository(&model, &tables);
+        let data = UnderlyingData {
+            series: vec![DataSeries::new("q", tables[5].columns[0].values.clone())],
+        };
+        let chart = render(&data, &ChartStyle::default());
+        let mut query = process_query(
+            &VisualElementExtractor::oracle().extract(&chart),
+            &model.config,
         );
-        let b = Matrix::from_vec(
-            p,
-            m,
-            (0..p * m)
-                .map(|i| ((i * 31 + 3) % 211) as f32 / 105.0 - 1.0)
-                .collect(),
+        // Every column takes part: the row measures an n-column candidate.
+        query.y_range = None;
+        let ev = model.encode_query_values(&query);
+        let scorer = QueryScorer::new(&model, &ev);
+        let ids: Vec<usize> = (0..repo.len()).collect();
+        let parts = |&i: &usize| (&repo.tables[i], &repo.encodings[i][..]);
+        let mut scratch = ScoreScratch::default();
+        let mut out = vec![0.0f32; ids.len()];
+        let center = &repo.pooled_mean;
+        // Warm-up: the scratch grows to this shape once.
+        scorer.score_into(&ids, &query, center, &mut scratch, &mut out, parts);
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        scorer.score_into(&ids, &query, center, &mut scratch, &mut out, parts);
+        let allocs = ALLOCATIONS.load(Ordering::Relaxed) - before;
+        let allocs_per_candidate = allocs as f64 / ids.len() as f64;
+        assert_eq!(
+            allocs, 0,
+            "scoring {n_cols}-column candidates allocated {allocs} times after warm-up"
         );
-        pool::force_threads(1);
-        let serial_ns = time_ns(|| a.matmul_nt(&b));
-        pool::force_threads(resolved);
-        let pooled_ns = time_ns(|| a.matmul_nt(&b));
+        let block_ns = time_ns(|| {
+            scorer.score_into(&ids, &query, center, &mut scratch, &mut out, parts);
+        }) / ids.len() as f64;
+        let alone_ns = time_ns(|| {
+            ids.iter()
+                .map(|&i| scorer.score_table(&repo, &query, i, center))
+                .sum::<f32>()
+        }) / ids.len() as f64;
         eprintln!(
-            "[bench_kernels] score-gemm {n}x{m}x{p} (nt): 1-thread {serial_ns:>10.0} ns  \
-             {resolved}-thread {pooled_ns:>10.0} ns ({:.2}x)",
-            serial_ns / pooled_ns
+            "[bench_kernels] score {n_cols}-column candidates ({} query lines): {block_ns:>7.0} ns/candidate blocked, \
+             {alone_ns:>7.0} ns alone, {allocs_per_candidate} allocations/candidate",
+            ev.len()
         );
-        score_gemm_rows.push((n, m, p, serial_ns, pooled_ns));
+        score_rows.push((n_cols, ev.len(), block_ns, alone_ns, allocs_per_candidate));
     }
 
     // --- DTW --------------------------------------------------------------
@@ -191,7 +249,6 @@ fn main() {
     );
 
     // --- end-to-end linear-scan query latency -----------------------------
-    let model = FcmModel::new(FcmConfig::small());
     let n_tables = 96usize;
     let tables: Vec<Table> = (0..n_tables)
         .map(|i| {
@@ -269,14 +326,13 @@ fn main() {
         1e9 / dtw_banded_512_ns
     ));
     json.push_str("  },\n");
-    json.push_str("  \"score_gemm\": [\n");
-    for (i, &(n, m, p, serial_ns, pooled_ns)) in score_gemm_rows.iter().enumerate() {
+    json.push_str("  \"score_candidate\": [\n");
+    for (i, &(cols, lines, block_ns, alone_ns, allocs)) in score_rows.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"n\": {n}, \"m\": {m}, \"p\": {p}, \"serial_ns\": {}, \"pooled_ns\": {}, \"pool_speedup\": {:.2}}}{}\n",
-            json_escape_free_number(serial_ns),
-            json_escape_free_number(pooled_ns),
-            serial_ns / pooled_ns,
-            if i + 1 < score_gemm_rows.len() { "," } else { "" }
+            "    {{\"columns\": {cols}, \"query_lines\": {lines}, \"ns_per_candidate\": {}, \"alone_ns_per_candidate\": {}, \"allocations_per_candidate\": {allocs}}}{}\n",
+            json_escape_free_number(block_ns),
+            json_escape_free_number(alone_ns),
+            if i + 1 < score_rows.len() { "," } else { "" }
         ));
     }
     json.push_str("  ],\n");

@@ -1,143 +1,297 @@
-//! Tape-free batched candidate scoring — the search hot path.
+//! Tape-free, blocked candidate scoring — the search hot path.
 //!
-//! [`crate::scoring::search_top_k`] and the sharded engine score one query
-//! against hundreds of cached candidate encodings. Running the matcher
-//! through the autograd tape for that is pure overhead: every node clones
-//! its inputs, allocates a backward closure, and the per-line / per-column
-//! SL-SAN projections re-derive the *query-side* values for every single
-//! candidate.
+//! The engine, [`crate::scoring::search_top_k`] and the cold tier's exact
+//! re-rank score one query against hundreds of cached candidate encodings.
+//! [`QueryScorer`] does it without the autograd tape and without
+//! allocating per candidate.
 //!
-//! [`QueryScorer`] removes both costs. At construction it hoists everything
-//! that depends only on the query: the concatenated line-segment panel, its
-//! SL-SAN query/key projections, the pooled chart embedding and its log
-//! norm. Per candidate it packs the (range-filtered) column encodings into
-//! one contiguous panel and drives the segment-relevance computation
-//! through the blocked `matmul_nt` micro-kernel as two batched score GEMMs
-//! — one `(V x K) · (T x K)ᵀ` for all lines at once, one transposed for all
-//! columns — instead of a tape node per line and column.
+//! **Query hoist.** At construction it computes everything that depends
+//! only on the query and the weights. SL-SAN's two score products
+//! `(ev·Wq)(panel·Wk)ᵀ` and `(panel·Wq)(ev·Wk)ᵀ` are folded through the
+//! projections: with `A = (ev·Wq)·Wkᵀ` and `M = Wq·(ev·Wk)ᵀ`, both become
+//! products of the *raw* candidate panel with one hoisted `K x 2V` operand
+//! `[Aᵀ | M]` (attention scale folded in). A candidate therefore costs one
+//! `T x K x 2V` product for all its segment scores and no projection at
+//! all. The pooled chart embedding, its log norm and (ablation) the
+//! mean-pooled chart are hoisted too.
+//!
+//! **Blocks.** [`QueryScorer::score_into`] takes candidates [`BLOCK`] at a
+//! time through one [`ScoreScratch`]. Per candidate it runs the segment
+//! stage — the score product, the per-line and per-column relevance
+//! pooling and the pooled table embedding — straight out of the column
+//! encodings, with no packing. Then the LL-SAN projections of every line
+//! and column representation in the block, the two LayerNorms and the
+//! relevance head run over the block's rows as single operands.
+//! [`QueryScorer::score_all`] gives each pool worker one chunk and one
+//! scratch; the scratch's buffers grow to the largest block seen and are
+//! reused, so after the first block no candidate allocates.
+//!
+//! All products go through `rows_matmul`, a register-tiled kernel in
+//! which every output element is accumulated over `k` in index order with
+//! a separate multiply and add. That is the same instruction sequence
+//! whatever tile a row lands in, so a row's bits never depend on the other
+//! rows of the operand. The blocked `lcdd-tensor` kernel does not have this
+//! property (its AVX-512 12-row tile fuses multiply-adds, its `MR` tile
+//! does not) and, at these shapes, would run its plain loops anyway.
 //!
 //! ## Determinism
 //!
-//! Every reduction here is a fixed-order loop and every GEMM is the
-//! bit-deterministic kernel from `lcdd-tensor` (parallel band splits are
-//! proven bit-identical to the serial sweep), so a candidate's score is a
-//! pure function of `(query encodings, candidate encodings, center)` —
-//! independent of thread count, batch composition, and shard layout. That
-//! is the invariance the engine's `assert_same_hits` thread-axis suites
-//! pin. Scores agree with the tape path ([`FcmModel::match_cached_centered`])
-//! to float tolerance (the batched GEMMs may round differently in the last
-//! ulp), and the parity tests below keep the two paths locked together.
+//! Every reduction is a fixed-order loop and every block-level operation is
+//! row-local, so a candidate's score is a pure function of `(query
+//! encodings, candidate encodings, center)`: independent of its
+//! block-mates, its position in the block, the chunking, the thread count
+//! and the shard layout (`tests/block_scoring.rs` pins this bit for bit).
+//! Scores agree with the tape path ([`FcmModel::match_cached_centered`]) to
+//! float tolerance — the folded products round differently in the last ulp
+//! — and the parity tests below and in `tests/block_scoring.rs` keep the
+//! two paths locked together.
 
-use lcdd_tensor::Matrix;
+use std::ops::Deref;
 
-use crate::input::{filter_columns, ProcessedQuery, ProcessedTable};
+use lcdd_tensor::{pool, Matrix};
+
+use crate::input::{kept_columns, ProcessedQuery, ProcessedTable};
 use crate::model::FcmModel;
 use crate::scoring::EncodedRepository;
 
-/// Row-wise softmax, in place — same max-shift / exp / divide sequence as
-/// the tape op's forward pass.
-fn softmax_rows_in_place(m: &mut Matrix) {
-    let (rows, _) = m.shape();
-    for r in 0..rows {
-        let row = m.row_mut(r);
-        let max = row.iter().fold(f32::NEG_INFINITY, |acc, &x| acc.max(x));
-        let mut denom = 0.0;
-        for o in row.iter_mut() {
-            *o = (*o - max).exp();
-            denom += *o;
+/// Candidates scored together by [`QueryScorer::score_into`]. A fixed
+/// size: it bounds the scratch, and the results do not depend on it.
+pub const BLOCK: usize = 8;
+
+/// Column strip of [`rows_matmul`]: one AVX-512 register, two AVX2 ones.
+const STRIP: usize = 16;
+/// Row tile of [`rows_matmul`]: rows sharing each loaded strip of `w`.
+const TILE: usize = 4;
+
+/// `out = a · w (+ bias)` with `a: rows x k`, `w: k x n`, all row-major.
+///
+/// Every output element is `((0 + a0·w0) + a1·w1) + …` over `k` in index
+/// order, each multiply and add rounded on its own (Rust never contracts
+/// them into fused multiply-adds), then the bias is added. Tiling only
+/// decides which elements share register loads, never that sequence, so
+/// each output row is a pure function of its input row and `w`.
+fn rows_matmul(out: &mut [f32], a: &[f32], w: &[f32], bias: Option<&[f32]>, k: usize, n: usize) {
+    let rows = a.len().checked_div(k).unwrap_or(0);
+    debug_assert_eq!(a.len(), rows * k);
+    debug_assert_eq!(w.len(), k * n);
+    debug_assert_eq!(out.len(), rows * n);
+    let mut r = 0;
+    while r + TILE <= rows {
+        row_tile::<TILE>(
+            &mut out[r * n..(r + TILE) * n],
+            &a[r * k..(r + TILE) * k],
+            w,
+            bias,
+            k,
+            n,
+        );
+        r += TILE;
+    }
+    while r < rows {
+        row_tile::<1>(
+            &mut out[r * n..(r + 1) * n],
+            &a[r * k..(r + 1) * k],
+            w,
+            bias,
+            k,
+            n,
+        );
+        r += 1;
+    }
+}
+
+/// `R` rows of [`rows_matmul`]: full [`STRIP`]-wide column strips with the
+/// accumulators in registers, then the leftover columns one at a time.
+#[inline(always)]
+fn row_tile<const R: usize>(
+    out: &mut [f32],
+    a: &[f32],
+    w: &[f32],
+    bias: Option<&[f32]>,
+    k: usize,
+    n: usize,
+) {
+    let mut j0 = 0;
+    while j0 + STRIP <= n {
+        let mut acc = [[0.0f32; STRIP]; R];
+        for (kk, w_row) in w.chunks_exact(n).enumerate() {
+            let w_strip: &[f32; STRIP] = w_row[j0..j0 + STRIP].try_into().expect("strip");
+            for (r, acc_r) in acc.iter_mut().enumerate() {
+                let x = a[r * k + kk];
+                for (o, &wv) in acc_r.iter_mut().zip(w_strip) {
+                    *o += x * wv;
+                }
+            }
         }
-        for o in row.iter_mut() {
-            *o /= denom;
+        for (r, acc_r) in acc.iter().enumerate() {
+            let o = &mut out[r * n + j0..r * n + j0 + STRIP];
+            match bias {
+                Some(b) => {
+                    for ((o, &v), &bv) in o.iter_mut().zip(acc_r).zip(&b[j0..j0 + STRIP]) {
+                        *o = v + bv;
+                    }
+                }
+                None => o.copy_from_slice(acc_r),
+            }
+        }
+        j0 += STRIP;
+    }
+    for j in j0..n {
+        for r in 0..R {
+            let mut acc = 0.0f32;
+            for (kk, w_row) in w.chunks_exact(n).enumerate() {
+                acc += a[r * k + kk] * w_row[j];
+            }
+            out[r * n + j] = bias.map_or(acc, |b| acc + b[j]);
         }
     }
+}
+
+/// Sequential dot product (the order `matmul_nt`'s plain loop uses).
+fn dot(a: &[f32], b: &[f32]) -> f32 {
+    a.iter().zip(b).fold(0.0, |acc, (&x, &y)| acc + x * y)
+}
+
+/// Row `r` of a row-major buffer `k` wide.
+fn row(buf: &[f32], r: usize, k: usize) -> &[f32] {
+    &buf[r * k..(r + 1) * k]
 }
 
 /// Log-space norm `ln(||v||) = 0.5 * ln(Σv² + eps)` with the same epsilon
 /// chain as `lcdd_nn::cosine_scores`.
-fn log_norm(v: &Matrix) -> f32 {
-    let sq: f32 = v.as_slice().iter().map(|&x| x * x).sum();
+fn log_norm(v: &[f32]) -> f32 {
+    let sq: f32 = v.iter().map(|&x| x * x).sum();
     (sq + 1e-6).max(1e-12).ln() * 0.5
 }
 
-/// Mean over all rows of the matrices in `parts`, taken in order — the
-/// value of `Var::concat_rows(parts).mean_rows()`.
-fn mean_rows_of(parts: &[&Matrix], cols: usize) -> Matrix {
-    let mut out = Matrix::zeros(1, cols);
-    let mut rows = 0usize;
-    for p in parts {
-        for r in 0..p.rows() {
-            for (o, &x) in out.as_mut_slice().iter_mut().zip(p.row(r)) {
-                *o += x;
-            }
+/// Adds every `k`-wide row of `rows` into `acc`, in order.
+fn add_rows(acc: &mut [f32], rows: &[f32]) {
+    for row in rows.chunks_exact(acc.len()) {
+        for (o, &x) in acc.iter_mut().zip(row) {
+            *o += x;
         }
-        rows += p.rows();
     }
-    assert!(rows > 0, "mean_rows: empty matrix");
-    out.scale_assign(1.0 / rows as f32);
-    out
 }
 
-/// The mean-pooling ablation's pooled representation: per-item row mean,
-/// stacked, then meaned again (`mean_pool` in [`crate::matcher`]).
-fn mean_pool_value(parts: &[&Matrix], cols: usize) -> Matrix {
-    let per_item: Vec<Matrix> = parts.iter().map(|p| mean_rows_of(&[p], cols)).collect();
-    let refs: Vec<&Matrix> = per_item.iter().collect();
-    mean_rows_of(&refs, cols)
+/// A score grid of `n` rows by `m` columns inside a larger buffer: element
+/// `(i, j)` is `data[off + i * row_stride + j * col_stride]`. Lets the
+/// pooling read the line scores straight out of the columns of the
+/// candidate's score product.
+#[derive(Clone, Copy)]
+struct Grid<'g> {
+    data: &'g [f32],
+    off: usize,
+    row_stride: usize,
+    col_stride: usize,
+    n: usize,
+    m: usize,
 }
 
-/// Relevance-weighted pooling over pre-scaled attention scores: given
-/// `scores = (own·Wq)(other·Wk)ᵀ / sqrt(K)` for one pooling group, reduce
-/// `own` (n x K) to `1 x K` exactly as `relevance_pool` does on the tape.
-fn attention_pool_into(out_row: &mut [f32], own: &Matrix, scores: &Matrix) {
-    let n = own.rows();
-    debug_assert_eq!(scores.rows(), n);
-    let mut attn = scores.clone();
-    softmax_rows_in_place(&mut attn);
+impl Grid<'_> {
+    #[inline]
+    fn at(&self, i: usize, j: usize) -> f32 {
+        self.data[self.off + i * self.row_stride + j * self.col_stride]
+    }
+}
+
+/// Relevance-weighted pooling over pre-scaled attention scores: reduces
+/// the `n` rows of `own` (`n x K`, row-major) to `out` (`K`) exactly as
+/// `relevance_pool` does on the tape, given `scores = (own·Wq)(other·Wk)ᵀ /
+/// sqrt(K)`. `e` (≥ `m`) and `rel` (≥ `n`) are scratch.
+fn attention_pool(out: &mut [f32], own: &[f32], scores: Grid<'_>, e: &mut [f32], rel: &mut [f32]) {
+    let (n, m) = (scores.n, scores.m);
     // Smooth per-row max: attention-weighted mean of the row's own scores.
-    let mut row_rel = vec![0.0f32; n];
-    for (i, rel) in row_rel.iter_mut().enumerate() {
-        *rel = attn
-            .row(i)
+    for (i, rel_i) in rel[..n].iter_mut().enumerate() {
+        let max = (0..m).fold(f32::NEG_INFINITY, |acc, j| acc.max(scores.at(i, j)));
+        let mut denom = 0.0;
+        for (j, ej) in e[..m].iter_mut().enumerate() {
+            *ej = (scores.at(i, j) - max).exp();
+            denom += *ej;
+        }
+        *rel_i = e[..m]
             .iter()
-            .zip(scores.row(i))
-            .map(|(&a, &s)| a * s)
+            .enumerate()
+            .map(|(j, &ej)| ej / denom * scores.at(i, j))
             .sum();
     }
     // weights = softmax over the per-row relevances.
-    let max = row_rel.iter().fold(f32::NEG_INFINITY, |acc, &x| acc.max(x));
+    let rel = &mut rel[..n];
+    let max = rel.iter().fold(f32::NEG_INFINITY, |acc, &x| acc.max(x));
     let mut denom = 0.0;
-    for w in row_rel.iter_mut() {
+    for w in rel.iter_mut() {
         *w = (*w - max).exp();
         denom += *w;
     }
-    for o in out_row.iter_mut() {
-        *o = 0.0;
-    }
-    for (i, &w) in row_rel.iter().enumerate() {
+    out.fill(0.0);
+    for (&w, row) in rel.iter().zip(own.chunks_exact(out.len())) {
         let w = w / denom;
-        for (o, &x) in out_row.iter_mut().zip(own.row(i)) {
+        for (o, &x) in out.iter_mut().zip(row) {
             *o += w * x;
         }
     }
 }
 
+/// One staged candidate of the current block.
+#[derive(Clone, Copy)]
+struct Staged {
+    /// First row of the candidate's line representations in
+    /// [`ScoreScratch::reps`]; its column representations follow them.
+    base: usize,
+    /// Number of (range-filtered) columns.
+    cols: usize,
+}
+
+/// Reusable buffers for [`QueryScorer::score_into`]: one per worker chunk,
+/// never shared between threads. Every buffer is resized, not reallocated,
+/// per block, so once a block of the largest shape has been scored no
+/// further allocation happens. At `FcmConfig::small()` a block of four-
+/// column candidates needs about 20 KiB in all.
+#[derive(Default)]
+pub struct ScoreScratch {
+    /// Range-filtered column indices of the candidate being staged.
+    cols: Vec<usize>,
+    /// The candidate's segment score product, `T x 2V`.
+    seg_scores: Vec<f32>,
+    /// Softmax numerators of one score row.
+    e: Vec<f32>,
+    /// Per-row relevances of one pooling group.
+    rel: Vec<f32>,
+    /// Per block slot: the staged candidate, or `None` (no columns).
+    staged: Vec<Option<Staged>>,
+    /// HCMAN: the block's line and column representations, `rows x K`.
+    reps: Vec<f32>,
+    /// HCMAN: LL-SAN query / key projections of `reps`.
+    proj_q: Vec<f32>,
+    proj_k: Vec<f32>,
+    /// LL-SAN line-to-column scores of one candidate.
+    ll_scores: Vec<f32>,
+    /// Per staged candidate: `[v_rep | t_rep]`, `2K` wide.
+    vt: Vec<f32>,
+    /// Per staged candidate: the pooled table embedding (cosine term).
+    t_pooled: Vec<f32>,
+    /// The head's input rows and its layer outputs (ping-pong).
+    head: [Vec<f32>; 2],
+}
+
 /// One query's hoisted state for scoring many candidates.
 ///
-/// Build once per query (after `FcmModel::encode_query_values`), then call
-/// [`QueryScorer::score_table`] for each candidate — from any thread; the
-/// scorer is `Sync` and scoring is read-only.
+/// Build once per query (after `FcmModel::encode_query_values`), then
+/// score candidates with [`QueryScorer::score_all`] (a whole candidate
+/// list, fanned out over the pool), [`QueryScorer::score_into`] (one
+/// worker's share, with its own [`ScoreScratch`]) or
+/// [`QueryScorer::score_table`] (one table). The scorer is `Sync` and
+/// scoring is read-only.
 pub struct QueryScorer<'a> {
     model: &'a FcmModel,
     /// Per-line segment encodings (`V_i x K` each), borrowed from the caller.
     ev: &'a [Matrix],
-    /// Row span of each line inside the concatenated panel.
+    /// Row span of each line inside the concatenated line segments.
     line_spans: Vec<(usize, usize)>,
-    /// SL-SAN query projection of all line segments (`V x K`); `None` in
-    /// the mean-pooling ablation.
-    q_sl_v: Option<Matrix>,
-    /// SL-SAN key projection of all line segments (`V x K`) — the keys the
-    /// candidate's columns attend over.
-    k_sl_v: Option<Matrix>,
+    /// Total line segments `V`.
+    v_rows: usize,
+    /// HCMAN only: `[Aᵀ | M] / sqrt(K)` (`K x 2V`, see the module docs) —
+    /// a candidate panel times this is `[scores_vᵀ | scores_t]`.
+    seg_operand: Option<Matrix>,
     /// Ablation only: `mean_pool(ev)`.
     v_mean_pooled: Option<Matrix>,
     /// Mean over all line-segment rows (`1 x K`) — the cosine-term chart
@@ -155,71 +309,54 @@ impl<'a> QueryScorer<'a> {
     pub fn new(model: &'a FcmModel, ev: &'a [Matrix]) -> Self {
         assert!(!ev.is_empty(), "QueryScorer: no query lines");
         let k = model.config.embed_dim;
+        let scale = 1.0 / (k as f32).sqrt();
         let refs: Vec<&Matrix> = ev.iter().collect();
-        let ev_concat = Matrix::concat_rows(&refs);
         let mut line_spans = Vec::with_capacity(ev.len());
-        let mut acc = 0;
+        let mut v_rows = 0;
         for m in ev {
-            line_spans.push((acc, m.rows()));
-            acc += m.rows();
+            line_spans.push((v_rows, m.rows()));
+            v_rows += m.rows();
         }
-        let (q_sl_v, k_sl_v, v_mean_pooled) = match &model.matcher.sl_proj {
-            Some((wq, wk)) => (
-                Some(wq.forward_value(&model.store, &ev_concat)),
-                Some(wk.forward_value(&model.store, &ev_concat)),
-                None,
-            ),
-            None => (None, None, Some(mean_pool_value(&refs, k))),
+        let (seg_operand, v_mean_pooled) = match &model.matcher.sl_proj {
+            Some((wq, wk)) => {
+                let (wq_w, bq) = wq.params(&model.store);
+                let (wk_w, bk) = wk.params(&model.store);
+                // The fold is exact only for bias-free projections, which
+                // is how the matcher builds them.
+                assert!(
+                    bq.is_none() && bk.is_none(),
+                    "QueryScorer: SL-SAN projections must be bias-free"
+                );
+                let ev_concat = Matrix::concat_rows(&refs);
+                let q_v = wq.forward_value(&model.store, &ev_concat); // V x K
+                let k_v = wk.forward_value(&model.store, &ev_concat); // V x K
+                let a_v = q_v.matmul_nt(wk_w); // V x K: scores_v = a_v · panelᵀ
+                let m_t = wq_w.matmul_nt(&k_v); // K x V: scores_t = panel · m_t
+                let mut op = Matrix::zeros(k, 2 * v_rows);
+                for kk in 0..k {
+                    let row = op.row_mut(kk);
+                    for v in 0..v_rows {
+                        row[v] = a_v.get(v, kk) * scale;
+                        row[v_rows + v] = m_t.get(kk, v) * scale;
+                    }
+                }
+                (Some(op), None)
+            }
+            None => (None, Some(mean_pool_value(&refs, k))),
         };
         let v_pooled = mean_rows_of(&refs, k);
-        let qn = log_norm(&v_pooled);
+        let qn = log_norm(v_pooled.as_slice());
         QueryScorer {
             model,
             ev,
             line_spans,
-            q_sl_v,
-            k_sl_v,
+            v_rows,
+            seg_operand,
             v_mean_pooled,
             v_pooled,
             qn,
-            scale: 1.0 / (k as f32).sqrt(),
+            scale,
         }
-    }
-
-    /// Scores the query against one cached repository table, with the same
-    /// column range filter and centering semantics as
-    /// `scoring::score_against_centered`.
-    pub fn score_table(
-        &self,
-        repo: &EncodedRepository,
-        query: &ProcessedQuery,
-        table_idx: usize,
-        pooled_mean: &Matrix,
-    ) -> f32 {
-        self.score_table_parts(
-            &repo.tables[table_idx],
-            &repo.encodings[table_idx],
-            query,
-            pooled_mean,
-        )
-    }
-
-    /// [`Self::score_table`] over borrowed table parts, for callers whose
-    /// tables don't live in an [`EncodedRepository`] (the tiered engine
-    /// materializes cold candidates one at a time).
-    pub fn score_table_parts(
-        &self,
-        pt: &ProcessedTable,
-        encodings: &[Matrix],
-        query: &ProcessedQuery,
-        pooled_mean: &Matrix,
-    ) -> f32 {
-        let cols = filter_columns(pt, query.y_range, self.model.config.range_slack);
-        let et: Vec<&Matrix> = cols.iter().map(|&c| &encodings[c]).collect();
-        if et.is_empty() {
-            return 0.0;
-        }
-        self.score_encodings_centered(&et, pooled_mean)
     }
 
     /// The hoisted query-side pooled embedding (`1 x K` mean over all line
@@ -228,150 +365,410 @@ impl<'a> QueryScorer<'a> {
         &self.v_pooled
     }
 
-    /// Raw relevance score against one candidate's column encodings,
-    /// centered on `t_center`. Equals
-    /// `FcmModel::match_cached_centered(ev, et, Some(t_center))` to float
-    /// tolerance.
-    pub fn score_encodings_centered(&self, et: &[&Matrix], t_center: &Matrix) -> f32 {
-        match self.score_encodings(et) {
-            Some(head_logit) => pooled_logit_to_score(head_logit, t_center, self, et),
-            None => 0.0,
+    /// Scores the query against one cached repository table, with the same
+    /// column range filter and centering semantics as
+    /// `scoring::score_against_centered`: [`QueryScorer::score_into`] with
+    /// a block of one and a fresh scratch.
+    pub fn score_table(
+        &self,
+        repo: &EncodedRepository,
+        query: &ProcessedQuery,
+        table_idx: usize,
+        pooled_mean: &Matrix,
+    ) -> f32 {
+        let mut out = [0.0f32];
+        self.score_into(
+            &[table_idx],
+            query,
+            pooled_mean,
+            &mut ScoreScratch::default(),
+            &mut out,
+            |&i| (&repo.tables[i], &repo.encodings[i][..]),
+        );
+        out[0]
+    }
+
+    /// Scores every item of `items` — fanned out over the work pool, one
+    /// chunk and one [`ScoreScratch`] per worker — and returns the scores
+    /// in order. `parts` maps an item to the candidate's processed table
+    /// and column encodings; it may materialize them (the cold tier does),
+    /// since each candidate is dropped as soon as it is staged.
+    pub fn score_all<T, P, E>(
+        &self,
+        items: &[T],
+        query: &ProcessedQuery,
+        center: &Matrix,
+        parts: impl Fn(&T) -> (P, E) + Sync,
+    ) -> Vec<f32>
+    where
+        T: Sync,
+        P: Deref<Target = ProcessedTable>,
+        E: Deref<Target = [Matrix]>,
+    {
+        pool::par_chunks(items, |_, chunk| {
+            let mut out = vec![0.0f32; chunk.len()];
+            self.score_into(
+                chunk,
+                query,
+                center,
+                &mut ScoreScratch::default(),
+                &mut out,
+                &parts,
+            );
+            out
+        })
+    }
+
+    /// Scores `items` in blocks of [`BLOCK`] through `scratch`, writing
+    /// `out[i]` for `items[i]`: the raw relevance of the query against the
+    /// candidate's range-filtered columns, centered on `center`, or 0 for a
+    /// candidate with no columns. Equals
+    /// `FcmModel::match_cached_centered(ev, filtered columns,
+    /// Some(center))` to float tolerance, and each score's bits depend only
+    /// on the query, that candidate and `center`.
+    pub fn score_into<T, P, E>(
+        &self,
+        items: &[T],
+        query: &ProcessedQuery,
+        center: &Matrix,
+        scratch: &mut ScoreScratch,
+        out: &mut [f32],
+        parts: impl Fn(&T) -> (P, E),
+    ) where
+        P: Deref<Target = ProcessedTable>,
+        E: Deref<Target = [Matrix]>,
+    {
+        assert_eq!(items.len(), out.len(), "score_into: one output per item");
+        let k = self.model.config.embed_dim;
+        assert_eq!(center.cols(), k, "score_into: center width");
+        for (block, out) in items.chunks(BLOCK).zip(out.chunks_mut(BLOCK)) {
+            scratch.staged.clear();
+            scratch.reps.clear();
+            scratch.vt.clear();
+            scratch.t_pooled.clear();
+            for item in block {
+                let (pt, enc) = parts(item);
+                self.stage(&pt, &enc, query, scratch);
+            }
+            self.finish_block(center, scratch, out);
         }
     }
 
-    /// The matcher head's logit for `et` (everything except the cosine
-    /// alignment term, which depends on the centering reference).
-    fn score_encodings(&self, et: &[&Matrix]) -> Option<f32> {
-        if et.is_empty() {
-            return None;
-        }
+    /// The per-candidate stage: filters the columns, then computes the
+    /// pooled table embedding and either the SL-SAN line and column
+    /// representations (HCMAN) or both mean-pooled representations
+    /// (ablation), appending them to the block in `sc`.
+    fn stage(
+        &self,
+        pt: &ProcessedTable,
+        enc: &[Matrix],
+        query: &ProcessedQuery,
+        sc: &mut ScoreScratch,
+    ) {
         let model = self.model;
         let k = model.config.embed_dim;
-        let (v_rep, t_rep) = match (&model.matcher.sl_proj, &model.matcher.ll_proj) {
-            (Some((wq, wk)), Some(ll)) => {
-                // Pack the candidate's columns into one contiguous panel so
-                // both SL-SAN projections and both score GEMMs are single
-                // kernel calls over the whole candidate.
-                let panel_storage;
-                let panel: &Matrix = if et.len() == 1 {
-                    et[0]
-                } else {
-                    panel_storage = Matrix::concat_rows(et);
-                    &panel_storage
-                };
-                let mut col_spans = Vec::with_capacity(et.len());
-                let mut acc = 0;
-                for m in et {
-                    col_spans.push((acc, m.rows()));
-                    acc += m.rows();
-                }
-                let q_t = wq.forward_value(&model.store, panel);
-                let k_t = wk.forward_value(&model.store, panel);
-                let q_v = self.q_sl_v.as_ref().expect("hcman hoist");
-                let k_v = self.k_sl_v.as_ref().expect("hcman hoist");
+        sc.cols.clear();
+        sc.cols
+            .extend(kept_columns(pt, query.y_range, model.config.range_slack));
+        if sc.cols.is_empty() {
+            sc.staged.push(None);
+            return;
+        }
+        let cols = &sc.cols;
 
-                // Batched score GEMMs: every line's (and every column's)
-                // attention scores in one matmul_nt against the packed panel.
-                let mut scores_v = q_v.matmul_nt(&k_t); // V x T
-                scores_v.scale_assign(self.scale);
-                let mut scores_t = q_t.matmul_nt(k_v); // T x V
-                scores_t.scale_assign(self.scale);
+        // Pooled table embedding for the cosine term: the mean over every
+        // kept segment row, summed in order.
+        let t_rows: usize = cols.iter().map(|&c| enc[c].rows()).sum();
+        let tp0 = sc.t_pooled.len();
+        sc.t_pooled.resize(tp0 + k, 0.0);
+        let t_pooled = &mut sc.t_pooled[tp0..];
+        for &c in cols {
+            add_rows(t_pooled, enc[c].as_slice());
+        }
+        let inv = 1.0 / t_rows as f32;
+        for x in t_pooled.iter_mut() {
+            *x *= inv;
+        }
 
-                // SL-SAN: reconstruct each line / column from its own
-                // segments, weighted by cross-modal segment relevance.
-                let mut lines_mat = Matrix::zeros(self.ev.len(), k);
-                for (i, &(start, len)) in self.line_spans.iter().enumerate() {
-                    let s = scores_v.slice_rows(start, start + len);
-                    attention_pool_into(lines_mat.row_mut(i), &self.ev[i], &s);
+        let Some(op) = &self.seg_operand else {
+            // Ablation: v = mean_pool(ev) (hoisted), t = mean_pool(et).
+            let vt0 = sc.vt.len();
+            sc.vt.resize(vt0 + 2 * k, 0.0);
+            let (v_rep, t_rep) = sc.vt[vt0..].split_at_mut(k);
+            v_rep.copy_from_slice(
+                self.v_mean_pooled
+                    .as_ref()
+                    .expect("ablation hoist")
+                    .as_slice(),
+            );
+            for &c in cols {
+                // Per-column row mean, accumulated into t_rep.
+                let m = &enc[c];
+                let inv = 1.0 / m.rows() as f32;
+                for (kk, t) in t_rep.iter_mut().enumerate() {
+                    let s = (0..m.rows()).fold(0.0f32, |s, r| s + m.get(r, kk));
+                    *t += s * inv;
                 }
-                let mut cols_mat = Matrix::zeros(et.len(), k);
-                for (j, &(start, len)) in col_spans.iter().enumerate() {
-                    let s = scores_t.slice_rows(start, start + len);
-                    attention_pool_into(cols_mat.row_mut(j), et[j], &s);
-                }
-
-                // LL-SAN: chart from its lines, table from its columns.
-                let q_l = ll.0.forward_value(&model.store, &lines_mat);
-                let k_l = ll.1.forward_value(&model.store, &lines_mat);
-                let q_c = ll.0.forward_value(&model.store, &cols_mat);
-                let k_c = ll.1.forward_value(&model.store, &cols_mat);
-                let mut s_v = q_l.matmul_nt(&k_c);
-                s_v.scale_assign(self.scale);
-                let mut s_t = q_c.matmul_nt(&k_l);
-                s_t.scale_assign(self.scale);
-                let mut v_rep = Matrix::zeros(1, k);
-                attention_pool_into(v_rep.row_mut(0), &lines_mat, &s_v);
-                let mut t_rep = Matrix::zeros(1, k);
-                attention_pool_into(t_rep.row_mut(0), &cols_mat, &s_t);
-                (v_rep, t_rep)
             }
-            _ => (
-                self.v_mean_pooled.as_ref().expect("ablation hoist").clone(),
-                mean_pool_value(et, k),
-            ),
+            let inv = 1.0 / cols.len() as f32;
+            for x in t_rep.iter_mut() {
+                *x *= inv;
+            }
+            sc.staged.push(Some(Staged {
+                base: 0,
+                cols: cols.len(),
+            }));
+            return;
         };
-        let v_rep = model.matcher.v_norm.forward_value(&model.store, &v_rep);
-        let t_rep = model.matcher.t_norm.forward_value(&model.store, &t_rep);
-        // joint = [v, t, v*t, (v-t)^2], 1 x 4K.
-        let mut joint = Vec::with_capacity(4 * k);
-        joint.extend_from_slice(v_rep.as_slice());
-        joint.extend_from_slice(t_rep.as_slice());
-        joint.extend(
-            v_rep
-                .as_slice()
-                .iter()
-                .zip(t_rep.as_slice())
-                .map(|(&v, &t)| v * t),
-        );
-        joint.extend(
-            v_rep
-                .as_slice()
-                .iter()
-                .zip(t_rep.as_slice())
-                .map(|(&v, &t)| {
-                    let d = v - t;
-                    d * d
-                }),
-        );
-        let joint = Matrix::from_vec(1, 4 * k, joint);
-        Some(
-            model
-                .matcher
-                .head
-                .forward_value(&model.store, &joint)
-                .get(0, 0),
-        )
+
+        // One product for every segment score of the candidate:
+        // seg_scores[t] = panel[t] · [Aᵀ | M] = [scores_v[., t] | scores_t[t, .]].
+        let v = self.v_rows;
+        let w = 2 * v;
+        sc.seg_scores.resize(t_rows * w, 0.0);
+        let mut t0 = 0;
+        for &c in cols {
+            let m = &enc[c];
+            rows_matmul(
+                &mut sc.seg_scores[t0 * w..(t0 + m.rows()) * w],
+                m.as_slice(),
+                op.as_slice(),
+                None,
+                k,
+                w,
+            );
+            t0 += m.rows();
+        }
+        let widest = t_rows.max(v);
+        if sc.e.len() < widest {
+            sc.e.resize(widest, 0.0);
+        }
+        let longest = self
+            .line_spans
+            .iter()
+            .map(|s| s.1)
+            .chain(cols.iter().map(|&c| enc[c].rows()))
+            .max()
+            .unwrap_or(0);
+        if sc.rel.len() < longest {
+            sc.rel.resize(longest, 0.0);
+        }
+
+        // SL-SAN: each line / column reconstructed from its own segments,
+        // weighted by cross-modal segment relevance.
+        let base = sc.reps.len() / k;
+        sc.reps.resize((base + self.ev.len() + cols.len()) * k, 0.0);
+        let mut reps = sc.reps[base * k..].chunks_exact_mut(k);
+        for (i, &(v0, len)) in self.line_spans.iter().enumerate() {
+            // Line i's scores are columns v0..v0+len of the product.
+            let grid = Grid {
+                data: &sc.seg_scores,
+                off: v0,
+                row_stride: 1,
+                col_stride: w,
+                n: len,
+                m: t_rows,
+            };
+            let out = reps.next().expect("line rep row");
+            attention_pool(out, self.ev[i].as_slice(), grid, &mut sc.e, &mut sc.rel);
+        }
+        let mut t0 = 0;
+        for &c in cols {
+            let m = &enc[c];
+            let grid = Grid {
+                data: &sc.seg_scores,
+                off: t0 * w + v,
+                row_stride: w,
+                col_stride: 1,
+                n: m.rows(),
+                m: v,
+            };
+            let out = reps.next().expect("column rep row");
+            attention_pool(out, m.as_slice(), grid, &mut sc.e, &mut sc.rel);
+            t0 += m.rows();
+        }
+        sc.staged.push(Some(Staged {
+            base,
+            cols: cols.len(),
+        }));
+    }
+
+    /// The block stage: LL-SAN over every staged candidate's line and
+    /// column representations (HCMAN), then both LayerNorms, the relevance
+    /// head and the centered cosine term, writing one score per slot.
+    fn finish_block(&self, center: &Matrix, sc: &mut ScoreScratch, out: &mut [f32]) {
+        let model = self.model;
+        let store = &model.store;
+        let k = model.config.embed_dim;
+        let n_staged = sc.t_pooled.len() / k;
+
+        if let Some(ll) = &model.matcher.ll_proj {
+            // One projection per LL-SAN weight over the whole block.
+            let rows = sc.reps.len() / k;
+            sc.proj_q.resize(rows * k, 0.0);
+            sc.proj_k.resize(rows * k, 0.0);
+            let (wq, bq) = ll.0.params(store);
+            let (wk, bk) = ll.1.params(store);
+            rows_matmul(
+                &mut sc.proj_q,
+                &sc.reps,
+                wq.as_slice(),
+                bq.map(Matrix::as_slice),
+                k,
+                k,
+            );
+            rows_matmul(
+                &mut sc.proj_k,
+                &sc.reps,
+                wk.as_slice(),
+                bk.map(Matrix::as_slice),
+                k,
+                k,
+            );
+            sc.vt.resize(n_staged * 2 * k, 0.0);
+            let n_lines = self.ev.len();
+            let mut vt_rows = sc.vt.chunks_exact_mut(2 * k);
+            for s in sc.staged.iter().flatten() {
+                let (lines, cols) = (s.base, s.base + n_lines);
+                let n_cols = s.cols;
+                let (v_rep, t_rep) = vt_rows.next().expect("staged row").split_at_mut(k);
+                let need = n_lines.max(n_cols);
+                if sc.e.len() < need {
+                    sc.e.resize(need, 0.0);
+                }
+                if sc.rel.len() < need {
+                    sc.rel.resize(need, 0.0);
+                }
+                sc.ll_scores.resize(n_lines * n_cols, 0.0);
+                // Chart from its lines: s_v = q_l · k_cᵀ / sqrt(K).
+                for i in 0..n_lines {
+                    for j in 0..n_cols {
+                        sc.ll_scores[i * n_cols + j] =
+                            dot(row(&sc.proj_q, lines + i, k), row(&sc.proj_k, cols + j, k))
+                                * self.scale;
+                    }
+                }
+                let grid = Grid {
+                    data: &sc.ll_scores,
+                    off: 0,
+                    row_stride: n_cols,
+                    col_stride: 1,
+                    n: n_lines,
+                    m: n_cols,
+                };
+                attention_pool(
+                    v_rep,
+                    &sc.reps[lines * k..cols * k],
+                    grid,
+                    &mut sc.e,
+                    &mut sc.rel,
+                );
+                // Table from its columns: s_t = q_c · k_lᵀ / sqrt(K).
+                for j in 0..n_cols {
+                    for i in 0..n_lines {
+                        sc.ll_scores[j * n_lines + i] =
+                            dot(row(&sc.proj_q, cols + j, k), row(&sc.proj_k, lines + i, k))
+                                * self.scale;
+                    }
+                }
+                let grid = Grid {
+                    data: &sc.ll_scores,
+                    off: 0,
+                    row_stride: n_lines,
+                    col_stride: 1,
+                    n: n_cols,
+                    m: n_lines,
+                };
+                attention_pool(
+                    t_rep,
+                    &sc.reps[cols * k..(cols + n_cols) * k],
+                    grid,
+                    &mut sc.e,
+                    &mut sc.rel,
+                );
+            }
+        }
+
+        // joint = [v, t, v*t, (v-t)^2] per staged candidate, after the norms.
+        let [joint, hidden] = &mut sc.head;
+        joint.resize(n_staged * 4 * k, 0.0);
+        for (vt, j) in sc.vt.chunks_exact(2 * k).zip(joint.chunks_exact_mut(4 * k)) {
+            let (v_rep, t_rep) = vt.split_at(k);
+            let (vn, rest) = j.split_at_mut(k);
+            let (tn, rest) = rest.split_at_mut(k);
+            let (prod, diff_sq) = rest.split_at_mut(k);
+            model.matcher.v_norm.forward_row(store, v_rep, vn);
+            model.matcher.t_norm.forward_row(store, t_rep, tn);
+            for (((p, d), &v), &t) in prod.iter_mut().zip(diff_sq).zip(&*vn).zip(&*tn) {
+                *p = v * t;
+                *d = (v - t) * (v - t);
+            }
+        }
+        let (layers, activation) = model.matcher.head.layers();
+        let (mut cur, mut next) = (joint, hidden);
+        for (li, layer) in layers.iter().enumerate() {
+            let (w, b) = layer.params(store);
+            next.resize(n_staged * w.cols(), 0.0);
+            rows_matmul(
+                next,
+                &cur[..],
+                w.as_slice(),
+                b.map(Matrix::as_slice),
+                w.rows(),
+                w.cols(),
+            );
+            if li + 1 < layers.len() {
+                for x in next.iter_mut() {
+                    *x = activation.apply_value(*x);
+                }
+            }
+            std::mem::swap(&mut cur, &mut next);
+        }
+        let logits = cur;
+        debug_assert_eq!(logits.len(), n_staged, "head must end in one logit");
+
+        let w = store.value(model.matcher.sim_weight).get(0, 0);
+        let mut staged = 0;
+        for (o, s) in out.iter_mut().zip(&sc.staged) {
+            *o = match s {
+                None => 0.0,
+                Some(_) => {
+                    let t_pooled = &mut sc.t_pooled[staged * k..(staged + 1) * k];
+                    // Center in place: the pooled row is not read again.
+                    for (x, &c) in t_pooled.iter_mut().zip(center.as_slice()) {
+                        *x -= c;
+                    }
+                    let dot = dot(self.v_pooled.as_slice(), t_pooled);
+                    let inv = (-(self.qn + log_norm(t_pooled))).exp();
+                    let logit = logits[staged] + dot * inv * w;
+                    staged += 1;
+                    1.0 / (1.0 + (-logit).exp())
+                }
+            };
+        }
     }
 }
 
-/// Adds the centered cosine alignment term to the head logit and squashes:
-/// `sigmoid(head + w * cos(v_pooled, t_pooled - center))`.
-fn pooled_logit_to_score(
-    head_logit: f32,
-    t_center: &Matrix,
-    scorer: &QueryScorer<'_>,
-    et: &[&Matrix],
-) -> f32 {
-    let k = scorer.model.config.embed_dim;
-    let t_pooled = mean_rows_of(et, k);
-    let t_centered = t_pooled.zip(t_center, |x, y| x - y);
-    let dot: f32 = scorer
-        .v_pooled
-        .as_slice()
-        .iter()
-        .zip(t_centered.as_slice())
-        .map(|(&q, &c)| q * c)
-        .sum();
-    let cn = log_norm(&t_centered);
-    let inv = (-(scorer.qn + cn)).exp();
-    let cos = dot * inv;
-    let w = scorer
-        .model
-        .store
-        .value(scorer.model.matcher.sim_weight)
-        .get(0, 0);
-    let logit = head_logit + cos * w;
-    1.0 / (1.0 + (-logit).exp())
+/// Mean over all rows of the matrices in `parts`, taken in order — the
+/// value of `Var::concat_rows(parts).mean_rows()`.
+fn mean_rows_of(parts: &[&Matrix], cols: usize) -> Matrix {
+    let mut out = Matrix::zeros(1, cols);
+    let mut rows = 0usize;
+    for p in parts {
+        add_rows(out.as_mut_slice(), p.as_slice());
+        rows += p.rows();
+    }
+    assert!(rows > 0, "mean_rows: empty matrix");
+    out.scale_assign(1.0 / rows as f32);
+    out
+}
+
+/// The mean-pooling ablation's pooled representation: per-item row mean,
+/// stacked, then meaned again (`mean_pool` in [`crate::matcher`]).
+fn mean_pool_value(parts: &[&Matrix], cols: usize) -> Matrix {
+    let per_item: Vec<Matrix> = parts.iter().map(|p| mean_rows_of(&[p], cols)).collect();
+    let refs: Vec<&Matrix> = per_item.iter().collect();
+    mean_rows_of(&refs, cols)
 }
 
 #[cfg(test)]
@@ -394,13 +791,50 @@ mod tests {
             .collect()
     }
 
-    fn parity_case(hcman: bool, n_lines: usize, n_cols: usize) {
-        let mut cfg = FcmConfig::tiny();
+    /// A candidate whose columns all pass the range filter.
+    fn table(n_cols: usize) -> ProcessedTable {
+        ProcessedTable {
+            table_id: 0,
+            column_segments: vec![Matrix::zeros(1, 1); n_cols],
+            column_ranges: vec![(0.0, 1.0); n_cols],
+        }
+    }
+
+    fn no_range() -> ProcessedQuery {
+        ProcessedQuery {
+            line_patches: Vec::new(),
+            y_range: None,
+        }
+    }
+
+    fn fast_score(scorer: &QueryScorer<'_>, et: &[Matrix], center: &Matrix) -> f32 {
+        let pt = table(et.len());
+        let mut out = [0.0];
+        scorer.score_into(
+            &[()],
+            &no_range(),
+            center,
+            &mut ScoreScratch::default(),
+            &mut out,
+            |_| (&pt, et),
+        );
+        out[0]
+    }
+
+    fn parity_case(mut cfg: FcmConfig, hcman: bool, lines: &[usize], cols: &[usize]) {
         cfg.hcman_enabled = hcman;
         let model = FcmModel::new(cfg);
         let k = model.config.embed_dim;
-        let ev = reps(n_lines, 4, k, 0.0);
-        let et = reps(n_cols, 5, k, 7.0);
+        let ev: Vec<Matrix> = lines
+            .iter()
+            .enumerate()
+            .flat_map(|(i, &rows)| reps(1, rows, k, i as f32 * 3.0))
+            .collect();
+        let et: Vec<Matrix> = cols
+            .iter()
+            .enumerate()
+            .flat_map(|(j, &rows)| reps(1, rows, k, 7.0 + j as f32 * 5.0))
+            .collect();
         let center = Matrix::from_vec(
             1,
             k,
@@ -409,25 +843,37 @@ mod tests {
 
         let tape_score = model.match_cached_centered(&ev, &et, Some(&center));
         let scorer = QueryScorer::new(&model, &ev);
-        let et_refs: Vec<&Matrix> = et.iter().collect();
-        let fast_score = scorer.score_encodings_centered(&et_refs, &center);
+        let fast = fast_score(&scorer, &et, &center);
         assert!(
-            (tape_score - fast_score).abs() < 1e-5,
-            "hcman={hcman} lines={n_lines} cols={n_cols}: tape {tape_score} vs fast {fast_score}"
+            (tape_score - fast).abs() < 1e-5,
+            "hcman={hcman} lines={lines:?} cols={cols:?}: tape {tape_score} vs fast {fast}"
         );
     }
 
     #[test]
     fn fast_path_matches_tape_path_hcman() {
-        parity_case(true, 1, 1);
-        parity_case(true, 2, 3);
-        parity_case(true, 5, 7);
+        parity_case(FcmConfig::tiny(), true, &[4], &[5]);
+        parity_case(FcmConfig::tiny(), true, &[4, 4], &[5, 5, 5]);
+        parity_case(FcmConfig::tiny(), true, &[4; 5], &[5; 7]);
+    }
+
+    #[test]
+    fn fast_path_matches_tape_path_small_config() {
+        // small(): K = 32, 8 segments per line and per column.
+        for lines in [&[8][..], &[8, 8], &[8, 8, 8]] {
+            for n_cols in [1, 2, 4] {
+                parity_case(FcmConfig::small(), true, lines, &vec![8; n_cols]);
+            }
+        }
+        // Ragged shapes exercise the kernel's partial tiles and strips.
+        parity_case(FcmConfig::small(), true, &[3, 8], &[5, 1, 8]);
     }
 
     #[test]
     fn fast_path_matches_tape_path_ablation() {
-        parity_case(false, 1, 1);
-        parity_case(false, 3, 2);
+        parity_case(FcmConfig::tiny(), false, &[4], &[5]);
+        parity_case(FcmConfig::tiny(), false, &[4, 4, 4], &[5, 5]);
+        parity_case(FcmConfig::small(), false, &[8, 8], &[8; 4]);
     }
 
     #[test]
@@ -438,13 +884,48 @@ mod tests {
         let et = reps(4, 5, k, 9.0);
         let center = Matrix::zeros(1, k);
         let scorer = QueryScorer::new(&model, &ev);
-        let et_refs: Vec<&Matrix> = et.iter().collect();
-        let a = scorer.score_encodings_centered(&et_refs, &center);
-        let b = scorer.score_encodings_centered(&et_refs, &center);
+        let a = fast_score(&scorer, &et, &center);
+        let b = fast_score(&scorer, &et, &center);
         assert_eq!(a.to_bits(), b.to_bits());
         // A fresh scorer over the same inputs reproduces the same bits too.
         let scorer2 = QueryScorer::new(&model, &ev);
-        let c = scorer2.score_encodings_centered(&et_refs, &center);
+        let c = fast_score(&scorer2, &et, &center);
         assert_eq!(a.to_bits(), c.to_bits());
+    }
+
+    #[test]
+    fn candidates_without_columns_score_zero() {
+        let model = FcmModel::new(FcmConfig::tiny());
+        let k = model.config.embed_dim;
+        let ev = reps(1, 4, k, 0.0);
+        let scorer = QueryScorer::new(&model, &ev);
+        assert_eq!(fast_score(&scorer, &[], &Matrix::zeros(1, k)), 0.0);
+    }
+
+    #[test]
+    fn rows_matmul_rows_do_not_depend_on_their_neighbours() {
+        // 7 rows x 5 inner x 37 cols: full and partial row tiles, full
+        // strips and a ragged tail.
+        let (rows, k, n) = (7, 5, 37);
+        let a: Vec<f32> = (0..rows * k).map(|i| (i as f32 * 0.71).sin()).collect();
+        let w: Vec<f32> = (0..k * n).map(|i| (i as f32 * 0.29).cos()).collect();
+        let bias: Vec<f32> = (0..n).map(|i| i as f32 * 0.01).collect();
+        let mut all = vec![0.0; rows * n];
+        rows_matmul(&mut all, &a, &w, Some(&bias), k, n);
+        for r in 0..rows {
+            let mut one = vec![0.0; n];
+            rows_matmul(&mut one, &a[r * k..(r + 1) * k], &w, Some(&bias), k, n);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&one), bits(&all[r * n..(r + 1) * n]), "row {r}");
+            for j in 0..n {
+                let want: f32 =
+                    (0..k).map(|kk| a[r * k + kk] * w[kk * n + j]).sum::<f32>() + bias[j];
+                assert!(
+                    (one[j] - want).abs() < 1e-5,
+                    "({r}, {j}): {} vs {want}",
+                    one[j]
+                );
+            }
+        }
     }
 }

@@ -150,23 +150,31 @@ pub fn filter_columns(
     y_range: Option<(f64, f64)>,
     slack: f64,
 ) -> Vec<usize> {
-    let Some((lo, hi)) = y_range else {
-        return (0..processed.column_segments.len()).collect();
+    kept_columns(processed, y_range, slack).collect()
+}
+
+/// [`filter_columns`] as an iterator, for the scorer's allocation-free
+/// candidate loop.
+pub(crate) fn kept_columns(
+    processed: &ProcessedTable,
+    y_range: Option<(f64, f64)>,
+    slack: f64,
+) -> impl Iterator<Item = usize> + '_ {
+    let window = y_range.map(|(lo, hi)| {
+        let span = (hi - lo).abs().max(1e-12);
+        (lo - span * slack, hi + span * slack)
+    });
+    let hit = move |i: usize| {
+        window.is_some_and(|(qlo, qhi)| {
+            processed
+                .column_ranges
+                .get(i)
+                .is_some_and(|&(cmin, cmax)| cmin <= qhi && cmax >= qlo)
+        })
     };
-    let span = (hi - lo).abs().max(1e-12);
-    let (qlo, qhi) = (lo - span * slack, hi + span * slack);
-    let hits: Vec<usize> = processed
-        .column_ranges
-        .iter()
-        .enumerate()
-        .filter(|(_, &(cmin, cmax))| cmin <= qhi && cmax >= qlo)
-        .map(|(i, _)| i)
-        .collect();
-    if hits.is_empty() {
-        (0..processed.column_segments.len()).collect()
-    } else {
-        hits
-    }
+    let n = processed.column_segments.len();
+    let filtering = (0..processed.column_ranges.len()).any(hit);
+    (0..n).filter(move |&i| !filtering || hit(i))
 }
 
 #[cfg(test)]

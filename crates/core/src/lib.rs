@@ -43,7 +43,7 @@ pub mod trainer;
 
 pub use config::FcmConfig;
 pub use error::EngineError;
-pub use fastscore::QueryScorer;
+pub use fastscore::{QueryScorer, ScoreScratch};
 pub use input::{
     column_to_segments, line_to_patches, process_query, process_table, ProcessedQuery,
     ProcessedTable,

@@ -187,14 +187,15 @@ pub fn search_top_k(
         Some(c) => c.to_vec(),
         None => (0..repo.len()).collect(),
     };
-    // One scorer for the whole scan: the query-side SL-SAN projections and
-    // cosine hoists are computed once, then every candidate is scored
-    // tape-free in parallel. Per-candidate scoring is a pure function of
-    // (query, candidate, center), so the fan-out is thread-count invariant.
+    // One scorer for the whole scan: the query-side hoists are computed
+    // once, then every candidate is scored tape-free in blocks across the
+    // pool. A candidate's score is a pure function of (query, candidate,
+    // center), so the fan-out is thread-count invariant.
     let scorer = QueryScorer::new(model, &ev);
-    let mut scored: Vec<(usize, f32)> = pool::par_map(&indices, |&ti| {
-        (ti, scorer.score_table(repo, query, ti, &repo.pooled_mean))
+    let scores = scorer.score_all(&indices, query, &repo.pooled_mean, |&ti| {
+        (&repo.tables[ti], &repo.encodings[ti][..])
     });
+    let mut scored: Vec<(usize, f32)> = indices.into_iter().zip(scores).collect();
     scored.sort_by(|a, b| b.1.total_cmp(&a.1));
     scored.truncate(k);
     scored

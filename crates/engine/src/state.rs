@@ -501,10 +501,11 @@ impl EngineState {
         // Scoring runs in one flat parallel pass over every surviving
         // candidate, so a single-shard engine loses no parallelism and an
         // imbalanced shard cannot straggle the whole query. The scorer
-        // hoists the query-side work once; each candidate is then a
-        // tape-free panel-packed pass whose result depends only on
-        // (query, candidate, center) — never on which worker ran it — so
-        // hits are bit-identical across thread counts and shard layouts.
+        // hoists the query-side work once; each worker then scores its
+        // chunk tape-free, in blocks, through one scratch. A score depends
+        // only on (query, candidate, center) — never on which worker or
+        // block ran it — so hits are bit-identical across thread counts
+        // and shard layouts.
         let t = Instant::now();
         let scorer = QueryScorer::new(model, &ev);
 
@@ -567,11 +568,9 @@ impl EngineState {
 
         let exact_start = Instant::now();
         let pages_before = trace_ctx.map(|_| self.tier_stats().slots_paged_in);
-        let scored: Vec<f32> = pool::par_map(&flat, |&(s, l)| {
+        let scored = scorer.score_all(&flat, &pq, &self.pooled_mean, |&(s, l)| {
             let sh = &self.shards[s as usize];
-            let pt = sh.slot_table(l as usize);
-            let enc = sh.slot_encodings(l as usize);
-            scorer.score_table_parts(&pt, &enc, &pq, &self.pooled_mean)
+            (sh.slot_table(l as usize), sh.slot_encodings(l as usize))
         });
         let exact_d = exact_start.elapsed();
         let merge_start = Instant::now();

@@ -50,21 +50,30 @@ impl LayerNorm {
             self.dim,
             "LayerNorm::forward_value: width mismatch"
         );
-        let gm = store.value(self.gamma);
-        let bt = store.value(self.beta);
-        let (rows, cols) = x.shape();
-        let mut out = Matrix::zeros(rows, cols);
-        for r in 0..rows {
-            let row = x.row(r);
-            let mean = row.iter().sum::<f32>() / cols as f32;
-            let var = row.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / cols as f32;
-            let istd = 1.0 / (var + self.eps).sqrt();
-            for (c, &xv) in row.iter().enumerate() {
-                let xh = (xv - mean) * istd;
-                out.set(r, c, gm.get(0, c) * xh + bt.get(0, c));
-            }
+        let mut out = Matrix::zeros(x.rows(), x.cols());
+        for r in 0..x.rows() {
+            self.forward_row(store, x.row(r), out.row_mut(r));
         }
         out
+    }
+
+    /// [`LayerNorm::forward_value`] of one row, written into `out` — the
+    /// allocation-free form for callers that keep their own buffers.
+    pub fn forward_row(&self, store: &ParamStore, row: &[f32], out: &mut [f32]) {
+        assert!(
+            row.len() == self.dim && out.len() == self.dim,
+            "LayerNorm::forward_row: width mismatch"
+        );
+        let gm = store.value(self.gamma).as_slice();
+        let bt = store.value(self.beta).as_slice();
+        let cols = self.dim as f32;
+        let mean = row.iter().sum::<f32>() / cols;
+        let var = row.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / cols;
+        let istd = 1.0 / (var + self.eps).sqrt();
+        for (c, (o, &xv)) in out.iter_mut().zip(row).enumerate() {
+            let xh = (xv - mean) * istd;
+            *o = gm[c] * xh + bt[c];
+        }
     }
 }
 

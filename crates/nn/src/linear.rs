@@ -47,6 +47,13 @@ impl Linear {
         self.out_dim
     }
 
+    /// The weight matrix `W` (`in_dim x out_dim`) and the bias row, if the
+    /// layer has one — for value-level callers that fold the layer into
+    /// products of their own instead of applying it row by row.
+    pub fn params<'s>(&self, store: &'s ParamStore) -> (&'s Matrix, Option<&'s Matrix>) {
+        (store.value(self.w), self.b.map(|b| store.value(b)))
+    }
+
     /// Applies the layer.
     pub fn forward(&self, store: &ParamStore, tape: &Tape, x: &Var) -> Var {
         assert_eq!(

@@ -49,6 +49,13 @@ impl Mlp {
         Mlp { layers, activation }
     }
 
+    /// The layers in order, and the activation applied between
+    /// consecutive layers — for value-level callers that run the network
+    /// over buffers of their own.
+    pub fn layers(&self) -> (&[Linear], Activation) {
+        (&self.layers, self.activation)
+    }
+
     /// Input feature width.
     pub fn in_dim(&self) -> usize {
         self.layers.first().expect("non-empty").in_dim()

@@ -31,12 +31,24 @@ impl Activation {
     /// pass, so inference paths built on this are bit-identical to the
     /// tape path.
     pub fn apply_matrix(self, x: &Matrix) -> Matrix {
+        x.map(|v| self.apply_value(v))
+    }
+
+    /// The activation of one element, as [`Activation::apply_matrix`]
+    /// computes it.
+    pub fn apply_value(self, v: f32) -> f32 {
         match self {
-            Activation::Identity => x.clone(),
-            Activation::Relu => x.map(|v| v.max(0.0)),
-            Activation::LeakyRelu(a) => x.map(|v| if v > 0.0 { v } else { a * v }),
-            Activation::Sigmoid => x.map(|v| 1.0 / (1.0 + (-v).exp())),
-            Activation::Tanh => x.map(f32::tanh),
+            Activation::Identity => v,
+            Activation::Relu => v.max(0.0),
+            Activation::LeakyRelu(a) => {
+                if v > 0.0 {
+                    v
+                } else {
+                    a * v
+                }
+            }
+            Activation::Sigmoid => 1.0 / (1.0 + (-v).exp()),
+            Activation::Tanh => v.tanh(),
         }
     }
 }

@@ -146,9 +146,11 @@ fn zero_fraction(data: &[f32]) -> f64 {
 ///
 /// Writing into caller-provided `out` removes the per-op output
 /// allocation of [`Matrix::matmul`]. The dense path still allocates one
-/// internal scratch buffer per call to pack `B` into panels (packed-panel
-/// caching for persistent weight matrices is a possible future
-/// optimization); tiny and sparse paths allocate nothing.
+/// internal scratch buffer per call to pack `B` into panels; tiny and
+/// sparse paths allocate nothing. Caching packed weight panels would not
+/// help the search hot path: the exact scorer in `lcdd-fcm` does not call
+/// this kernel, because it needs each output row's bits to be independent
+/// of the tile kind the row lands in. Only the encoders and training do.
 pub fn matmul_into(out: &mut Matrix, a: &Matrix, b: &Matrix) {
     let (n, m) = a.shape();
     let (mb, p) = b.shape();
