@@ -164,6 +164,14 @@ fn log_norm(v: &[f32]) -> f32 {
     (sq + 1e-6).max(1e-12).ln() * 0.5
 }
 
+/// Lengthens `buf` to at least `len`; never shrinks it, so a scratch
+/// buffer stops allocating once it has seen its largest use.
+fn grow(buf: &mut Vec<f32>, len: usize) {
+    if buf.len() < len {
+        buf.resize(len, 0.0);
+    }
+}
+
 /// Adds every `k`-wide row of `rows` into `acc`, in order.
 fn add_rows(acc: &mut [f32], rows: &[f32]) {
     for row in rows.chunks_exact(acc.len()) {
@@ -540,9 +548,7 @@ impl<'a> QueryScorer<'a> {
             t0 += m.rows();
         }
         let widest = t_rows.max(v);
-        if sc.e.len() < widest {
-            sc.e.resize(widest, 0.0);
-        }
+        grow(&mut sc.e, widest);
         let longest = self
             .line_spans
             .iter()
@@ -550,9 +556,7 @@ impl<'a> QueryScorer<'a> {
             .chain(cols.iter().map(|&c| enc[c].rows()))
             .max()
             .unwrap_or(0);
-        if sc.rel.len() < longest {
-            sc.rel.resize(longest, 0.0);
-        }
+        grow(&mut sc.rel, longest);
 
         // SL-SAN: each line / column reconstructed from its own segments,
         // weighted by cross-modal segment relevance.
@@ -633,12 +637,8 @@ impl<'a> QueryScorer<'a> {
                 let n_cols = s.cols;
                 let (v_rep, t_rep) = vt_rows.next().expect("staged row").split_at_mut(k);
                 let need = n_lines.max(n_cols);
-                if sc.e.len() < need {
-                    sc.e.resize(need, 0.0);
-                }
-                if sc.rel.len() < need {
-                    sc.rel.resize(need, 0.0);
-                }
+                grow(&mut sc.e, need);
+                grow(&mut sc.rel, need);
                 sc.ll_scores.resize(n_lines * n_cols, 0.0);
                 // Chart from its lines: s_v = q_l · k_cᵀ / sqrt(K).
                 for i in 0..n_lines {
