@@ -9,6 +9,12 @@
 //!   2- and 4-column candidates: ns and heap allocations per candidate on
 //!   the blocked path the engine runs (asserted allocation-free once its
 //!   scratch is warm), and ns per candidate scored alone,
+//! * encoders — `FcmModel::encode_table_with` on 1-, 2- and 4-column
+//!   tables and `FcmModel::encode_query_with` on 1-, 2- and 3-line charts
+//!   at `FcmConfig::small()`: µs and heap allocations per call on the
+//!   tape-free path (through a warm scratch) and on the training tape
+//!   path; asserts the two give the same bits and that the tape-free path
+//!   allocates only the matrices it returns,
 //! * DTW — full 128×128 and Sakoe-Chiba banded at 128 and 512,
 //! * end-to-end query latency — linear-scan `search_top_k` over an encoded
 //!   repository (the path Sec. VI's indexes prune).
@@ -22,11 +28,14 @@ use std::time::Instant;
 
 use lcdd_chart::{render, ChartStyle};
 use lcdd_fcm::scoring::{encode_repository, search_top_k};
-use lcdd_fcm::{process_query, FcmConfig, FcmModel, QueryScorer, ScoreScratch};
+use lcdd_fcm::{
+    process_query, process_table, EncodeScratch, FcmConfig, FcmModel, ProcessedQuery, QueryScorer,
+    ScoreScratch,
+};
 use lcdd_relevance::{dtw_distance, dtw_distance_banded};
 use lcdd_table::series::{DataSeries, UnderlyingData};
 use lcdd_table::{Column, Table};
-use lcdd_tensor::{matmul_naive, pool, Matrix};
+use lcdd_tensor::{matmul_naive, pool, Matrix, Tape};
 use lcdd_vision::VisualElementExtractor;
 
 /// Counts heap allocations (and reallocations) process-wide, so the
@@ -115,6 +124,86 @@ fn series(n: usize, phase: f64) -> Vec<f64> {
     (0..n)
         .map(|i| ((i as f64 + phase) / 9.0).sin() * 3.0 + phase)
         .collect()
+}
+
+/// Heap allocations `f` makes (the bench is single-threaded here).
+fn allocations_of<O>(f: impl FnOnce() -> O) -> u64 {
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    std::hint::black_box(f());
+    ALLOCATIONS.load(Ordering::Relaxed) - before
+}
+
+/// One encoder row: items per call (columns or lines), µs and allocations
+/// per call on the tape-free path and on the tape path.
+struct EncodeRow {
+    items: usize,
+    value_us: f64,
+    tape_us: f64,
+    value_allocs: u64,
+    tape_allocs: u64,
+}
+
+/// Times `value` (through a scratch it warms first) against `tape`,
+/// asserts both give the same bits and that a warm `value` call allocates
+/// only the `items + 1` blocks of the `Vec<Matrix>` it returns.
+fn encode_row(
+    what: &str,
+    items: usize,
+    mut value: impl FnMut(&mut EncodeScratch) -> Vec<Matrix>,
+    mut tape: impl FnMut() -> Vec<Matrix>,
+) -> EncodeRow {
+    let mut scratch = EncodeScratch::default();
+    let got = value(&mut scratch);
+    let want = tape();
+    let bits = |ms: &[Matrix]| -> Vec<u32> {
+        ms.iter()
+            .flat_map(|m| m.as_slice().iter().map(|x| x.to_bits()))
+            .collect()
+    };
+    assert_eq!(
+        bits(&got),
+        bits(&want),
+        "{what}: tape-free and tape encodings differ"
+    );
+    let value_allocs = allocations_of(|| value(&mut scratch));
+    let tape_allocs = allocations_of(&mut tape);
+    assert_eq!(
+        value_allocs,
+        items as u64 + 1,
+        "{what}: a warm tape-free encode must allocate only its result"
+    );
+    let value_us = time_ns(|| value(&mut scratch)) / 1e3;
+    let tape_us = time_ns(&mut tape) / 1e3;
+    eprintln!(
+        "[bench_kernels] {what}: tape-free {value_us:>7.1} us ({value_allocs} allocations), \
+         tape {tape_us:>7.1} us ({tape_allocs} allocations), {:.1}x",
+        tape_us / value_us
+    );
+    EncodeRow {
+        items,
+        value_us,
+        tape_us,
+        value_allocs,
+        tape_allocs,
+    }
+}
+
+fn encode_rows_json(key: &str, item: &str, rows: &[EncodeRow]) -> String {
+    let mut json = format!("  \"{key}\": [\n");
+    for (i, r) in rows.iter().enumerate() {
+        json.push_str(&format!(
+            "    {{\"{item}\": {}, \"value_us\": {:.1}, \"tape_us\": {:.1}, \"speedup\": {:.2}, \"value_allocations\": {}, \"tape_allocations\": {}}}{}\n",
+            r.items,
+            r.value_us,
+            r.tape_us,
+            r.tape_us / r.value_us,
+            r.value_allocs,
+            r.tape_allocs,
+            if i + 1 < rows.len() { "," } else { "" }
+        ));
+    }
+    json.push_str("  ],\n");
+    json
 }
 
 struct MatmulRow {
@@ -236,6 +325,68 @@ fn main() {
         score_rows.push((n_cols, ev.len(), block_ns, alone_ns, allocs_per_candidate));
     }
 
+    // --- encoders -----------------------------------------------------------
+    // Ingest and the query side as the engine runs them: one table (one
+    // chart) per call through a warm scratch, against the tape path the
+    // trainer runs.
+    let mut table_rows = Vec::new();
+    for &n_cols in &[1usize, 2, 4] {
+        let columns = (0..n_cols)
+            .map(|c| Column::new(format!("c{c}"), series(200, (c * 5) as f64)))
+            .collect();
+        let pt = process_table(&Table::new(0, "t", columns), &model.config);
+        table_rows.push(encode_row(
+            &format!("encode {n_cols}-column table"),
+            n_cols,
+            |sc| model.encode_table_with(&pt, sc),
+            || {
+                let tape = Tape::new();
+                pt.column_segments
+                    .iter()
+                    .map(|c| {
+                        model
+                            .dataset_encoder
+                            .encode_column(&model.store, &tape, c)
+                            .0
+                            .value()
+                    })
+                    .collect()
+            },
+        ));
+    }
+    let mut query_rows = Vec::new();
+    for &n_lines in &[1usize, 2, 3] {
+        let data = UnderlyingData {
+            series: (0..n_lines)
+                .map(|l| DataSeries::new(format!("l{l}"), series(120, (l * 11) as f64)))
+                .collect(),
+        };
+        let chart = render(&data, &ChartStyle::default());
+        let query: ProcessedQuery = process_query(
+            &VisualElementExtractor::oracle().extract(&chart),
+            &model.config,
+        );
+        assert_eq!(query.line_patches.len(), n_lines, "extractor lost a line");
+        query_rows.push(encode_row(
+            &format!("encode {n_lines}-line query"),
+            n_lines,
+            |sc| model.encode_query_with(&query, sc),
+            || {
+                let tape = Tape::new();
+                query
+                    .line_patches
+                    .iter()
+                    .map(|p| {
+                        model
+                            .chart_encoder
+                            .encode_line(&model.store, &tape, p)
+                            .value()
+                    })
+                    .collect()
+            },
+        ));
+    }
+
     // --- DTW --------------------------------------------------------------
     let a128 = series(128, 0.0);
     let b128 = series(128, 2.0);
@@ -336,6 +487,8 @@ fn main() {
         ));
     }
     json.push_str("  ],\n");
+    json.push_str(&encode_rows_json("encode_table", "columns", &table_rows));
+    json.push_str(&encode_rows_json("encode_query", "lines", &query_rows));
     json.push_str("  \"end_to_end\": {\n");
     json.push_str(&format!("    \"repo_tables\": {n_tables},\n"));
     json.push_str(&format!(

@@ -1,12 +1,22 @@
 //! Segment-level line chart encoder (paper Sec. IV-B): line image →
 //! flattened segment patches → linear projection → transformer (Eq. 1) →
 //! per-segment representations.
+//!
+//! Two paths compute the same bits. Training runs
+//! [`ChartEncoder::encode_line`] on the autograd tape. Inference
+//! ([`crate::FcmModel::encode_query_values`]) runs
+//! [`ChartEncoder::encode_chart_value`], which stacks up to four (`STACK`)
+//! lines into one operand per transformer layer, runs every product on
+//! `lcdd_tensor::kernels::rows_matmul` and keeps attention inside each
+//! line's rows; the tape path is the oracle (`tests/encoder_parity.rs`).
 
 use lcdd_nn::{Linear, TransformerEncoder};
+use lcdd_tensor::kernels::grow;
 use lcdd_tensor::{Matrix, ParamStore, Tape, Var};
 use rand::Rng;
 
 use crate::config::FcmConfig;
+use crate::model::{EncodeScratch, STACK};
 
 /// ViT-style encoder for extracted line images.
 #[derive(Clone, Debug)]
@@ -63,6 +73,41 @@ impl ChartEncoder {
             .iter()
             .map(|p| self.encode_line(store, tape, p))
             .collect()
+    }
+
+    /// Tape-free `EV[i]` per line (`N1 x K` each), bit-identical to
+    /// [`Self::encode_line`]'s value. Lines go through in groups of
+    /// four (`STACK`): each line's patches are projected into its rows of one
+    /// stacked token operand, then the transformer runs over the group
+    /// with attention restricted to each line's `N1` rows. Buffers come
+    /// from `sc`.
+    pub fn encode_chart_value(
+        &self,
+        store: &ParamStore,
+        lines: &[Matrix],
+        sc: &mut EncodeScratch,
+    ) -> Vec<Matrix> {
+        let (n1, k) = (self.n_segments, self.patch_proj.out_dim());
+        let mut out = Vec::with_capacity(lines.len());
+        for group in lines.chunks(STACK) {
+            let tokens = grow(&mut sc.tokens, group.len() * n1 * k);
+            for (dst, patches) in tokens.chunks_exact_mut(n1 * k).zip(group) {
+                assert_eq!(
+                    patches.rows(),
+                    self.n_segments,
+                    "encode_line: patch count mismatch"
+                );
+                self.patch_proj.forward_rows(store, patches.as_slice(), dst);
+            }
+            self.transformer
+                .forward_spans(store, tokens, n1, &mut sc.transformer);
+            out.extend(
+                tokens
+                    .chunks_exact(n1 * k)
+                    .map(|e| Matrix::from_vec(n1, k, e.to_vec())),
+            );
+        }
+        out
     }
 }
 

@@ -4,10 +4,28 @@
 
 use lcdd_nn::{Activation, Mlp, MoeGate};
 use lcdd_table::AggOp;
+use lcdd_tensor::kernels::grow;
 use lcdd_tensor::{ParamStore, Tape, Var};
 use rand::Rng;
 
 use crate::config::FcmConfig;
+
+/// Reusable buffers of [`DaLayers::forward_rows`]. They are resized, never
+/// shrunk, so a scratch stops allocating once it has seen its largest
+/// operand.
+#[derive(Clone, Debug, Default)]
+pub struct DaScratch {
+    /// MLP hidden layers (an expert's transform, the gate).
+    hidden: Vec<f32>,
+    /// An expert's leaf embeddings, then every other HMRL level.
+    leaves: Vec<f32>,
+    /// The HMRL levels in between.
+    level: Vec<f32>,
+    /// Every expert's root per segment, expert-major.
+    roots: Vec<f32>,
+    /// The MoE gates per segment.
+    gates: Vec<f32>,
+}
 
 /// The DA stack applied per data segment: for each of the five experts
 /// (identity + avg/sum/max/min), a transformation MLP embeds every
@@ -129,6 +147,75 @@ impl DaLayers {
 
         let (mixed, gates) = self.gate.combine(store, tape, &expert_roots);
         (mixed, gates)
+    }
+
+    /// Tape-free [`Self::forward_segment`] for a stack of segments:
+    /// `segments` holds `n x P2` raw values, row-major, and `out` receives
+    /// the `n x K` mixed tokens. Each expert's transform runs as one
+    /// product per layer over all `n · 2^β` sub-segment rows; each HMRL
+    /// level reads its `(2r x K)` input as `(r x 2K)` — row `i` is the pair
+    /// `[2i | 2i+1]` the tape concatenates — and applies the combiner as
+    /// one product; the gate mixes the roots per segment
+    /// ([`MoeGate::mix_rows`]). Every step is row-local, so each segment's
+    /// token has the bits `forward_segment` gives it alone.
+    pub fn forward_rows(
+        &self,
+        store: &ParamStore,
+        segments: &[f32],
+        sc: &mut DaScratch,
+        out: &mut [f32],
+    ) {
+        let k = self.gate.dim();
+        let n_subs = 1usize << self.beta;
+        let subs = segments.len() / self.sub_len;
+        let n = subs / n_subs;
+        assert_eq!(
+            segments.len(),
+            n * n_subs * self.sub_len,
+            "forward_rows: segment width mismatch"
+        );
+        if n == 0 {
+            return;
+        }
+        let roots = grow(&mut sc.roots, self.transforms.len() * n * k);
+        for (transform, root) in self.transforms.iter().zip(roots.chunks_exact_mut(n * k)) {
+            if n_subs == 1 {
+                transform.forward_rows(store, segments, &mut sc.hidden, root);
+                continue;
+            }
+            let leaves = grow(&mut sc.leaves, subs * k);
+            transform.forward_rows(store, segments, &mut sc.hidden, leaves);
+            // Levels alternate between `leaves` and `level`; the last one
+            // lands in the expert's root.
+            let mut rows = subs / 2;
+            let mut in_leaves = true;
+            while rows > n {
+                if in_leaves {
+                    let next = grow(&mut sc.level, rows * k);
+                    self.combiner.forward_rows(
+                        store,
+                        &sc.leaves[..2 * rows * k],
+                        &mut sc.hidden,
+                        next,
+                    );
+                } else {
+                    let next = &mut sc.leaves[..rows * k];
+                    self.combiner.forward_rows(
+                        store,
+                        &sc.level[..2 * rows * k],
+                        &mut sc.hidden,
+                        next,
+                    );
+                }
+                in_leaves = !in_leaves;
+                rows /= 2;
+            }
+            let last = if in_leaves { &sc.leaves } else { &sc.level };
+            self.combiner
+                .forward_rows(store, &last[..2 * n * k], &mut sc.hidden, root);
+        }
+        self.gate
+            .mix_rows(store, roots, n, &mut sc.hidden, &mut sc.gates, out);
     }
 }
 

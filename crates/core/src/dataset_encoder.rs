@@ -1,13 +1,25 @@
 //! Segment-level dataset encoder (paper Sec. IV-C), optionally enhanced
 //! with the three DA layers (Sec. V): column → segment tokens →
 //! transformer → per-segment representations `ET[m]`.
+//!
+//! Two paths compute the same bits. Training runs
+//! [`DatasetEncoder::encode_column`] on the autograd tape, one column at a
+//! time. Inference (ingest, [`crate::FcmModel::encode_table_values`]) runs
+//! [`DatasetEncoder::encode_columns_value`], which stacks up to
+//! four (`STACK`) columns' segments into one operand per layer and runs every
+//! product on `lcdd_tensor::kernels::rows_matmul`, with attention kept
+//! inside each column's rows. Every step is row-local, so a column's
+//! encoding does not depend on what was stacked with it; the tape path is
+//! the oracle (`tests/encoder_parity.rs`).
 
 use lcdd_nn::{Linear, TransformerEncoder};
+use lcdd_tensor::kernels::grow;
 use lcdd_tensor::{Matrix, ParamStore, Tape, Var};
 use rand::Rng;
 
 use crate::config::FcmConfig;
 use crate::da::DaLayers;
+use crate::model::{EncodeScratch, STACK};
 
 /// Encoder for table columns.
 #[derive(Clone, Debug)]
@@ -102,6 +114,60 @@ impl DatasetEncoder {
             .iter()
             .map(|c| self.encode_column(store, tape, c).0)
             .collect()
+    }
+
+    /// Tape-free `ET[m]` per column (`N2 x K` each), bit-identical to
+    /// [`Self::encode_column`]'s value. Columns go through in groups of
+    /// four (`STACK`), each group as one stacked operand per layer: the DA
+    /// stack (or the plain segment projection), the `seg_proj` residual,
+    /// then the transformer with attention restricted to each column's
+    /// `N2` rows. Buffers come from `sc`; only the returned matrices are
+    /// allocated once `sc` is warm.
+    pub fn encode_columns_value(
+        &self,
+        store: &ParamStore,
+        columns: &[Matrix],
+        sc: &mut EncodeScratch,
+    ) -> Vec<Matrix> {
+        let (n2, p2, k) = (
+            self.n_segments,
+            self.seg_proj.in_dim(),
+            self.seg_proj.out_dim(),
+        );
+        let mut out = Vec::with_capacity(columns.len());
+        for group in columns.chunks(STACK) {
+            let segments = grow(&mut sc.input, group.len() * n2 * p2);
+            for (dst, c) in segments.chunks_exact_mut(n2 * p2).zip(group) {
+                assert_eq!(
+                    c.shape(),
+                    (n2, p2),
+                    "encode_columns_value: segment shape mismatch"
+                );
+                dst.copy_from_slice(c.as_slice());
+            }
+            let tokens = grow(&mut sc.tokens, group.len() * n2 * k);
+            match &self.da {
+                None => self.seg_proj.forward_rows(store, segments, tokens),
+                Some(da) => {
+                    da.forward_rows(store, segments, &mut sc.da, tokens);
+                    // The residual on the plain segment projection, added
+                    // in the tape's order (DA token + projection).
+                    let plain = grow(&mut sc.plain, tokens.len());
+                    self.seg_proj.forward_rows(store, segments, plain);
+                    for (t, &p) in tokens.iter_mut().zip(plain.iter()) {
+                        *t += p;
+                    }
+                }
+            }
+            self.transformer
+                .forward_spans(store, tokens, n2, &mut sc.transformer);
+            out.extend(
+                tokens
+                    .chunks_exact(n2 * k)
+                    .map(|e| Matrix::from_vec(n2, k, e.to_vec())),
+            );
+        }
+        out
     }
 }
 

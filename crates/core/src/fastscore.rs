@@ -26,13 +26,13 @@
 //! scratch; the scratch's buffers grow to the largest block seen and are
 //! reused, so after the first block no candidate allocates.
 //!
-//! All products go through `rows_matmul`, a register-tiled kernel in
-//! which every output element is accumulated over `k` in index order with
-//! a separate multiply and add. That is the same instruction sequence
-//! whatever tile a row lands in, so a row's bits never depend on the other
-//! rows of the operand. The blocked `lcdd-tensor` kernel does not have this
-//! property (its AVX-512 12-row tile fuses multiply-adds, its `MR` tile
-//! does not) and, at these shapes, would run its plain loops anyway.
+//! All products go through `lcdd_tensor::kernels::rows_matmul`, a
+//! register-tiled kernel in which every output element is accumulated over
+//! `k` in index order with a separate multiply and add. That is the same
+//! instruction sequence whatever tile a row lands in, so a row's bits
+//! never depend on the other rows of the operand. The blocked `matmul_into`
+//! kernel does not have this property (its AVX-512 12-row tile fuses
+//! multiply-adds, its `MR` tile does not).
 //!
 //! ## Determinism
 //!
@@ -48,6 +48,7 @@
 
 use std::ops::Deref;
 
+use lcdd_tensor::kernels::{grow, rows_matmul};
 use lcdd_tensor::{pool, Matrix};
 
 use crate::input::{kept_columns, ProcessedQuery, ProcessedTable};
@@ -57,95 +58,6 @@ use crate::scoring::EncodedRepository;
 /// Candidates scored together by [`QueryScorer::score_into`]. A fixed
 /// size: it bounds the scratch, and the results do not depend on it.
 pub const BLOCK: usize = 8;
-
-/// Column strip of [`rows_matmul`]: one AVX-512 register, two AVX2 ones.
-const STRIP: usize = 16;
-/// Row tile of [`rows_matmul`]: rows sharing each loaded strip of `w`.
-const TILE: usize = 4;
-
-/// `out = a · w (+ bias)` with `a: rows x k`, `w: k x n`, all row-major.
-///
-/// Every output element is `((0 + a0·w0) + a1·w1) + …` over `k` in index
-/// order, each multiply and add rounded on its own (Rust never contracts
-/// them into fused multiply-adds), then the bias is added. Tiling only
-/// decides which elements share register loads, never that sequence, so
-/// each output row is a pure function of its input row and `w`.
-fn rows_matmul(out: &mut [f32], a: &[f32], w: &[f32], bias: Option<&[f32]>, k: usize, n: usize) {
-    let rows = a.len().checked_div(k).unwrap_or(0);
-    debug_assert_eq!(a.len(), rows * k);
-    debug_assert_eq!(w.len(), k * n);
-    debug_assert_eq!(out.len(), rows * n);
-    let mut r = 0;
-    while r + TILE <= rows {
-        row_tile::<TILE>(
-            &mut out[r * n..(r + TILE) * n],
-            &a[r * k..(r + TILE) * k],
-            w,
-            bias,
-            k,
-            n,
-        );
-        r += TILE;
-    }
-    while r < rows {
-        row_tile::<1>(
-            &mut out[r * n..(r + 1) * n],
-            &a[r * k..(r + 1) * k],
-            w,
-            bias,
-            k,
-            n,
-        );
-        r += 1;
-    }
-}
-
-/// `R` rows of [`rows_matmul`]: full [`STRIP`]-wide column strips with the
-/// accumulators in registers, then the leftover columns one at a time.
-#[inline(always)]
-fn row_tile<const R: usize>(
-    out: &mut [f32],
-    a: &[f32],
-    w: &[f32],
-    bias: Option<&[f32]>,
-    k: usize,
-    n: usize,
-) {
-    let mut j0 = 0;
-    while j0 + STRIP <= n {
-        let mut acc = [[0.0f32; STRIP]; R];
-        for (kk, w_row) in w.chunks_exact(n).enumerate() {
-            let w_strip: &[f32; STRIP] = w_row[j0..j0 + STRIP].try_into().expect("strip");
-            for (r, acc_r) in acc.iter_mut().enumerate() {
-                let x = a[r * k + kk];
-                for (o, &wv) in acc_r.iter_mut().zip(w_strip) {
-                    *o += x * wv;
-                }
-            }
-        }
-        for (r, acc_r) in acc.iter().enumerate() {
-            let o = &mut out[r * n + j0..r * n + j0 + STRIP];
-            match bias {
-                Some(b) => {
-                    for ((o, &v), &bv) in o.iter_mut().zip(acc_r).zip(&b[j0..j0 + STRIP]) {
-                        *o = v + bv;
-                    }
-                }
-                None => o.copy_from_slice(acc_r),
-            }
-        }
-        j0 += STRIP;
-    }
-    for j in j0..n {
-        for r in 0..R {
-            let mut acc = 0.0f32;
-            for (kk, w_row) in w.chunks_exact(n).enumerate() {
-                acc += a[r * k + kk] * w_row[j];
-            }
-            out[r * n + j] = bias.map_or(acc, |b| acc + b[j]);
-        }
-    }
-}
 
 /// Sequential dot product (the order `matmul_nt`'s plain loop uses).
 fn dot(a: &[f32], b: &[f32]) -> f32 {
@@ -162,14 +74,6 @@ fn row(buf: &[f32], r: usize, k: usize) -> &[f32] {
 fn log_norm(v: &[f32]) -> f32 {
     let sq: f32 = v.iter().map(|&x| x * x).sum();
     (sq + 1e-6).max(1e-12).ln() * 0.5
-}
-
-/// Lengthens `buf` to at least `len`; never shrinks it, so a scratch
-/// buffer stops allocating once it has seen its largest use.
-fn grow(buf: &mut Vec<f32>, len: usize) {
-    if buf.len() < len {
-        buf.resize(len, 0.0);
-    }
 }
 
 /// Adds every `k`-wide row of `rows` into `acc`, in order.
@@ -277,8 +181,10 @@ pub struct ScoreScratch {
     vt: Vec<f32>,
     /// Per staged candidate: the pooled table embedding (cosine term).
     t_pooled: Vec<f32>,
-    /// The head's input rows and its layer outputs (ping-pong).
-    head: [Vec<f32>; 2],
+    /// The head's input rows, its hidden layer and its logits.
+    joint: Vec<f32>,
+    hidden: Vec<f32>,
+    logits: Vec<f32>,
 }
 
 /// One query's hoisted state for scoring many candidates.
@@ -611,24 +517,8 @@ impl<'a> QueryScorer<'a> {
             let rows = sc.reps.len() / k;
             sc.proj_q.resize(rows * k, 0.0);
             sc.proj_k.resize(rows * k, 0.0);
-            let (wq, bq) = ll.0.params(store);
-            let (wk, bk) = ll.1.params(store);
-            rows_matmul(
-                &mut sc.proj_q,
-                &sc.reps,
-                wq.as_slice(),
-                bq.map(Matrix::as_slice),
-                k,
-                k,
-            );
-            rows_matmul(
-                &mut sc.proj_k,
-                &sc.reps,
-                wk.as_slice(),
-                bk.map(Matrix::as_slice),
-                k,
-                k,
-            );
+            ll.0.forward_rows(store, &sc.reps, &mut sc.proj_q);
+            ll.1.forward_rows(store, &sc.reps, &mut sc.proj_k);
             sc.vt.resize(n_staged * 2 * k, 0.0);
             let n_lines = self.ev.len();
             let mut vt_rows = sc.vt.chunks_exact_mut(2 * k);
@@ -690,8 +580,7 @@ impl<'a> QueryScorer<'a> {
         }
 
         // joint = [v, t, v*t, (v-t)^2] per staged candidate, after the norms.
-        let [joint, hidden] = &mut sc.head;
-        joint.resize(n_staged * 4 * k, 0.0);
+        let joint = grow(&mut sc.joint, n_staged * 4 * k);
         for (vt, j) in sc.vt.chunks_exact(2 * k).zip(joint.chunks_exact_mut(4 * k)) {
             let (v_rep, t_rep) = vt.split_at(k);
             let (vn, rest) = j.split_at_mut(k);
@@ -704,28 +593,12 @@ impl<'a> QueryScorer<'a> {
                 *d = (v - t) * (v - t);
             }
         }
-        let (layers, activation) = model.matcher.head.layers();
-        let (mut cur, mut next) = (joint, hidden);
-        for (li, layer) in layers.iter().enumerate() {
-            let (w, b) = layer.params(store);
-            next.resize(n_staged * w.cols(), 0.0);
-            rows_matmul(
-                next,
-                &cur[..],
-                w.as_slice(),
-                b.map(Matrix::as_slice),
-                w.rows(),
-                w.cols(),
-            );
-            if li + 1 < layers.len() {
-                for x in next.iter_mut() {
-                    *x = activation.apply_value(*x);
-                }
-            }
-            std::mem::swap(&mut cur, &mut next);
-        }
-        let logits = cur;
-        debug_assert_eq!(logits.len(), n_staged, "head must end in one logit");
+        // The head ends in one logit per row.
+        let logits = grow(&mut sc.logits, n_staged);
+        model
+            .matcher
+            .head
+            .forward_rows(store, joint, &mut sc.hidden, logits);
 
         let w = store.value(model.matcher.sim_weight).get(0, 0);
         let mut staged = 0;
@@ -900,32 +773,5 @@ mod tests {
         let ev = reps(1, 4, k, 0.0);
         let scorer = QueryScorer::new(&model, &ev);
         assert_eq!(fast_score(&scorer, &[], &Matrix::zeros(1, k)), 0.0);
-    }
-
-    #[test]
-    fn rows_matmul_rows_do_not_depend_on_their_neighbours() {
-        // 7 rows x 5 inner x 37 cols: full and partial row tiles, full
-        // strips and a ragged tail.
-        let (rows, k, n) = (7, 5, 37);
-        let a: Vec<f32> = (0..rows * k).map(|i| (i as f32 * 0.71).sin()).collect();
-        let w: Vec<f32> = (0..k * n).map(|i| (i as f32 * 0.29).cos()).collect();
-        let bias: Vec<f32> = (0..n).map(|i| i as f32 * 0.01).collect();
-        let mut all = vec![0.0; rows * n];
-        rows_matmul(&mut all, &a, &w, Some(&bias), k, n);
-        for r in 0..rows {
-            let mut one = vec![0.0; n];
-            rows_matmul(&mut one, &a[r * k..(r + 1) * k], &w, Some(&bias), k, n);
-            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&one), bits(&all[r * n..(r + 1) * n]), "row {r}");
-            for j in 0..n {
-                let want: f32 =
-                    (0..k).map(|kk| a[r * k + kk] * w[kk * n + j]).sum::<f32>() + bias[j];
-                assert!(
-                    (one[j] - want).abs() < 1e-5,
-                    "({r}, {j}): {} vs {want}",
-                    one[j]
-                );
-            }
-        }
     }
 }

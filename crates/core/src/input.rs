@@ -133,11 +133,7 @@ pub fn process_table(table: &Table, cfg: &FcmConfig) -> ProcessedTable {
         column_ranges: table
             .columns
             .iter()
-            .map(|c| {
-                let (lo, hi) = c.index_interval().unwrap_or((0.0, 0.0));
-                let _ = (lo, hi);
-                (c.min().unwrap_or(0.0), c.max().unwrap_or(0.0))
-            })
+            .map(|c| (c.min().unwrap_or(0.0), c.max().unwrap_or(0.0)))
             .collect(),
     }
 }

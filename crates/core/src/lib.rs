@@ -48,7 +48,7 @@ pub use input::{
     column_to_segments, line_to_patches, process_query, process_table, ProcessedQuery,
     ProcessedTable,
 };
-pub use model::{table_encode_count, FcmModel};
+pub use model::{table_encode_count, EncodeScratch, FcmModel};
 pub use negatives::NegativeStrategy;
 pub use quant::QuantizedVec;
 pub use scoring::{

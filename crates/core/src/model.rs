@@ -1,5 +1,16 @@
 //! The assembled FCM model: visual-element-extracted lines + candidate
 //! table → `Rel'(V, T)`.
+//!
+//! Training and inference run different paths with the same bits.
+//! Training ([`FcmModel::forward_logit`], [`crate::trainer`]) encodes and
+//! matches on the autograd tape. Inference encodes tape-free:
+//! [`FcmModel::encode_table_values`] / [`FcmModel::encode_table_with`]
+//! at ingest and [`FcmModel::encode_query_values`] /
+//! [`FcmModel::encode_query_with`] per query, stacking columns (lines)
+//! into one operand per layer on the row-independent
+//! `lcdd_tensor::kernels::rows_matmul`; scoring then runs on
+//! [`crate::fastscore::QueryScorer`]. The tape encoders are the value
+//! paths' oracle (`tests/encoder_parity.rs`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -9,7 +20,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// Process-wide count of dataset-encoder invocations (one per table passed
-/// through [`FcmModel::encode_table_values`]). Instrumentation for the
+/// through [`FcmModel::encode_table_with`], which
+/// [`FcmModel::encode_table_values`] and `encode_tables` call). Instrumentation for the
 /// engine's delta-ingest guarantee: inserting a table batch must encode
 /// exactly that batch, never the resident corpus.
 static TABLE_ENCODE_CALLS: AtomicU64 = AtomicU64::new(0);
@@ -21,11 +33,37 @@ pub fn table_encode_count() -> u64 {
     TABLE_ENCODE_CALLS.load(Ordering::Relaxed)
 }
 
+use lcdd_nn::TransformerScratch;
+
 use crate::chart_encoder::ChartEncoder;
 use crate::config::FcmConfig;
+use crate::da::DaScratch;
 use crate::dataset_encoder::DatasetEncoder;
 use crate::input::{filter_columns, process_table, ProcessedQuery, ProcessedTable};
 use crate::matcher::CrossModalMatcher;
+
+/// Columns (or query lines) the value encoders stack into one operand.
+/// Every step of those paths is row-local, so results do not depend on
+/// it; it bounds [`EncodeScratch`]: at `FcmConfig::small()` a group of
+/// four columns needs about 120 KiB, no buffer of it above 20 KiB.
+pub(crate) const STACK: usize = 4;
+
+/// Reusable buffers for the tape-free encoders
+/// ([`FcmModel::encode_table_with`], [`FcmModel::encode_query_with`]):
+/// one per worker, never shared between threads. Buffers are resized,
+/// never shrunk, so once a scratch has encoded its widest input it stops
+/// allocating.
+#[derive(Clone, Debug, Default)]
+pub struct EncodeScratch {
+    /// The stacked column segments of one group.
+    pub(crate) input: Vec<f32>,
+    /// The stacked tokens, encoded in place.
+    pub(crate) tokens: Vec<f32>,
+    /// The plain segment projection (the DA residual).
+    pub(crate) plain: Vec<f32>,
+    pub(crate) da: DaScratch,
+    pub(crate) transformer: TransformerScratch,
+}
 
 /// The Fine-grained Cross-modal Relevance Learning Model.
 #[derive(Clone)]
@@ -92,32 +130,34 @@ impl FcmModel {
         self.forward(&tape, query, &pt).scalar()
     }
 
-    /// Encodes the query lines once and returns their value matrices —
-    /// used by the cached scoring path ([`crate::scoring`]).
+    /// Encodes the query lines once and returns their value matrices
+    /// (`N1 x K` each) — used by the cached scoring path
+    /// ([`crate::scoring`]). Tape-free, with the bits of the training
+    /// path's `ChartEncoder::encode_line`.
     pub fn encode_query_values(&self, query: &ProcessedQuery) -> Vec<Matrix> {
-        let tape = Tape::new();
+        self.encode_query_with(query, &mut EncodeScratch::default())
+    }
+
+    /// [`Self::encode_query_values`] through a caller's scratch.
+    pub fn encode_query_with(&self, query: &ProcessedQuery, sc: &mut EncodeScratch) -> Vec<Matrix> {
         self.chart_encoder
-            .encode_chart(&self.store, &tape, &query.line_patches)
-            .into_iter()
-            .map(|v| v.value())
-            .collect()
+            .encode_chart_value(&self.store, &query.line_patches, sc)
     }
 
     /// Encodes every column of a preprocessed table and returns the value
-    /// matrices (`N2 x K` each) plus the mean MoE gate per column.
+    /// matrices (`N2 x K` each). Tape-free, with the bits of the training
+    /// path's `DatasetEncoder::encode_column`.
     pub fn encode_table_values(&self, table: &ProcessedTable) -> Vec<Matrix> {
+        self.encode_table_with(table, &mut EncodeScratch::default())
+    }
+
+    /// [`Self::encode_table_values`] through a caller's scratch: once the
+    /// scratch has encoded a table at least as wide, only the returned
+    /// matrices are allocated.
+    pub fn encode_table_with(&self, table: &ProcessedTable, sc: &mut EncodeScratch) -> Vec<Matrix> {
         TABLE_ENCODE_CALLS.fetch_add(1, Ordering::Relaxed);
-        let tape = Tape::new();
-        table
-            .column_segments
-            .iter()
-            .map(|c| {
-                self.dataset_encoder
-                    .encode_column(&self.store, &tape, c)
-                    .0
-                    .value()
-            })
-            .collect()
+        self.dataset_encoder
+            .encode_columns_value(&self.store, &table.column_segments, sc)
     }
 
     /// Matches cached query/table encodings (no re-encoding). `ev`/`et` are

@@ -9,7 +9,7 @@ use lcdd_tensor::{pool, Matrix};
 
 use crate::fastscore::QueryScorer;
 use crate::input::{process_table, ProcessedQuery, ProcessedTable};
-use crate::model::FcmModel;
+use crate::model::{EncodeScratch, FcmModel};
 
 /// A repository with cached dataset-encoder outputs.
 #[derive(Clone)]
@@ -74,19 +74,30 @@ impl EncodedRepository {
 }
 
 /// Preprocesses and encodes a batch of tables in parallel (the model is
-/// read-only and `Sync`). This is the shared ingest kernel: full repository
-/// builds and live delta ingest both encode through here, so a table's
-/// encoding never depends on what else is in the batch.
+/// read-only and `Sync`): one chunk of tables per pool worker, each
+/// preprocessed and encoded through the chunk's own [`EncodeScratch`].
+/// This is the shared ingest kernel: full repository builds and live delta
+/// ingest both encode through here, and a table's encoding never depends
+/// on what else is in the batch or its chunk.
 pub fn encode_tables(
     model: &FcmModel,
     tables: &[Table],
 ) -> (Vec<ProcessedTable>, Vec<Vec<Matrix>>) {
-    let processed: Vec<ProcessedTable> = tables
-        .iter()
-        .map(|t| process_table(t, &model.config))
-        .collect();
-    let encodings: Vec<Vec<Matrix>> = pool::par_map(&processed, |pt| model.encode_table_values(pt));
-    (processed, encodings)
+    // One scratch per chunk, not per thread: the pool spawns its threads
+    // per call, so a thread-local would start cold every time anyway.
+    pool::par_chunks(tables, |_, chunk| {
+        let mut scratch = EncodeScratch::default();
+        chunk
+            .iter()
+            .map(|t| {
+                let pt = process_table(t, &model.config);
+                let enc = model.encode_table_with(&pt, &mut scratch);
+                (pt, enc)
+            })
+            .collect()
+    })
+    .into_iter()
+    .unzip()
 }
 
 /// Mean over tables of the pooled (all-column, all-segment) table embedding

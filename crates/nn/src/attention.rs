@@ -5,7 +5,8 @@
 //! one modality, keys/values from another — the building block HCMAN uses
 //! at the segment and line-to-column levels, Sec. IV-D).
 
-use lcdd_tensor::{scaled_dot_attention, ParamStore, Tape, Var};
+use lcdd_tensor::kernels::{grow, rows_matmul};
+use lcdd_tensor::{scaled_dot_attention, softmax_row, ParamStore, Tape, Var};
 use rand::Rng;
 
 use crate::linear::Linear;
@@ -16,6 +17,29 @@ struct Head {
     wq: Linear,
     wk: Linear,
     wv: Linear,
+}
+
+/// Reusable buffers for [`MultiHeadAttention::forward_spans`]. They are
+/// resized, never shrunk, so a scratch stops allocating once it has seen
+/// its largest operand.
+#[derive(Clone, Debug, Default)]
+pub struct AttentionScratch {
+    /// Every head's `W_q`, then every `W_k`, then every `W_v`, side by
+    /// side: `dim x 3·dim`.
+    w_qkv: Vec<f32>,
+    /// The projections of every row through `w_qkv`: `rows x 3·dim`.
+    qkv: Vec<f32>,
+    /// One head over one span: its queries (`span x dh`), keys transposed
+    /// (`dh x span`) and values (`span x dh`).
+    q: Vec<f32>,
+    kt: Vec<f32>,
+    v: Vec<f32>,
+    /// The span's scores, then its attention weights (`span x span`).
+    weights: Vec<f32>,
+    /// The head's output over the span (`span x dh`).
+    head_out: Vec<f32>,
+    /// Every head's output side by side (`rows x dim`).
+    cat: Vec<f32>,
 }
 
 /// Multi-head attention with `n_heads` heads of width `dim / n_heads` and a
@@ -91,6 +115,83 @@ impl MultiHeadAttention {
     /// Self-attention over a single sequence `(n, dim)`.
     pub fn forward_self(&self, store: &ParamStore, tape: &Tape, x: &Var) -> Var {
         self.forward_cross(store, tape, x, x)
+    }
+
+    /// Tape-free self-attention over a stack of sequences: `x` holds
+    /// `rows x dim` floats, row-major, and every `span` consecutive rows are
+    /// one sequence that attends only to itself. Writes `rows x dim` to
+    /// `out`. Each span's output has the bits of [`Self::forward_self`]'s
+    /// value on that span alone: every product runs on [`rows_matmul`]
+    /// (the projections of all heads and all spans as one operand), the
+    /// scores are multiplied by `1/sqrt(dh)` and normalised with the
+    /// tape's [`softmax_row`].
+    pub fn forward_spans(
+        &self,
+        store: &ParamStore,
+        x: &[f32],
+        span: usize,
+        out: &mut [f32],
+        sc: &mut AttentionScratch,
+    ) {
+        let dim = self.dim;
+        let dh = dim / self.heads.len();
+        let rows = x.len() / dim;
+        assert!(
+            span > 0 && x.len() == rows * dim && rows.is_multiple_of(span),
+            "attention: {} floats are not whole {span}-row spans of width {dim}",
+            x.len()
+        );
+        let w3 = 3 * dim;
+        let w_qkv = grow(&mut sc.w_qkv, dim * w3);
+        for (h, head) in self.heads.iter().enumerate() {
+            for (part, proj) in [&head.wq, &head.wk, &head.wv].into_iter().enumerate() {
+                let c0 = part * dim + h * dh;
+                let (w, _) = proj.params(store);
+                for (dst, src) in w_qkv
+                    .chunks_exact_mut(w3)
+                    .zip(w.as_slice().chunks_exact(dh))
+                {
+                    dst[c0..c0 + dh].copy_from_slice(src);
+                }
+            }
+        }
+        let qkv = grow(&mut sc.qkv, rows * w3);
+        rows_matmul(qkv, x, w_qkv, None, dim, w3);
+
+        let scale = 1.0 / (dh as f32).sqrt();
+        let q = grow(&mut sc.q, span * dh);
+        let kt = grow(&mut sc.kt, dh * span);
+        let v = grow(&mut sc.v, span * dh);
+        let weights = grow(&mut sc.weights, span * span);
+        let head_out = grow(&mut sc.head_out, span * dh);
+        let cat = grow(&mut sc.cat, rows * dim);
+        for (seq, cat_seq) in qkv
+            .chunks_exact(span * w3)
+            .zip(cat.chunks_exact_mut(span * dim))
+        {
+            for h in 0..self.heads.len() {
+                let (qc, kc, vc) = (h * dh, dim + h * dh, 2 * dim + h * dh);
+                for (i, row) in seq.chunks_exact(w3).enumerate() {
+                    q[i * dh..(i + 1) * dh].copy_from_slice(&row[qc..qc + dh]);
+                    v[i * dh..(i + 1) * dh].copy_from_slice(&row[vc..vc + dh]);
+                    for (d, &kv) in row[kc..kc + dh].iter().enumerate() {
+                        kt[d * span + i] = kv;
+                    }
+                }
+                rows_matmul(weights, q, kt, None, dh, span);
+                for row in weights.chunks_exact_mut(span) {
+                    for s in row.iter_mut() {
+                        *s *= scale;
+                    }
+                    softmax_row(row);
+                }
+                rows_matmul(head_out, weights, v, None, span, dh);
+                for (dst, src) in cat_seq.chunks_exact_mut(dim).zip(head_out.chunks_exact(dh)) {
+                    dst[h * dh..(h + 1) * dh].copy_from_slice(src);
+                }
+            }
+        }
+        self.wo.forward_rows(store, cat, out);
     }
 
     /// Returns the attention weights of the first head for `(q_src, kv_src)`

@@ -1,5 +1,6 @@
 //! Fully-connected (affine) layer.
 
+use lcdd_tensor::kernels::rows_matmul;
 use lcdd_tensor::{init, Matrix, ParamId, ParamStore, Tape, Var};
 use rand::Rng;
 
@@ -68,6 +69,30 @@ impl Linear {
         // kernel's output instead of a clone-and-add second node.
         let b = self.b.map(|b| store.leaf(tape, b));
         x.affine(&w, b.as_ref())
+    }
+
+    /// Row-slice forward (no tape, no allocation): `x` holds `n` rows of
+    /// `in_dim` floats, `out` receives `n` rows of `out_dim`, computed on
+    /// [`rows_matmul`] so each output row depends on its input row alone.
+    pub fn forward_rows(&self, store: &ParamStore, x: &[f32], out: &mut [f32]) {
+        let rows = x.len() / self.in_dim;
+        assert!(
+            x.len() == rows * self.in_dim && out.len() == rows * self.out_dim,
+            "Linear::forward_rows: {} inputs / {} outputs are not rows of {} / {}",
+            x.len(),
+            out.len(),
+            self.in_dim,
+            self.out_dim
+        );
+        let (w, b) = self.params(store);
+        rows_matmul(
+            out,
+            x,
+            w.as_slice(),
+            b.map(Matrix::as_slice),
+            self.in_dim,
+            self.out_dim,
+        );
     }
 
     /// Value-level forward (no tape): the same kernel call and in-place

@@ -1,5 +1,6 @@
 //! Multi-layer perceptron.
 
+use lcdd_tensor::kernels::grow;
 use lcdd_tensor::{Matrix, ParamStore, Tape, Var};
 use rand::Rng;
 
@@ -49,13 +50,6 @@ impl Mlp {
         Mlp { layers, activation }
     }
 
-    /// The layers in order, and the activation applied between
-    /// consecutive layers — for value-level callers that run the network
-    /// over buffers of their own.
-    pub fn layers(&self) -> (&[Linear], Activation) {
-        (&self.layers, self.activation)
-    }
-
     /// Input feature width.
     pub fn in_dim(&self) -> usize {
         self.layers.first().expect("non-empty").in_dim()
@@ -77,6 +71,37 @@ impl Mlp {
             }
         }
         h
+    }
+
+    /// Row-slice forward (no tape): `x` holds `n` rows of `in_dim`
+    /// floats, `out` receives `n` rows of `out_dim`. Hidden layers go
+    /// through `hidden`, which only grows. Every layer runs
+    /// [`Linear::forward_rows`], so each output row depends on its input
+    /// row alone.
+    pub fn forward_rows(
+        &self,
+        store: &ParamStore,
+        x: &[f32],
+        hidden: &mut Vec<f32>,
+        out: &mut [f32],
+    ) {
+        let rows = x.len() / self.in_dim();
+        let (last, inner) = self.layers.split_last().expect("non-empty");
+        // Hidden layers alternate between two halves of `hidden`; one
+        // hidden layer needs only the first.
+        let half = rows * inner.iter().map(Linear::out_dim).max().unwrap_or(0);
+        let (mut next, mut cur) = grow(hidden, half * inner.len().min(2)).split_at_mut(half);
+        let mut input = x;
+        for layer in inner {
+            let h = &mut next[..rows * layer.out_dim()];
+            layer.forward_rows(store, input, h);
+            for v in h.iter_mut() {
+                *v = self.activation.apply_value(*v);
+            }
+            std::mem::swap(&mut cur, &mut next);
+            input = &cur[..rows * layer.out_dim()];
+        }
+        last.forward_rows(store, input, out);
     }
 
     /// Value-level forward (no tape), bit-identical to [`Mlp::forward`]'s

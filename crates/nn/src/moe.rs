@@ -5,11 +5,12 @@
 //! gating function `g_i = Softmax(LeakyReLU(e_i W1) W2)` and the layer
 //! outputs the gate-weighted sum `v = Σ g_i(e_i) · e_i`.
 
-use lcdd_tensor::{ParamStore, Tape, Var};
+use lcdd_tensor::kernels::grow;
+use lcdd_tensor::{softmax_row, ParamStore, Tape, Var};
 use rand::Rng;
 
 use crate::linear::Linear;
-use crate::module::scoped;
+use crate::module::{scoped, Activation};
 
 /// Per-expert two-layer gating network producing one logit per expert,
 /// normalised across experts with a softmax.
@@ -91,6 +92,63 @@ impl MoeGate {
         // Stack expert reps as rows (E x dim); v = probs (1xE) @ stack.
         let stack = Var::concat_rows(expert_reps);
         (probs.matmul(&stack), probs)
+    }
+
+    /// Tape-free [`Self::combine`] for `rows` items at once, writing each
+    /// item's mixture `v` to its row of `out` (`rows x dim`). `reps` holds
+    /// the experts' representations expert-major: expert `i`'s `rows x dim`
+    /// block starts at `i * rows * dim`. Each gate runs over all items as
+    /// two [`Linear::forward_rows`] products giving one logit column; an
+    /// item's gates are the tape's [`softmax_row`] of its logits, and its
+    /// mixture is the sum `((0 + g_0·e_0) + g_1·e_1) + …` in expert order —
+    /// the order of `combine`'s `1 x E` product — so every row has the bits
+    /// `combine` gives that item alone. `hidden` and `gates` are scratch.
+    pub fn mix_rows(
+        &self,
+        store: &ParamStore,
+        reps: &[f32],
+        rows: usize,
+        hidden: &mut Vec<f32>,
+        gates: &mut Vec<f32>,
+        out: &mut [f32],
+    ) {
+        let (n, dim) = (self.gates.len(), self.dim);
+        assert_eq!(reps.len(), n * rows * dim, "MoeGate: reps shape");
+        assert_eq!(out.len(), rows * dim, "MoeGate: output shape");
+        if rows == 0 {
+            return;
+        }
+        let leaky = Activation::LeakyRelu(0.01);
+        let hidden = grow(hidden, rows * self.hidden);
+        let (probs, logit) = grow(gates, (n + 1) * rows).split_at_mut(n * rows);
+        for (i, ((w1, w2), rep)) in self
+            .gates
+            .iter()
+            .zip(reps.chunks_exact(rows * dim))
+            .enumerate()
+        {
+            w1.forward_rows(store, rep, hidden);
+            for h in hidden.iter_mut() {
+                *h = leaky.apply_value(*h);
+            }
+            w2.forward_rows(store, hidden, logit);
+            for (r, &l) in logit.iter().enumerate() {
+                probs[r * n + i] = l;
+            }
+        }
+        for (r, (p, o)) in probs
+            .chunks_exact_mut(n)
+            .zip(out.chunks_exact_mut(dim))
+            .enumerate()
+        {
+            softmax_row(p);
+            o.fill(0.0);
+            for (&g, rep) in p.iter().zip(reps.chunks_exact(rows * dim)) {
+                for (o, &e) in o.iter_mut().zip(&rep[r * dim..(r + 1) * dim]) {
+                    *o += g * e;
+                }
+            }
+        }
     }
 }
 

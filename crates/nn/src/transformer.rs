@@ -6,10 +6,11 @@
 //! u_i  = MLP(LN(u'_i)) + u'_i
 //! ```
 
+use lcdd_tensor::kernels::grow;
 use lcdd_tensor::{ParamStore, Tape, Var};
 use rand::Rng;
 
-use crate::attention::MultiHeadAttention;
+use crate::attention::{AttentionScratch, MultiHeadAttention};
 use crate::layernorm::LayerNorm;
 use crate::mlp::Mlp;
 use crate::module::{scoped, Activation};
@@ -59,6 +60,52 @@ impl TransformerBlock {
             .forward(store, tape, &self.ln2.forward(store, tape, &x));
         f.add(&x)
     }
+
+    /// Tape-free [`Self::forward`] over a stack of sequences, in place:
+    /// `h` holds `rows x dim` floats and every `span` consecutive rows are
+    /// one sequence (see [`MultiHeadAttention::forward_spans`]). Mirrors
+    /// the tape's order: LayerNorm rows, attention, `+ x`, LayerNorm rows,
+    /// feed-forward, `+ x`.
+    fn forward_spans(
+        &self,
+        store: &ParamStore,
+        h: &mut [f32],
+        span: usize,
+        sc: &mut TransformerScratch,
+    ) {
+        let dim = self.attn.dim();
+        let normed = grow(&mut sc.normed, h.len());
+        let branch = grow(&mut sc.branch, h.len());
+        for (x, o) in h.chunks_exact(dim).zip(normed.chunks_exact_mut(dim)) {
+            self.ln1.forward_row(store, x, o);
+        }
+        self.attn
+            .forward_spans(store, normed, span, branch, &mut sc.attn);
+        for (x, &a) in h.iter_mut().zip(branch.iter()) {
+            *x += a;
+        }
+        for (x, o) in h.chunks_exact(dim).zip(normed.chunks_exact_mut(dim)) {
+            self.ln2.forward_row(store, x, o);
+        }
+        self.ff.forward_rows(store, normed, &mut sc.hidden, branch);
+        for (x, &f) in h.iter_mut().zip(branch.iter()) {
+            *x += f;
+        }
+    }
+}
+
+/// Reusable buffers for [`TransformerEncoder::forward_spans`]. They are
+/// resized, never shrunk, so a scratch stops allocating once it has seen
+/// its largest operand.
+#[derive(Clone, Debug, Default)]
+pub struct TransformerScratch {
+    attn: AttentionScratch,
+    /// LayerNorm of the residual stream.
+    normed: Vec<f32>,
+    /// A sub-layer's output before its residual add.
+    branch: Vec<f32>,
+    /// The feed-forward hidden layer.
+    hidden: Vec<f32>,
 }
 
 /// A stack of [`TransformerBlock`]s with learnable positional embeddings.
@@ -142,6 +189,34 @@ impl TransformerEncoder {
             h = block.forward(store, tape, &h);
         }
         h
+    }
+
+    /// Tape-free [`Self::forward`] over a stack of token sequences, in
+    /// place: `h` holds `rows x dim` floats, row-major, and every `span`
+    /// consecutive rows are one sequence, attending only to itself. Each
+    /// sequence ends with the bits [`Self::forward`]'s value has for it
+    /// alone, whatever else is stacked with it. Buffers come from `sc`.
+    pub fn forward_spans(
+        &self,
+        store: &ParamStore,
+        h: &mut [f32],
+        span: usize,
+        sc: &mut TransformerScratch,
+    ) {
+        assert!(
+            span > 0 && span <= self.max_len,
+            "TransformerEncoder: sequence length {span} outside 1..={}",
+            self.max_len
+        );
+        let pos = store.value(self.pos);
+        for (r, row) in h.chunks_exact_mut(self.dim).enumerate() {
+            for (x, &p) in row.iter_mut().zip(pos.row(r % span)) {
+                *x += p;
+            }
+        }
+        for block in &self.blocks {
+            block.forward_spans(store, h, span, sc);
+        }
     }
 }
 

@@ -23,6 +23,12 @@
 //! cheap density probe: one-hot / masked inputs such as MoE gate outputs
 //! still skip their zero rows, while dense inputs never pay the
 //! per-element branch the seed imposed on everything.
+//!
+//! Inference runs on a fourth kernel, [`rows_matmul`]: `C = A · W (+ b)`
+//! over raw row-major slices, in which each output row is a pure function
+//! of its input row. The exact scorer and both encoders' value paths use
+//! it for every product, so their results do not depend on how many rows
+//! were stacked into one operand.
 
 use crate::matrix::Matrix;
 use crate::pool;
@@ -150,7 +156,8 @@ fn zero_fraction(data: &[f32]) -> f64 {
 /// sparse paths allocate nothing. Caching packed weight panels would not
 /// help the search hot path: the exact scorer in `lcdd-fcm` does not call
 /// this kernel, because it needs each output row's bits to be independent
-/// of the tile kind the row lands in. Only the encoders and training do.
+/// of the tile kind the row lands in; nor do the encoders' inference
+/// paths. Only training does.
 pub fn matmul_into(out: &mut Matrix, a: &Matrix, b: &Matrix) {
     let (n, m) = a.shape();
     let (mb, p) = b.shape();
@@ -559,6 +566,118 @@ pub fn matmul_tn_into(out: &mut Matrix, a: &Matrix, b: &Matrix) {
     }
 }
 
+/// Column strip of [`rows_matmul`]: one AVX-512 register, two AVX2 ones.
+const STRIP: usize = 16;
+/// Row tile of [`rows_matmul`]: rows sharing each loaded strip of `w`.
+const TILE: usize = 4;
+
+/// `out = a · w (+ bias)` with `a: rows x k`, `w: k x n`, all row-major.
+///
+/// Every output element is `((0 + a0·w0) + a1·w1) + …` over `k` in index
+/// order, each multiply and add rounded on its own (Rust never contracts
+/// them into fused multiply-adds), then the bias is added. Tiling only
+/// decides which elements share register loads, never that sequence, so
+/// each output row is a pure function of its input row and `w`.
+///
+/// That sequence is also the one [`matmul_into`] computes on every path
+/// but the AVX-512 12-row tile (the plain loop, the [`MR`]-row and
+/// single-row tiles, and the skip-zero loop, which only drops `+ 0·w`
+/// terms with finite `w`), so for a product of fewer than 12 rows both
+/// kernels give the same bits.
+pub fn rows_matmul(
+    out: &mut [f32],
+    a: &[f32],
+    w: &[f32],
+    bias: Option<&[f32]>,
+    k: usize,
+    n: usize,
+) {
+    let rows = a.len().checked_div(k).unwrap_or(0);
+    debug_assert_eq!(a.len(), rows * k);
+    debug_assert_eq!(w.len(), k * n);
+    debug_assert_eq!(out.len(), rows * n);
+    let mut r = 0;
+    while r + TILE <= rows {
+        row_tile::<TILE>(
+            &mut out[r * n..(r + TILE) * n],
+            &a[r * k..(r + TILE) * k],
+            w,
+            bias,
+            k,
+            n,
+        );
+        r += TILE;
+    }
+    while r < rows {
+        row_tile::<1>(
+            &mut out[r * n..(r + 1) * n],
+            &a[r * k..(r + 1) * k],
+            w,
+            bias,
+            k,
+            n,
+        );
+        r += 1;
+    }
+}
+
+/// `R` rows of [`rows_matmul`]: full [`STRIP`]-wide column strips with the
+/// accumulators in registers, then the leftover columns one at a time.
+#[inline(always)]
+fn row_tile<const R: usize>(
+    out: &mut [f32],
+    a: &[f32],
+    w: &[f32],
+    bias: Option<&[f32]>,
+    k: usize,
+    n: usize,
+) {
+    let mut j0 = 0;
+    while j0 + STRIP <= n {
+        let mut acc = [[0.0f32; STRIP]; R];
+        for (kk, w_row) in w.chunks_exact(n).enumerate() {
+            let w_strip: &[f32; STRIP] = w_row[j0..j0 + STRIP].try_into().expect("strip");
+            for (r, acc_r) in acc.iter_mut().enumerate() {
+                let x = a[r * k + kk];
+                for (o, &wv) in acc_r.iter_mut().zip(w_strip) {
+                    *o += x * wv;
+                }
+            }
+        }
+        for (r, acc_r) in acc.iter().enumerate() {
+            let o = &mut out[r * n + j0..r * n + j0 + STRIP];
+            match bias {
+                Some(b) => {
+                    for ((o, &v), &bv) in o.iter_mut().zip(acc_r).zip(&b[j0..j0 + STRIP]) {
+                        *o = v + bv;
+                    }
+                }
+                None => o.copy_from_slice(acc_r),
+            }
+        }
+        j0 += STRIP;
+    }
+    for j in j0..n {
+        for r in 0..R {
+            let mut acc = 0.0f32;
+            for (kk, w_row) in w.chunks_exact(n).enumerate() {
+                acc += a[r * k + kk] * w_row[j];
+            }
+            out[r * n + j] = bias.map_or(acc, |b| acc + b[j]);
+        }
+    }
+}
+
+/// The first `len` floats of a reusable buffer, lengthening it if it is
+/// shorter. Never shrinks, so a scratch buffer stops allocating once it
+/// has seen its largest use.
+pub fn grow(buf: &mut Vec<f32>, len: usize) -> &mut [f32] {
+    if buf.len() < len {
+        buf.resize(len, 0.0);
+    }
+    &mut buf[..len]
+}
+
 /// Integer dot product of two `i8` vectors with `i32` accumulation — the
 /// inner kernel of the quantized candidate scan. Products are widened to
 /// `i32` before summing, so no intermediate can overflow for any input
@@ -753,6 +872,63 @@ mod tests {
         assert_eq!(dot_i8(&a, &b), 128 * 128 * 4096);
         let c = vec![127i8; 4096];
         assert_eq!(dot_i8(&a, &c), -128 * 127 * 4096);
+    }
+
+    #[test]
+    fn rows_matmul_rows_do_not_depend_on_their_neighbours() {
+        // 7 rows x 5 inner x 37 cols: full and partial row tiles, full
+        // strips and a ragged tail.
+        let (rows, k, n) = (7, 5, 37);
+        let a: Vec<f32> = (0..rows * k).map(|i| (i as f32 * 0.71).sin()).collect();
+        let w: Vec<f32> = (0..k * n).map(|i| (i as f32 * 0.29).cos()).collect();
+        let bias: Vec<f32> = (0..n).map(|i| i as f32 * 0.01).collect();
+        let mut all = vec![0.0; rows * n];
+        rows_matmul(&mut all, &a, &w, Some(&bias), k, n);
+        for r in 0..rows {
+            let mut one = vec![0.0; n];
+            rows_matmul(&mut one, &a[r * k..(r + 1) * k], &w, Some(&bias), k, n);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&one), bits(&all[r * n..(r + 1) * n]), "row {r}");
+            for j in 0..n {
+                let want: f32 =
+                    (0..k).map(|kk| a[r * k + kk] * w[kk * n + j]).sum::<f32>() + bias[j];
+                assert!(
+                    (one[j] - want).abs() < 1e-5,
+                    "({r}, {j}): {} vs {want}",
+                    one[j]
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn rows_matmul_matches_matmul_into_bits_below_the_wide_tile() {
+        // Plain loop (tiny), dense MR / single-row tiles and the skip-zero
+        // loop: up to 8 rows, each path must give rows_matmul's bits.
+        for &(n, m, p, sparse) in &[
+            (1, 8, 32, false),
+            (8, 32, 32, false),
+            (8, 752, 32, false),
+            (5, 64, 40, false),
+            (8, 752, 32, true),
+        ] {
+            let mut a = matrix(n, m, 41);
+            if sparse {
+                for (i, x) in a.as_mut_slice().iter_mut().enumerate() {
+                    if i % 7 != 0 {
+                        *x = 0.0;
+                    }
+                }
+            }
+            let b = matrix(m, p, 42);
+            let mut want = Matrix::zeros(n, p);
+            matmul_into(&mut want, &a, &b);
+            let mut got = vec![0.0; n * p];
+            rows_matmul(&mut got, a.as_slice(), b.as_slice(), None, m, p);
+            for (i, (x, y)) in got.iter().zip(want.as_slice()).enumerate() {
+                assert_eq!(x.to_bits(), y.to_bits(), "{n}x{m}x{p}: element {i}");
+            }
+        }
     }
 
     #[test]

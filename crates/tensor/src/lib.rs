@@ -11,7 +11,8 @@
 //!
 //! * [`Matrix`] — plain row-major `f32` storage,
 //! * [`kernels`] — blocked/packed matmul micro-kernels (`A·B`, `A·Bᵀ`,
-//!   `Aᵀ·B`) with `_into` variants writing caller-provided scratch,
+//!   `Aᵀ·B`) with `_into` variants writing caller-provided scratch, and
+//!   the row-independent `rows_matmul` every inference path runs on,
 //! * [`pool`] — the scoped-thread work pool behind every parallel hot path,
 //! * [`Tape`]/[`Var`] — define-by-run reverse-mode autograd,
 //! * fused `softmax_rows` / `layer_norm` kernels,
@@ -47,7 +48,7 @@ pub mod tape;
 pub use grad_check::{grad_check, GradCheckReport};
 pub use kernels::matmul_naive;
 pub use matrix::Matrix;
-pub use ops::scaled_dot_attention;
+pub use ops::{scaled_dot_attention, softmax_row};
 pub use optim::{Adam, Optimizer, Sgd};
 pub use param::{ParamId, ParamStore};
 pub use tape::{Tape, Var};

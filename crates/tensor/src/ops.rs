@@ -386,20 +386,10 @@ impl Var {
 
     /// Row-wise softmax (fused forward/backward, numerically stabilised).
     pub fn softmax_rows(&self) -> Var {
-        let a = self.value();
-        let (rows, cols) = a.shape();
-        let mut out = Matrix::zeros(rows, cols);
+        let mut out = self.value();
+        let (rows, cols) = out.shape();
         for r in 0..rows {
-            let row = a.row(r);
-            let max = row.iter().fold(f32::NEG_INFINITY, |m, &x| m.max(x));
-            let mut denom = 0.0;
-            for (o, &x) in out.row_mut(r).iter_mut().zip(row) {
-                *o = (x - max).exp();
-                denom += *o;
-            }
-            for o in out.row_mut(r) {
-                *o /= denom;
-            }
+            softmax_row(out.row_mut(r));
         }
         let y = out.clone();
         let ai = self.idx;
@@ -558,6 +548,21 @@ impl Var {
                 sink(ai, dg);
             })),
         )
+    }
+}
+
+/// Numerically stabilised softmax of one row, in place — the forward pass
+/// of [`Var::softmax_rows`], shared with the tape-free inference paths so
+/// both compute the same bits.
+pub fn softmax_row(row: &mut [f32]) {
+    let max = row.iter().fold(f32::NEG_INFINITY, |m, &x| m.max(x));
+    let mut denom = 0.0;
+    for x in row.iter_mut() {
+        *x = (*x - max).exp();
+        denom += *x;
+    }
+    for x in row.iter_mut() {
+        *x /= denom;
     }
 }
 
