@@ -12,6 +12,9 @@ use rand::Rng;
 use crate::linear::Linear;
 use crate::module::{scoped, Activation};
 
+/// Negative slope of the LeakyReLU inside every gate (both forwards).
+const GATE_SLOPE: f32 = 0.01;
+
 /// Per-expert two-layer gating network producing one logit per expert,
 /// normalised across experts with a softmax.
 #[derive(Clone, Debug)]
@@ -79,7 +82,7 @@ impl MoeGate {
                     (1, self.dim),
                     "MoeGate: expert rep must be 1 x dim"
                 );
-                let h = w1.forward(store, tape, e).leaky_relu(0.01);
+                let h = w1.forward(store, tape, e).leaky_relu(GATE_SLOPE);
                 w2.forward(store, tape, &h)
             })
             .collect();
@@ -118,7 +121,7 @@ impl MoeGate {
         if rows == 0 {
             return;
         }
-        let leaky = Activation::LeakyRelu(0.01);
+        let leaky = Activation::LeakyRelu(GATE_SLOPE);
         let hidden = grow(hidden, rows * self.hidden);
         let (probs, logit) = grow(gates, (n + 1) * rows).split_at_mut(n * rows);
         for (i, ((w1, w2), rep)) in self
