@@ -26,13 +26,12 @@
 //! scratch; the scratch's buffers grow to the largest block seen and are
 //! reused, so after the first block no candidate allocates.
 //!
-//! All products go through `lcdd_tensor::kernels::rows_matmul`, a
-//! register-tiled kernel in which every output element is accumulated over
-//! `k` in index order with a separate multiply and add. That is the same
-//! instruction sequence whatever tile a row lands in, so a row's bits
-//! never depend on the other rows of the operand. The blocked `matmul_into`
-//! kernel does not have this property (its AVX-512 12-row tile fuses
-//! multiply-adds, its `MR` tile does not).
+//! All products go through `lcdd_tensor::kernels::rows_matmul`, the
+//! workspace's one matmul kernel, in which every output element is
+//! accumulated over `k` in index order with a separate multiply and add.
+//! That is the same instruction sequence whatever tile a row lands in and
+//! whatever SIMD the build targets, so a row's bits never depend on the
+//! other rows of the operand.
 //!
 //! ## Determinism
 //!
@@ -59,7 +58,7 @@ use crate::scoring::EncodedRepository;
 /// size: it bounds the scratch, and the results do not depend on it.
 pub const BLOCK: usize = 8;
 
-/// Sequential dot product (the order `matmul_nt`'s plain loop uses).
+/// Sequential dot product (the order `rows_matmul` sums in).
 fn dot(a: &[f32], b: &[f32]) -> f32 {
     a.iter().zip(b).fold(0.0, |acc, (&x, &y)| acc + x * y)
 }
@@ -242,8 +241,10 @@ impl<'a> QueryScorer<'a> {
                     "QueryScorer: SL-SAN projections must be bias-free"
                 );
                 let ev_concat = Matrix::concat_rows(&refs);
-                let q_v = wq.forward_value(&model.store, &ev_concat); // V x K
-                let k_v = wk.forward_value(&model.store, &ev_concat); // V x K
+                let mut q_v = Matrix::zeros(v_rows, wq.out_dim()); // V x K
+                let mut k_v = Matrix::zeros(v_rows, wk.out_dim()); // V x K
+                wq.forward_rows(&model.store, ev_concat.as_slice(), q_v.as_mut_slice());
+                wk.forward_rows(&model.store, ev_concat.as_slice(), k_v.as_mut_slice());
                 let a_v = q_v.matmul_nt(wk_w); // V x K: scores_v = a_v · panelᵀ
                 let m_t = wq_w.matmul_nt(&k_v); // K x V: scores_t = panel · m_t
                 let mut op = Matrix::zeros(k, 2 * v_rows);

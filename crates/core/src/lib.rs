@@ -54,4 +54,6 @@ pub use quant::QuantizedVec;
 pub use scoring::{
     encode_repository, encode_tables, pooled_mean_of, search_top_k, EncodedRepository,
 };
-pub use trainer::{train, train_with_callback, TrainConfig, TrainExample, TrainReport};
+pub use trainer::{
+    train, train_step, train_with_callback, StepStats, TrainConfig, TrainExample, TrainReport,
+};

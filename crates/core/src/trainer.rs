@@ -138,72 +138,19 @@ pub fn train_with_callback(
                     .collect();
                 let negs = select_negatives(cfg.strategy, &pool, cfg.n_neg, &mut rng);
 
-                let tape = Tape::new();
-                // Encode the query once; every candidate shares the nodes.
-                let ev =
-                    model
-                        .chart_encoder
-                        .encode_chart(&model.store, &tape, &ex.query.line_patches);
-                let v_pooled = Var::concat_rows(&ev).mean_rows();
-
-                let candidates: Vec<(usize, f32)> = std::iter::once((ex.positive, 1.0f32))
-                    .chain(negs.iter().map(|&ni| (ni, 0.0f32)))
-                    .collect();
-                // First pass: encode every candidate table.
-                let mut labels: Vec<f32> = Vec::with_capacity(candidates.len());
-                let mut ets: Vec<Vec<Var>> = Vec::with_capacity(candidates.len());
-                let mut t_pooled: Vec<Var> = Vec::with_capacity(candidates.len());
-                for &(ti, label) in &candidates {
-                    let pt = &processed[ti];
-                    let cols = filter_columns(pt, ex.query.y_range, model.config.range_slack);
-                    let col_refs: Vec<&lcdd_tensor::Matrix> =
-                        cols.iter().map(|&c| &pt.column_segments[c]).collect();
-                    let et = model
-                        .dataset_encoder
-                        .encode_columns(&model.store, &tape, &col_refs);
-                    t_pooled.push(Var::concat_rows(&et).mean_rows());
-                    ets.push(et);
-                    labels.push(label);
+                let candidates: Vec<(&ProcessedTable, f32)> =
+                    std::iter::once((&processed[ex.positive], 1.0f32))
+                        .chain(negs.iter().map(|&ni| (&processed[ni], 0.0f32)))
+                        .collect();
+                let step = train_step(model, &mut opt, cfg, &ex.query, &candidates);
+                epoch_bce += step.bce;
+                if let Some((nce, cos_pos, cos_neg)) = step.aux {
+                    epoch_cos_pos += cos_pos;
+                    epoch_cos_neg += cos_neg;
+                    epoch_nce += nce;
                 }
-                // Second pass: logits, with the alignment term centered on
-                // the in-batch candidate mean (matches inference, which
-                // centers on the repository mean).
-                let batch_center = Var::concat_rows(&t_pooled).mean_rows();
-                let logits: Vec<Var> = ets
-                    .iter()
-                    .map(|et| {
-                        model.matcher.relevance_logit_centered(
-                            &model.store,
-                            &tape,
-                            &ev,
-                            et,
-                            Some(&batch_center),
-                        )
-                    })
-                    .collect();
-                let logit_col = Var::concat_rows(&logits);
-                let bce = lcdd_nn::balanced_bce_logits(&tape, &logit_col, &labels);
-                epoch_bce += bce.scalar();
-                let mut loss = bce;
-                if cfg.aux_contrastive > 0.0 && t_pooled.len() > 1 {
-                    // Centre candidate embeddings across the candidate set:
-                    // positional embeddings and projection biases pool into
-                    // a per-modality constant direction that otherwise
-                    // dominates every cosine and starves the gradient.
-                    let t_centered: Vec<Var> =
-                        t_pooled.iter().map(|t| t.sub(&batch_center)).collect();
-                    let sims = lcdd_nn::cosine_scores(&v_pooled, &t_centered);
-                    let sv = sims.value();
-                    epoch_cos_pos += sv.get(0, 0);
-                    epoch_cos_neg += (1..sv.cols()).map(|j| sv.get(0, j)).sum::<f32>()
-                        / (sv.cols() - 1).max(1) as f32;
-                    let nce = lcdd_nn::contrastive_nce(&tape, &sims, 0, cfg.aux_temperature);
-                    epoch_nce += nce.scalar();
-                    loss = loss.add(&nce.scale(cfg.aux_contrastive));
-                }
-                tape.backward(&loss);
-                epoch_norm += model.store.apply_grads(&tape, &mut opt);
-                epoch_loss += loss.scalar();
+                epoch_norm += step.grad_norm;
+                epoch_loss += step.loss;
                 steps += 1;
             }
         }
@@ -220,6 +167,99 @@ pub fn train_with_callback(
         report.epoch_metrics.push(callback(epoch, mean_loss, model));
     }
     report
+}
+
+/// What one [`train_step`] measured.
+#[derive(Clone, Copy, Debug)]
+pub struct StepStats {
+    /// The loss the step minimised: BCE plus the weighted auxiliary term.
+    pub loss: f32,
+    /// The class-balanced BCE of Eq. 2.
+    pub bce: f32,
+    /// `(InfoNCE loss, cos(positive), mean cos(negatives))` of the
+    /// auxiliary alignment term, when it ran.
+    pub aux: Option<(f32, f32, f32)>,
+    /// Global gradient norm of the update.
+    pub grad_norm: f32,
+}
+
+/// One training step on one example, on a fresh tape: encodes the query
+/// and each candidate table (only the columns in the query's y-range),
+/// scores every candidate, and steps `opt` once on the class-balanced BCE
+/// plus the auxiliary alignment term. `candidates` pairs each table with
+/// its label, 1 for the positive and 0 for a negative.
+pub fn train_step(
+    model: &mut FcmModel,
+    opt: &mut Adam,
+    cfg: &TrainConfig,
+    query: &ProcessedQuery,
+    candidates: &[(&ProcessedTable, f32)],
+) -> StepStats {
+    let tape = Tape::new();
+    // Encode the query once; every candidate shares the nodes.
+    let ev = model
+        .chart_encoder
+        .encode_chart(&model.store, &tape, &query.line_patches);
+    let v_pooled = Var::concat_rows(&ev).mean_rows();
+
+    // First pass: encode every candidate table.
+    let mut labels: Vec<f32> = Vec::with_capacity(candidates.len());
+    let mut ets: Vec<Vec<Var>> = Vec::with_capacity(candidates.len());
+    let mut t_pooled: Vec<Var> = Vec::with_capacity(candidates.len());
+    for &(pt, label) in candidates {
+        let cols = filter_columns(pt, query.y_range, model.config.range_slack);
+        let col_refs: Vec<&lcdd_tensor::Matrix> =
+            cols.iter().map(|&c| &pt.column_segments[c]).collect();
+        let et = model
+            .dataset_encoder
+            .encode_columns(&model.store, &tape, &col_refs);
+        t_pooled.push(Var::concat_rows(&et).mean_rows());
+        ets.push(et);
+        labels.push(label);
+    }
+    // Second pass: logits, with the alignment term centered on the
+    // in-batch candidate mean (matches inference, which centers on the
+    // repository mean).
+    let batch_center = Var::concat_rows(&t_pooled).mean_rows();
+    let logits: Vec<Var> = ets
+        .iter()
+        .map(|et| {
+            model.matcher.relevance_logit_centered(
+                &model.store,
+                &tape,
+                &ev,
+                et,
+                Some(&batch_center),
+            )
+        })
+        .collect();
+    let logit_col = Var::concat_rows(&logits);
+    let bce = lcdd_nn::balanced_bce_logits(&tape, &logit_col, &labels);
+    let bce_value = bce.scalar();
+    let mut loss = bce;
+    let mut aux = None;
+    if cfg.aux_contrastive > 0.0 && t_pooled.len() > 1 {
+        // Centre candidate embeddings across the candidate set:
+        // positional embeddings and projection biases pool into a
+        // per-modality constant direction that otherwise dominates every
+        // cosine and starves the gradient.
+        let t_centered: Vec<Var> = t_pooled.iter().map(|t| t.sub(&batch_center)).collect();
+        let sims = lcdd_nn::cosine_scores(&v_pooled, &t_centered);
+        let sv = sims.value();
+        let cos_neg =
+            (1..sv.cols()).map(|j| sv.get(0, j)).sum::<f32>() / (sv.cols() - 1).max(1) as f32;
+        let nce = lcdd_nn::contrastive_nce(&tape, &sims, 0, cfg.aux_temperature);
+        aux = Some((nce.scalar(), sv.get(0, 0), cos_neg));
+        loss = loss.add(&nce.scale(cfg.aux_contrastive));
+    }
+    tape.backward(&loss);
+    let grad_norm = model.store.apply_grads(&tape, opt);
+    StepStats {
+        loss: loss.scalar(),
+        bce: bce_value,
+        aux,
+        grad_norm,
+    }
 }
 
 /// Trains without a per-epoch callback.

@@ -94,31 +94,6 @@ impl Linear {
             self.out_dim,
         );
     }
-
-    /// Value-level forward (no tape): the same kernel call and in-place
-    /// bias add as [`Var::affine`], so inference scoring built on this is
-    /// bit-identical to [`Linear::forward`]'s output value.
-    pub fn forward_value(&self, store: &ParamStore, x: &Matrix) -> Matrix {
-        assert_eq!(
-            x.cols(),
-            self.in_dim,
-            "Linear::forward_value: expected input width {}, got {}",
-            self.in_dim,
-            x.cols()
-        );
-        let w = store.value(self.w);
-        let mut out = Matrix::zeros(x.rows(), w.cols());
-        x.matmul_into(w, &mut out);
-        if let Some(b) = self.b {
-            let bv = store.value(b);
-            for r in 0..out.rows() {
-                for (o, &bb) in out.row_mut(r).iter_mut().zip(bv.as_slice()) {
-                    *o += bb;
-                }
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -161,17 +136,20 @@ mod tests {
     }
 
     #[test]
-    fn forward_value_bit_identical_to_tape_forward() {
+    fn forward_rows_bit_identical_to_tape_forward() {
+        // 20 rows: more than any register tile, so the tape's product and
+        // the row kernel must agree past the tile edges.
         let mut store = ParamStore::new();
         let mut rng = StdRng::seed_from_u64(7);
-        let lin = Linear::new(&mut store, &mut rng, "l", 5, 3, true);
-        let x = Matrix::from_vec(4, 5, (0..20).map(|i| (i as f32).sin()).collect());
+        let lin = Linear::new(&mut store, &mut rng, "l", 37, 24, true);
+        let x = Matrix::from_vec(20, 37, (0..740).map(|i| (i as f32).sin()).collect());
         let tape = Tape::new();
         let xv = tape.leaf(x.clone());
         let taped = lin.forward(&store, &tape, &xv).value();
-        let valued = lin.forward_value(&store, &x);
-        assert_eq!(taped.shape(), valued.shape());
-        for (a, b) in taped.as_slice().iter().zip(valued.as_slice()) {
+        let mut rows = vec![0.0; 20 * 24];
+        lin.forward_rows(&store, x.as_slice(), &mut rows);
+        assert_eq!(taped.shape(), (20, 24));
+        for (a, b) in taped.as_slice().iter().zip(&rows) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
     }

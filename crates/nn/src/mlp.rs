@@ -1,7 +1,7 @@
 //! Multi-layer perceptron.
 
 use lcdd_tensor::kernels::grow;
-use lcdd_tensor::{Matrix, ParamStore, Tape, Var};
+use lcdd_tensor::{ParamStore, Tape, Var};
 use rand::Rng;
 
 use crate::linear::Linear;
@@ -103,17 +103,6 @@ impl Mlp {
         }
         last.forward_rows(store, input, out);
     }
-
-    /// Value-level forward (no tape), bit-identical to [`Mlp::forward`]'s
-    /// output value.
-    pub fn forward_value(&self, store: &ParamStore, x: &Matrix) -> Matrix {
-        let mut h = self.layers[0].forward_value(store, x);
-        for layer in &self.layers[1..] {
-            h = self.activation.apply_matrix(&h);
-            h = layer.forward_value(store, &h);
-        }
-        h
-    }
 }
 
 #[cfg(test)]
@@ -136,16 +125,25 @@ mod tests {
     }
 
     #[test]
-    fn forward_value_bit_identical_to_tape_forward() {
+    fn forward_rows_bit_identical_to_tape_forward() {
         let mut store = ParamStore::new();
         let mut rng = StdRng::seed_from_u64(11);
-        let mlp = Mlp::new(&mut store, &mut rng, "m", &[6, 9, 4, 1], Activation::Relu);
-        let x = Matrix::from_vec(5, 6, (0..30).map(|i| (i as f32 * 0.13).sin()).collect());
+        // 20 rows and hidden widths past any register tile.
+        let mlp = Mlp::new(
+            &mut store,
+            &mut rng,
+            "m",
+            &[24, 48, 40, 1],
+            Activation::Relu,
+        );
+        let x = Matrix::from_vec(20, 24, (0..480).map(|i| (i as f32 * 0.13).sin()).collect());
         let tape = Tape::new();
         let xv = tape.leaf(x.clone());
         let taped = mlp.forward(&store, &tape, &xv).value();
-        let valued = mlp.forward_value(&store, &x);
-        for (a, b) in taped.as_slice().iter().zip(valued.as_slice()) {
+        let mut rows = vec![0.0; 20];
+        mlp.forward_rows(&store, x.as_slice(), &mut Vec::new(), &mut rows);
+        assert_eq!(taped.shape(), (20, 1));
+        for (a, b) in taped.as_slice().iter().zip(&rows) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
     }

@@ -1,6 +1,6 @@
 //! Shared layer plumbing: activation functions and naming helpers.
 
-use lcdd_tensor::{Matrix, Var};
+use lcdd_tensor::Var;
 
 /// Activation functions used across the model zoo.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -26,16 +26,10 @@ impl Activation {
         }
     }
 
-    /// Value-level application (no tape). Each arm computes exactly the
-    /// same elementwise function as the corresponding [`Var`] op's forward
-    /// pass, so inference paths built on this are bit-identical to the
-    /// tape path.
-    pub fn apply_matrix(self, x: &Matrix) -> Matrix {
-        x.map(|v| self.apply_value(v))
-    }
-
-    /// The activation of one element, as [`Activation::apply_matrix`]
-    /// computes it.
+    /// The activation of one element (no tape). Each arm computes exactly
+    /// the same elementwise function as the corresponding [`Var`] op's
+    /// forward pass, so inference paths built on this are bit-identical to
+    /// the tape path.
     pub fn apply_value(self, v: f32) -> f32 {
         match self {
             Activation::Identity => v,

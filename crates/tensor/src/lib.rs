@@ -10,9 +10,9 @@
 //! operation set the paper's architecture needs:
 //!
 //! * [`Matrix`] — plain row-major `f32` storage,
-//! * [`kernels`] — blocked/packed matmul micro-kernels (`A·B`, `A·Bᵀ`,
-//!   `Aᵀ·B`) with `_into` variants writing caller-provided scratch, and
-//!   the row-independent `rows_matmul` every inference path runs on,
+//! * [`kernels`] — one matmul kernel, the row-independent, unfused
+//!   `rows_matmul` that training and inference both run on, with `Matrix`
+//!   wrappers for `A·B`, `A·Bᵀ` and `Aᵀ·B`,
 //! * [`pool`] — the scoped-thread work pool behind every parallel hot path,
 //! * [`Tape`]/[`Var`] — define-by-run reverse-mode autograd,
 //! * fused `softmax_rows` / `layer_norm` kernels,

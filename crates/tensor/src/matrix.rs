@@ -165,11 +165,8 @@ impl Matrix {
 
     /// Matrix product `self * other`, shapes `(n,m) x (m,p) -> (n,p)`.
     ///
-    /// Dispatches to the blocked/packed kernel layer in
-    /// [`crate::kernels`]: register-tiled micro-kernel for dense operands,
-    /// a skip-zero path when a density probe finds the left operand mostly
-    /// zero, and row-band parallelism over the [`crate::pool`] workers for
-    /// large products.
+    /// Runs on [`crate::kernels::rows_matmul`]: every element is the
+    /// unfused `k`-ordered sum, the bits of [`crate::matmul_naive`].
     pub fn matmul(&self, other: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(self.rows, other.cols);
         crate::kernels::matmul_into(&mut out, self, other);
@@ -183,20 +180,16 @@ impl Matrix {
         crate::kernels::matmul_into(out, self, other);
     }
 
-    /// `self * otherᵀ` without materializing the transpose, shapes
-    /// `(n,m) x (p,m) -> (n,p)`.
+    /// `self * otherᵀ`, shapes `(n,m) x (p,m) -> (n,p)`: transposes
+    /// `other` once. The gradient product `dL/dA = G · Bᵀ`.
     pub fn matmul_nt(&self, other: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(self.rows, other.rows);
-        crate::kernels::matmul_nt_into(&mut out, self, other);
-        out
+        self.matmul(&other.transpose())
     }
 
-    /// `selfᵀ * other` without materializing the transpose, shapes
-    /// `(m,n) x (m,p) -> (n,p)`.
+    /// `selfᵀ * other`, shapes `(m,n) x (m,p) -> (n,p)`: transposes `self`
+    /// once. The gradient product `dL/dB = Aᵀ · G`.
     pub fn matmul_tn(&self, other: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, other.cols);
-        crate::kernels::matmul_tn_into(&mut out, self, other);
-        out
+        self.transpose().matmul(other)
     }
 
     /// Transpose.

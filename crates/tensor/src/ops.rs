@@ -147,8 +147,7 @@ impl Var {
         self.tape.push(
             out,
             Some(Box::new(move |g, sink| {
-                // dA = G·Bᵀ, dB = Aᵀ·G — layout-aware kernels, no
-                // transpose materialization.
+                // dA = G·Bᵀ, dB = Aᵀ·G.
                 sink(ai, g.matmul_nt(&b));
                 sink(bi, a.matmul_tn(g));
             })),
@@ -158,9 +157,9 @@ impl Var {
     /// Matrix product against a transposed right operand:
     /// `self (n,m) · otherᵀ (m,p) -> (n,p)` with `other: (p,m)`.
     ///
-    /// Equivalent to `self.matmul(&other.transpose_var())` but skips the
-    /// transpose node and its materialized value — this is the hot scoring
-    /// shape (`Q·Kᵀ`) in every attention block and the HCMAN matcher.
+    /// Equivalent to `self.matmul(&other.transpose_var())` but records no
+    /// transpose node — this is the hot scoring shape (`Q·Kᵀ`) in every
+    /// attention block and the HCMAN matcher.
     pub fn matmul_nt(&self, other: &Var) -> Var {
         self.assert_same_tape(other, "matmul_nt");
         let a = self.value();

@@ -1,6 +1,8 @@
 //! Scoped-thread work pool shared by every parallel hot path in the
-//! workspace: repository encoding, candidate scoring, ground-truth DTW
-//! matrices and row-blocked matmuls.
+//! workspace: repository encoding, candidate scoring, benchmark
+//! evaluation and ground-truth DTW matrices. The matmul kernel itself is
+//! serial; callers parallelize over the tables, candidates or queries
+//! around it.
 //!
 //! The pool is deliberately structured around `std::thread::scope`: workers
 //! borrow their inputs directly (no `Arc`, no channels, no 'static bounds)
@@ -37,9 +39,8 @@
 //! Every `par_*` helper produces results identical to its serial
 //! equivalent: splitting only distributes *which worker* computes an
 //! (index, item) pair, never the per-pair computation or the order results
-//! are assembled in. Combined with the band-aligned matmul split in
-//! [`crate::kernels`], all tensor results are bit-identical at any thread
-//! count.
+//! are assembled in. The kernels in [`crate::kernels`] never split, so
+//! all tensor results are bit-identical at any thread count.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -51,7 +52,7 @@ pub const MAX_THREADS: usize = 16;
 thread_local! {
     /// Set inside pool workers so nested `par_*` calls run serial instead
     /// of multiplying threads (e.g. per-query eval → per-candidate scoring
-    /// → row-blocked matmul would otherwise cube the thread count).
+    /// would otherwise square the thread count).
     static IN_WORKER: Cell<bool> = const { Cell::new(false) };
 }
 
@@ -60,17 +61,17 @@ thread_local! {
 /// tests and thread-sweep harnesses.
 static THREADS: AtomicUsize = AtomicUsize::new(0);
 
-/// Parallel map/chunk invocations executed (monotone, relaxed). Scraped
+/// Parallel map invocations executed (monotone, relaxed). Scraped
 /// by the gateway's telemetry registry as `lcdd_pool_tasks`.
 static TASKS: AtomicUsize = AtomicUsize::new(0);
 
-/// Parallel invocations executed so far ([`par_map`] and the chunked
-/// variants each count one, whether they ran fanned-out or serial).
+/// Parallel invocations executed so far (each [`par_map`] call counts
+/// one, whether it ran fanned-out or serial).
 pub fn tasks_executed() -> u64 {
     TASKS.load(Ordering::Relaxed) as u64
 }
 
-pub(crate) fn detect_threads() -> usize {
+fn detect_threads() -> usize {
     if let Ok(v) = std::env::var("LCDD_THREADS") {
         // 0 and garbage both fall through to detection.
         if let Ok(n) = v.trim().parse::<usize>() {
@@ -187,58 +188,22 @@ pub fn par_chunks<T: Sync, R: Send>(
     results.into_iter().flatten().collect()
 }
 
-/// Runs `f` over disjoint mutable chunks of `data` in parallel, passing the
-/// chunk's starting offset. Chunk boundaries fall on multiples of
-/// `chunk_len`; the final chunk may be shorter. This is the building block
-/// for row-blocked matmul, where each worker owns a band of output rows.
-pub fn par_chunks_mut<T: Send + Sync>(
-    data: &mut [T],
-    chunk_len: usize,
-    f: impl Fn(usize, &mut [T]) + Sync,
-) {
-    assert!(chunk_len > 0, "par_chunks_mut: chunk_len must be positive");
-    TASKS.fetch_add(1, Ordering::Relaxed);
-    let threads = num_threads();
-    if threads <= 1 || data.len() <= chunk_len {
-        f(0, data);
-        return;
-    }
-    std::thread::scope(|s| {
-        let f = &f;
-        for (ci, chunk) in data.chunks_mut(chunk_len).enumerate() {
-            s.spawn(move || {
-                IN_WORKER.with(|w| w.set(true));
-                f(ci * chunk_len, chunk);
-            });
-        }
-    });
-}
-
-#[cfg(test)]
-pub(crate) mod test_sync {
-    //! Serialization point for tests that call [`super::force_threads`]:
-    //! the cached count is process-global, so forced-count tests (here and
-    //! in `kernels`) must not interleave with each other.
-
-    use std::sync::{Mutex, MutexGuard, PoisonError};
-
-    static FORCED: Mutex<()> = Mutex::new(());
-
-    /// Takes the forced-thread-count lock; on drop, callers should restore
-    /// a detected count via [`super::force_threads`].
-    pub(crate) fn lock() -> MutexGuard<'static, ()> {
-        FORCED.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard, PoisonError};
+
+    /// Serializes the tests that call [`force_threads`]: the cached count
+    /// is process-global, so forced-count tests must not interleave.
+    fn forced_threads_lock() -> MutexGuard<'static, ()> {
+        static FORCED: Mutex<()> = Mutex::new(());
+        FORCED.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
     /// Runs `body` with the pool forced to each count in `counts`,
     /// restoring the detected count afterwards.
     fn with_forced_threads(counts: &[usize], body: impl Fn(usize)) {
-        let _guard = test_sync::lock();
+        let _guard = forced_threads_lock();
         for &t in counts {
             force_threads(t);
             body(t);
@@ -303,19 +268,6 @@ mod tests {
     }
 
     #[test]
-    fn par_chunks_mut_covers_all_elements() {
-        let mut data = vec![0u64; 1003];
-        par_chunks_mut(&mut data, 100, |base, chunk| {
-            for (j, v) in chunk.iter_mut().enumerate() {
-                *v = (base + j) as u64;
-            }
-        });
-        for (i, &v) in data.iter().enumerate() {
-            assert_eq!(v, i as u64);
-        }
-    }
-
-    #[test]
     fn nested_par_map_is_correct_and_serial() {
         let outer: Vec<usize> = (0..16).collect();
         let out = par_map(&outer, |&x| {
@@ -338,7 +290,7 @@ mod tests {
 
     #[test]
     fn force_threads_overrides_frozen_count() {
-        let _guard = test_sync::lock();
+        let _guard = forced_threads_lock();
         force_threads(3);
         assert_eq!(num_threads(), 3);
         force_threads(0); // clamped up
@@ -399,28 +351,6 @@ mod tests {
                         1,
                         "threads={t} len={len}: par_chunks index {i}"
                     );
-                }
-
-                // par_chunks_mut across chunk lengths that do and don't
-                // divide len, including chunk_len > len.
-                for chunk_len in [1usize, 2, 3, 7, len.max(1), len + 3] {
-                    let mut data = vec![u32::MAX; len];
-                    par_chunks_mut(&mut data, chunk_len, |base, chunk| {
-                        for (j, v) in chunk.iter_mut().enumerate() {
-                            assert_eq!(
-                                *v,
-                                u32::MAX,
-                                "threads={t} len={len} cl={chunk_len}: slot revisited"
-                            );
-                            *v = (base + j) as u32;
-                        }
-                    });
-                    for (i, &v) in data.iter().enumerate() {
-                        assert_eq!(
-                            v as usize, i,
-                            "threads={t} len={len} cl={chunk_len}: index {i}"
-                        );
-                    }
                 }
             }
         });
