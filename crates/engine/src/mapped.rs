@@ -53,9 +53,12 @@
 //! [`EngineError::Store`] values at open; materialization after a clean
 //! open is infallible by construction (every extent was bounds-checked at
 //! parse). The eager decode (`parse_segment_slots`, also the path engine
-//! snapshots load through) additionally checks each slot's blob hash, so
-//! an image is self-verifying even outside a frame.
+//! snapshots load and WAL insert records replay through) additionally
+//! checks each slot's blob hash, so an image is self-verifying even
+//! outside a frame. Every reader passes the serving model's `embed_dim`,
+//! and an image of another width is refused at parse.
 
+use std::borrow::Borrow;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
@@ -327,16 +330,17 @@ pub(crate) struct MappedSegment {
 
 impl MappedSegment {
     /// Maps `path`, verifies the enclosing frame ([`frame::verify`]),
-    /// parses the image summary, then drops blob residency. No slot is
-    /// decoded.
+    /// parses the image summary (which must be `embed_dim` wide), then
+    /// drops blob residency. No slot is decoded.
     pub(crate) fn open_framed(
         path: &Path,
         magic: &[u8; 8],
         version: u32,
+        embed_dim: usize,
     ) -> Result<MappedSegment, EngineError> {
         let map = Mapping::open(path)?;
         let parsed = frame::verify(map.as_slice(), magic, version)
-            .and_then(parse_image)
+            .and_then(|image| parse_image(image, embed_dim))
             .map_err(frame::context(path.display()))?;
         let seg = MappedSegment {
             image_off: frame::HEAD_LEN,
@@ -492,13 +496,13 @@ impl SegmentImage {
         [&self.header, &self.summary, &ZEROS[..self.pad], &self.blob]
     }
 
-    /// Rebuilds the image from slot data, consuming the slots one at a
-    /// time (peak memory is the image itself plus one slot — bulk corpus
-    /// writers stream millions of tables through here without ever
-    /// holding a shard's worth of `SlotData`).
+    /// Rebuilds the image from slot data, owned or borrowed, taking the
+    /// slots one at a time (peak memory is the image itself plus one slot
+    /// — bulk corpus writers stream millions of tables through here
+    /// without ever holding a shard's worth of `SlotData`).
     pub(crate) fn fill(
         &mut self,
-        slots: impl Iterator<Item = SlotData>,
+        slots: impl Iterator<Item = impl Borrow<SlotData>>,
         embed_dim: usize,
     ) -> Result<(), EngineError> {
         let SegmentImage {
@@ -512,6 +516,7 @@ impl SegmentImage {
         blob.clear();
         let mut n_slots = 0u64;
         for slot in slots {
+            let slot = slot.borrow();
             n_slots += 1;
             let blob_start = blob.len();
             summary.put_u64(slot.meta.id);
@@ -576,7 +581,7 @@ impl SegmentImage {
 
 /// Builds an `LCDDSEG2` image from slot data as one contiguous buffer.
 pub(crate) fn write_segment_image(
-    slots: impl Iterator<Item = SlotData>,
+    slots: impl Iterator<Item = impl Borrow<SlotData>>,
     embed_dim: usize,
 ) -> Result<Vec<u8>, EngineError> {
     let mut image = SegmentImage::new();
@@ -593,7 +598,9 @@ struct ParsedImage {
     blob_len: usize,
 }
 
-fn parse_image(image: &[u8]) -> Result<ParsedImage, EngineError> {
+/// Parses an image's header and summary, refusing a header or encoding
+/// matrix that is not `model_dim` (the serving model's `embed_dim`) wide.
+fn parse_image(image: &[u8], model_dim: usize) -> Result<ParsedImage, EngineError> {
     if image.len() < HEADER_LEN {
         return Err(EngineError::Store("segment image: truncated header".into()));
     }
@@ -618,9 +625,14 @@ fn parse_image(image: &[u8]) -> Result<ParsedImage, EngineError> {
             "segment image: nonzero reserved field".into(),
         ));
     }
-    if embed_dim > MAX_FIELD_BYTES / 4 || n_slots > MAX_FIELD_BYTES / 8 {
+    if embed_dim != model_dim {
         return Err(EngineError::Store(format!(
-            "segment image: implausible header (embed_dim {embed_dim}, {n_slots} slots)"
+            "segment image: embed_dim {embed_dim} does not match the model's {model_dim}"
+        )));
+    }
+    if n_slots > MAX_FIELD_BYTES / 8 {
+        return Err(EngineError::Store(format!(
+            "segment image: implausible header ({n_slots} slots)"
         )));
     }
     if summary_len > image.len() - HEADER_LEN
@@ -674,6 +686,12 @@ fn parse_image(image: &[u8]) -> Result<ParsedImage, EngineError> {
                 }
                 *d = (r, c);
                 expect_elems += r as u64 * c as u64;
+            }
+            if dims[1].1 as usize != embed_dim {
+                return Err(EngineError::Store(format!(
+                    "slot {si}: encoding is {} wide, the image is {embed_dim}",
+                    dims[1].1
+                )));
             }
             seg_dims.push(dims[0]);
             enc_dims.push(dims[1]);
@@ -739,11 +757,15 @@ fn parse_image(image: &[u8]) -> Result<ParsedImage, EngineError> {
     })
 }
 
-/// Eagerly decodes a full image into slot data, verifying the per-slot
-/// blob checksums as it goes — the all-resident open path
-/// ([`crate::persist::assemble_engine`]).
-pub(crate) fn parse_segment_slots(image: &[u8]) -> Result<Vec<SlotData>, EngineError> {
-    let parsed = parse_image(image)?;
+/// Eagerly decodes a full `embed_dim`-wide image into slot data,
+/// verifying the per-slot blob checksums as it goes — the all-resident
+/// open path ([`crate::persist::assemble_engine`]) and WAL insert replay
+/// ([`crate::persist::EncodedTableBatch::from_bytes`]).
+pub(crate) fn parse_segment_slots(
+    image: &[u8],
+    embed_dim: usize,
+) -> Result<Vec<SlotData>, EngineError> {
+    let parsed = parse_image(image, embed_dim)?;
     let blob = &image[parsed.blob_off..];
     let mut out = Vec::with_capacity(parsed.slots.len());
     // parse_image validated extents, so slicing below cannot go out of
@@ -842,7 +864,7 @@ mod tests {
         let k = 16;
         let slots: Vec<SlotData> = (0..5).map(|i| slot(i, 2 + (i as usize % 2), k)).collect();
         let image = write_segment_image(slots.clone().into_iter(), k).unwrap();
-        let back = parse_segment_slots(&image).unwrap();
+        let back = parse_segment_slots(&image, k).unwrap();
         assert_eq!(back.len(), slots.len());
         for (a, b) in slots.iter().zip(&back) {
             assert_eq!(a.meta.id, b.meta.id);
@@ -864,13 +886,13 @@ mod tests {
         // stand between a flipped blob byte and a silently different slot.
         let k = 8;
         let image = write_segment_image((0..4).map(|i| slot(i, 2, k)), k).unwrap();
-        let parsed = parse_image(&image).unwrap();
+        let parsed = parse_image(&image, k).unwrap();
         for (si, s) in parsed.slots.iter().enumerate() {
             let extent = parsed.blob_off + s.elem_start as usize * 4;
             for off in [extent, extent + s.n_elems as usize * 4 - 1] {
                 let mut bad = image.clone();
                 bad[off] ^= 0x01;
-                match parse_segment_slots(&bad) {
+                match parse_segment_slots(&bad, k) {
                     Err(EngineError::Store(m)) => assert!(
                         m.contains(&format!("slot {si}: blob checksum mismatch")),
                         "flip at {off}: {m}"
@@ -888,7 +910,7 @@ mod tests {
         let image = write_segment_image(slots.clone().into_iter(), k).unwrap();
         let path = temp_file("lazy");
         std::fs::write(&path, framed(&image)).unwrap();
-        let seg = MappedSegment::open_framed(&path, b"TESTSEG9", 7).unwrap();
+        let seg = MappedSegment::open_framed(&path, b"TESTSEG9", 7, k).unwrap();
         assert_eq!(seg.n_slots(), 4);
         assert_eq!(seg.embed_dim(), k);
         assert_eq!(seg.paged_in(), (0, 0), "open must not decode any slot");
@@ -934,27 +956,28 @@ mod tests {
             bad[off] ^= 0x40;
             std::fs::write(&path, &bad).unwrap();
             assert!(
-                MappedSegment::open_framed(&path, b"TESTSEG9", 7).is_err(),
+                MappedSegment::open_framed(&path, b"TESTSEG9", 7, k).is_err(),
                 "flip at {off} went undetected"
             );
         }
         // Truncations too.
         for cut in [10, 40, framed.len() / 2, framed.len() - 1] {
             std::fs::write(&path, &framed[..cut]).unwrap();
-            assert!(MappedSegment::open_framed(&path, b"TESTSEG9", 7).is_err());
+            assert!(MappedSegment::open_framed(&path, b"TESTSEG9", 7, k).is_err());
         }
         std::fs::write(&path, &framed).unwrap();
-        assert!(MappedSegment::open_framed(&path, b"TESTSEG9", 7).is_ok());
+        assert!(MappedSegment::open_framed(&path, b"TESTSEG9", 7, k).is_ok());
         let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn empty_segment_round_trips() {
-        let image = write_segment_image(std::iter::empty(), 16).unwrap();
-        assert!(parse_segment_slots(&image).unwrap().is_empty());
+        let k = 16;
+        let image = write_segment_image(std::iter::empty::<SlotData>(), k).unwrap();
+        assert!(parse_segment_slots(&image, k).unwrap().is_empty());
         let path = temp_file("empty");
         std::fs::write(&path, framed(&image)).unwrap();
-        let seg = MappedSegment::open_framed(&path, b"TESTSEG9", 7).unwrap();
+        let seg = MappedSegment::open_framed(&path, b"TESTSEG9", 7, k).unwrap();
         assert_eq!(seg.n_slots(), 0);
         let _ = std::fs::remove_file(&path);
     }

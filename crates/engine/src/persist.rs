@@ -19,10 +19,15 @@
 //! * **The global order** ([`live_order`]) — ingest order in the compacted
 //!   slot coordinates segments restore into.
 //! * **Encoded table batches** ([`EncodedTableBatch`]) — the encoder's
-//!   output for an ingest delta, opaque to callers. A WAL records these
+//!   output for an ingest delta, opaque to callers, persisted as one more
+//!   `LCDDSEG2` image of just the delta's slots. A WAL records these
 //!   instead of raw tables, so crash replay *never re-runs the encoder*
 //!   (`lcdd_fcm::table_encode_count` stays flat during recovery, asserted
 //!   by the store's recovery suite).
+//!
+//! Every slot's matrices are encoded and decoded by [`crate::mapped`]
+//! alone, and every reader hands it the model's `embed_dim`, so an image
+//! of another width is a typed error wherever it turns up.
 //!
 //! [`assemble_engine`] is the inverse: meta + global order + one segment
 //! per shard + the epoch to resume from. An engine **snapshot**
@@ -223,18 +228,6 @@ fn read_hybrid_config(r: &mut Cursor) -> Result<HybridConfig, EngineError> {
 
 // ---- encoded table batches ------------------------------------------------
 
-/// One table's identity + preprocessed columns, as a WAL batch records them.
-fn write_slot(w: &mut Vec<u8>, meta: &TableMeta, pt: &ProcessedTable) {
-    w.put_u64(meta.id);
-    w.put_str(&meta.name);
-    w.put_count(pt.column_segments.len());
-    for (seg, &(lo, hi)) in pt.column_segments.iter().zip(&pt.column_ranges) {
-        write_mat(w, seg);
-        w.put_f64(lo);
-        w.put_f64(hi);
-    }
-}
-
 /// An ingest delta after the FCM dataset encoder ran: everything the
 /// engine needs to splice the tables in without touching the encoder
 /// again. Produced by [`encode_batch`], persisted via
@@ -242,16 +235,8 @@ fn write_slot(w: &mut Vec<u8>, meta: &TableMeta, pt: &ProcessedTable) {
 /// [`Engine::insert_encoded`].
 pub struct EncodedTableBatch {
     pub(crate) slots: Vec<SlotData>,
-}
-
-/// Re-labels parse errors inside a batch record as [`EngineError::Wal`]:
-/// batch bytes only ever come out of WAL records whose frame checksum
-/// already passed, so a malformed interior is log corruption.
-fn batch_err(e: EngineError) -> EngineError {
-    match e {
-        EngineError::Store(m) => EngineError::Wal(format!("insert batch: {m}")),
-        other => other,
-    }
+    /// Width of the encodings, the image header's `embed_dim`.
+    embed_dim: usize,
 }
 
 impl EncodedTableBatch {
@@ -270,78 +255,23 @@ impl EncodedTableBatch {
         self.slots.iter().map(|s| s.meta.id).collect()
     }
 
-    /// Serializes the batch (tables, cached encodings, index intervals).
+    /// Serializes the batch as one `LCDDSEG2` image of its slots — the
+    /// bytes a checkpoint would write for a shard holding just them.
     pub fn to_bytes(&self) -> Result<Vec<u8>, EngineError> {
-        let mut w = Vec::new();
-        w.put_count(self.slots.len());
-        for s in &self.slots {
-            write_slot(&mut w, &s.meta, &s.table);
-            w.put_count(s.encodings.len());
-            for m in &s.encodings {
-                write_mat(&mut w, m);
-            }
-            w.put_count(s.intervals.len());
-            for &(lo, hi) in &s.intervals {
-                w.put_f64(lo);
-                w.put_f64(hi);
-            }
-        }
-        Ok(w)
+        write_segment_image(self.slots.iter(), self.embed_dim)
     }
 
-    /// Parses a batch previously written by [`EncodedTableBatch::to_bytes`].
-    /// Malformed bytes surface as [`EngineError::Wal`], never a panic.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, EngineError> {
-        Self::parse(bytes).map_err(batch_err)
-    }
-
-    fn parse(bytes: &[u8]) -> Result<Self, EngineError> {
-        let mut r = Cursor::new(bytes);
-        let n_tables = r.count()?;
-        let mut slots = Vec::with_capacity(n_tables.min(65_536));
-        for _ in 0..n_tables {
-            let id = r.u64()?;
-            let name = r.str()?;
-            let n_cols = r.count()?;
-            let mut column_segments = Vec::with_capacity(n_cols.min(65_536));
-            let mut column_ranges = Vec::with_capacity(n_cols.min(65_536));
-            for _ in 0..n_cols {
-                column_segments.push(read_mat(&mut r)?);
-                column_ranges.push((r.f64()?, r.f64()?));
-            }
-            let n_enc = r.count()?;
-            if n_enc != n_cols {
-                return Err(EngineError::Store(format!(
-                    "{n_enc} encodings for {n_cols} columns"
-                )));
-            }
-            let mut encodings = Vec::with_capacity(n_enc.min(65_536));
-            for _ in 0..n_enc {
-                encodings.push(read_mat(&mut r)?);
-            }
-            let n_iv = r.count()?;
-            let mut intervals = Vec::with_capacity(n_iv.min(65_536));
-            for _ in 0..n_iv {
-                intervals.push((r.f64()?, r.f64()?));
-            }
-            slots.push(SlotData {
-                meta: TableMeta { id, name },
-                table: ProcessedTable {
-                    table_id: id,
-                    column_segments,
-                    column_ranges,
-                },
-                encodings,
-                intervals,
-            });
+    /// Parses a batch previously written by [`EncodedTableBatch::to_bytes`]
+    /// for a model whose encodings are `embed_dim` wide. Malformed bytes,
+    /// or an image of another width, surface as [`EngineError::Wal`],
+    /// never a panic: batch bytes only ever come out of WAL records whose
+    /// checksum already passed, so a bad interior is log corruption.
+    pub fn from_bytes(bytes: &[u8], embed_dim: usize) -> Result<Self, EngineError> {
+        match parse_segment_slots(bytes, embed_dim) {
+            Ok(slots) => Ok(EncodedTableBatch { slots, embed_dim }),
+            Err(EngineError::Store(m)) => Err(EngineError::Wal(format!("insert batch: {m}"))),
+            Err(other) => Err(other),
         }
-        if r.remaining() != 0 {
-            return Err(EngineError::Store(format!(
-                "{} trailing bytes in batch",
-                r.remaining()
-            )));
-        }
-        Ok(EncodedTableBatch { slots })
     }
 }
 
@@ -350,6 +280,7 @@ impl EncodedTableBatch {
 pub fn encode_batch(model: &FcmModel, tables: &[Table]) -> EncodedTableBatch {
     let (processed, encodings) = encode_tables(model, tables);
     EncodedTableBatch {
+        embed_dim: model.config.embed_dim,
         slots: tables
             .iter()
             .zip(processed)
@@ -419,16 +350,6 @@ impl EncodedSlot {
             table: self.table,
             encodings: self.encodings,
             intervals: self.intervals,
-        }
-    }
-}
-
-impl EncodedTableBatch {
-    /// Packages externally encoded slots as an insertable batch — the
-    /// synthetic-corpus twin of [`encode_batch`].
-    pub fn from_encoded_parts(slots: Vec<EncodedSlot>) -> Self {
-        EncodedTableBatch {
-            slots: slots.into_iter().map(EncodedSlot::into_slot).collect(),
         }
     }
 }
@@ -503,7 +424,7 @@ pub fn assemble_engine(
         .iter()
         .enumerate()
         .map(|(i, bytes)| {
-            parse_segment_slots(bytes.as_ref())
+            parse_segment_slots(bytes.as_ref(), embed_dim)
                 .map_err(frame::context(format_args!("segment {i}")))
                 .map(|slots| EngineShard::from_slots(slots, embed_dim, hybrid_cfg.clone()))
         })
@@ -537,15 +458,8 @@ pub fn assemble_engine_mapped(
     let shards: Vec<EngineShard> = segment_paths
         .iter()
         .map(|path| {
-            let seg = MappedSegment::open_framed(path, magic, version)?;
-            if seg.embed_dim() != embed_dim {
-                return Err(EngineError::Store(format!(
-                    "{}: segment embed_dim {} does not match the model's {embed_dim}",
-                    path.display(),
-                    seg.embed_dim()
-                )));
-            }
-            Ok(EngineShard::from_mapped(Arc::new(seg), hybrid_cfg.clone()))
+            MappedSegment::open_framed(path, magic, version, embed_dim)
+                .map(|seg| EngineShard::from_mapped(Arc::new(seg), hybrid_cfg.clone()))
         })
         .collect::<Result<_, _>>()?;
     finish_assembly(model, hybrid_cfg, shards, order, epoch)

@@ -4,7 +4,8 @@
 //! ```text
 //! frame "LCDDREPL" v1, payload:
 //!   kind u8 (1 record | 2 snapshot | 3 heartbeat)
-//!   body    (record: WAL payload bytes |
+//!   body    (record: WAL payload bytes — an insert's body is an
+//!                    LCDDSEG2 image of the inserted slots |
 //!            snapshot: epoch u64 | LCDDSNAP engine snapshot frame |
 //!            heartbeat: leader epoch u64)
 //! ```

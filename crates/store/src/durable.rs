@@ -1269,7 +1269,8 @@ impl DurableEngine {
 fn apply_record(engine: &mut Engine, record: &WalRecord) -> Result<(), EngineError> {
     match &record.op {
         WalOp::Insert { batch } => {
-            engine.insert_encoded(EncodedTableBatch::from_bytes(batch)?);
+            let embed_dim = engine.model().config.embed_dim;
+            engine.insert_encoded(EncodedTableBatch::from_bytes(batch, embed_dim)?);
         }
         WalOp::Remove { ids, threshold } => {
             engine.set_compaction_threshold(*threshold);

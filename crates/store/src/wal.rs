@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! magic   "LCDDWAL1"  (8 bytes)
-//! version u32 (currently 1)
+//! version u32 (currently 2)
 //! records, each:
 //!   payload_len  u32
 //!   payload_hash u64 (FNV-1a over the payload bytes)
@@ -15,9 +15,15 @@
 //!     body        (kind-specific, see [`WalOp`])
 //! ```
 //!
-//! Insert bodies carry the **already-encoded** FCM delta
-//! ([`lcdd_engine::persist::EncodedTableBatch`] bytes), so replay splices
-//! cached encodings back in and never re-runs the encoder.
+//! Insert bodies carry the **already-encoded** FCM delta as one `LCDDSEG2`
+//! segment image of the inserted slots
+//! ([`lcdd_engine::persist::EncodedTableBatch`] bytes) — the layout
+//! checkpoints write, read back by the decoder eager opens use — so replay
+//! splices cached encodings back in and never re-runs the encoder.
+//! Version 1 logged them in a batch codec of their own; [`scan`] refuses a
+//! version-1 log with an [`EngineError::Wal`] that names the migration
+//! (open with the previous release, `DurableEngine::save`, then
+//! `Engine::load` + `DurableEngine::create`).
 //!
 //! The log is the one store file that is not an [`lcdd_engine::frame`]
 //! frame — it grows record by record, and a frame's length and checksum
@@ -82,7 +88,9 @@ use crate::instruments;
 use crate::manifest::Manifest;
 
 pub(crate) const WAL_MAGIC: &[u8; 8] = b"LCDDWAL1";
-pub(crate) const WAL_VERSION: u32 = 1;
+/// Version 1 logged insert bodies in a batch codec of their own; version 2
+/// logs them as `LCDDSEG2` images.
+pub(crate) const WAL_VERSION: u32 = 2;
 /// Byte length of the WAL file header (magic + version).
 pub const WAL_HEADER_LEN: u64 = 12;
 /// Byte length of a record's frame before its payload (length + hash).
@@ -97,7 +105,7 @@ const MAX_RECORD_BYTES: usize = 1 << 31;
 #[derive(Clone, Debug, PartialEq)]
 pub enum WalOp {
     /// Ingest of an encoded batch ([`lcdd_engine::persist::EncodedTableBatch`]
-    /// bytes — parsed lazily at replay).
+    /// bytes, an `LCDDSEG2` image — parsed lazily at replay).
     Insert { batch: Vec<u8> },
     /// Eviction by table id, with the auto-compaction threshold that was
     /// in effect (replay must compact at the same point).
@@ -458,6 +466,15 @@ pub fn scan(path: &Path, from: u64) -> Result<WalScan, EngineError> {
         return Err(EngineError::Wal("bad magic".into()));
     }
     let version = cur.u32().map_err(wal_err)?;
+    if version == 1 {
+        return Err(EngineError::Wal(
+            "retired WAL version 1 (insert records in the batch codec): this release reads \
+             only version 2, whose insert records are LCDDSEG2 images; open the store with \
+             the previous release, export it with DurableEngine::save, then rebuild it here \
+             with Engine::load + DurableEngine::create"
+                .into(),
+        ));
+    }
     if version != WAL_VERSION {
         return Err(EngineError::Wal(format!(
             "unsupported version {version} (expected {WAL_VERSION})"

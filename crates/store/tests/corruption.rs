@@ -14,7 +14,7 @@
 //!   the op script.
 
 use lcdd_fcm::EngineError;
-use lcdd_store::{latest_manifest, DurableEngine, StoreOptions};
+use lcdd_store::{latest_manifest, DurableEngine, StoreOptions, WAL_HEADER_LEN};
 use lcdd_testkit::crash::{
     apply_durable, apply_serial, assert_recovered_equals_serial, copy_dir, random_script,
     truncate_file, TempDir,
@@ -412,5 +412,155 @@ fn torn_or_missing_link_in_a_non_final_log_is_a_typed_wal_error() {
         Err(EngineError::Wal(m)) => assert!(m.contains("chain broken"), "message: {m}"),
         Err(other) => panic!("shortened non-final log: expected a Wal error, got {other}"),
         Ok(_) => panic!("shortened non-final log: silently shortened corpus accepted"),
+    }
+}
+
+/// Every byte of a logged insert body — the `LCDDSEG2` image of the
+/// inserted slots, not the record's kind or epoch — flipped in turn, with
+/// the record's checksum re-sealed so the image's own validators are what
+/// stands between the flip and the corpus. The open must fail with a
+/// typed WAL error, or recover a corpus whose snapshot bytes equal the
+/// undamaged store's (a flip in the image's zero padding changes nothing
+/// that is read).
+#[test]
+fn resealed_flips_in_an_insert_body_are_typed_or_harmless() {
+    use lcdd_engine::frame::fnv1a64;
+    use lcdd_store::wal;
+
+    let tmp = TempDir::new("insert-body-flip");
+    let golden = tmp.subdir("golden");
+    let tables = corpus(&CorpusSpec::sized(SEED, 5));
+    let inserted = tables[4].clone();
+    assert_eq!(inserted.columns.len(), 1, "a one-column insert");
+    let store = DurableEngine::create(&golden, tiny_engine(tables[..2].to_vec(), 1), opts())
+        .expect("store creation");
+    store.insert_tables(vec![inserted]).expect("insert");
+    drop(store);
+
+    let snapshot_of = |store: &DurableEngine, tag: &str| {
+        let path = tmp.subdir(tag);
+        store.save(&path).expect("snapshot");
+        std::fs::read(&path).expect("snapshot readable")
+    };
+    let (store, _) = DurableEngine::open(&golden, opts()).expect("pristine store opens");
+    let expected = snapshot_of(&store, "golden.snap");
+    drop(store);
+
+    let (_, manifest) = latest_manifest(&golden).unwrap().unwrap();
+    let log = std::fs::read(golden.join(&manifest.wal_file)).unwrap();
+    let scan = wal::scan(&golden.join(&manifest.wal_file), WAL_HEADER_LEN).unwrap();
+    assert_eq!(scan.records.len(), 1);
+    // Record frame: payload_len u32 | payload_hash u64 | kind u8 | epoch u64 | body.
+    let frame_at = WAL_HEADER_LEN as usize;
+    let payload_at = frame_at + 12;
+    let body_at = payload_at + 9;
+    assert_eq!(scan.records[0].0 as usize, log.len());
+
+    let dir = tmp.subdir("damaged");
+    let (mut typed, mut harmless) = (0, 0);
+    for at in body_at..log.len() {
+        let mut bad = log.clone();
+        bad[at] ^= 0x01;
+        let hash = fnv1a64(&bad[payload_at..]);
+        bad[frame_at + 4..payload_at].copy_from_slice(&hash.to_le_bytes());
+        let _ = std::fs::remove_dir_all(&dir);
+        copy_dir(&golden, &dir);
+        std::fs::write(dir.join(&manifest.wal_file), &bad).unwrap();
+        match DurableEngine::open(&dir, opts()) {
+            Err(EngineError::Wal(_)) => typed += 1,
+            Err(other) => panic!(
+                "flip at body byte {}: expected a Wal error, got {other}",
+                at - body_at
+            ),
+            Ok((store, _)) => {
+                assert!(
+                    snapshot_of(&store, "damaged.snap") == expected,
+                    "flip at body byte {} loaded a different corpus",
+                    at - body_at
+                );
+                harmless += 1;
+            }
+        }
+    }
+    assert!(typed > 0 && typed + harmless == log.len() - body_at);
+}
+
+/// Images whose encodings are 8 wide, behind the meta section of a 16-wide
+/// `tiny()` model, with every frame intact: each reader — a snapshot load,
+/// the eager and the cold store open, WAL replay — must refuse them with
+/// a typed error rather than serve encodings the scorer was not built
+/// for.
+#[test]
+fn images_of_another_width_are_refused_by_every_reader() {
+    use lcdd_engine::{frame, Engine, EngineBuilder};
+    use lcdd_fcm::{FcmConfig, FcmModel};
+    use lcdd_testkit::crash::SnapshotLayout;
+
+    let tables = corpus(&CorpusSpec::sized(SEED, 4));
+    let narrow_cfg = FcmConfig {
+        embed_dim: 8,
+        ..FcmConfig::tiny()
+    };
+    let narrow = || {
+        EngineBuilder::new(FcmModel::new(narrow_cfg.clone()))
+            .shards(N_SHARDS)
+            .ingest_tables(tables[..3].to_vec())
+            .build()
+            .expect("narrow engine")
+    };
+    let wide = || tiny_engine(tables[..3].to_vec(), N_SHARDS);
+    assert_eq!(FcmConfig::tiny().embed_dim, 16);
+
+    // Snapshot: the wide engine's meta section, the narrow engine's images.
+    let (mut a, mut b) = (Vec::new(), Vec::new());
+    wide().save_to(&mut a).unwrap();
+    narrow().save_to(&mut b).unwrap();
+    let (la, lb) = (SnapshotLayout::of(&a), SnapshotLayout::of(&b));
+    let mut payload = a[frame::HEAD_LEN..la.meta.end].to_vec();
+    payload.extend_from_slice(&b[lb.meta.end..]);
+    let mut spliced = frame::head(b"LCDDSNAP", 3, &[&payload]).to_vec();
+    spliced.extend_from_slice(&payload);
+    match Engine::load_from(spliced.as_slice()) {
+        Err(EngineError::Snapshot(m)) => assert!(m.contains("embed_dim 8"), "{m}"),
+        Err(other) => panic!("snapshot: expected a Snapshot error, got {other}"),
+        Ok(_) => panic!("snapshot: 8-wide images loaded under a 16-wide model"),
+    }
+
+    // Stores: the wide store's meta and manifest with the narrow store's
+    // segment files (each its own intact frame), then its log.
+    let tmp = TempDir::new("width");
+    let (wide_dir, narrow_dir) = (tmp.subdir("wide"), tmp.subdir("narrow"));
+    for (dir, engine) in [(&wide_dir, wide()), (&narrow_dir, narrow())] {
+        let store = DurableEngine::create(dir, engine, opts()).unwrap();
+        store.insert_tables(vec![tables[3].clone()]).unwrap();
+    }
+    let (_, manifest) = latest_manifest(&wide_dir).unwrap().unwrap();
+    let segments = tmp.subdir("segments");
+    copy_dir(&wide_dir, &segments);
+    for name in &manifest.segments {
+        std::fs::copy(narrow_dir.join(name), segments.join(name)).unwrap();
+    }
+    for cold_open in [false, true] {
+        let opts = StoreOptions {
+            cold_open,
+            ..opts()
+        };
+        match DurableEngine::open(&segments, opts) {
+            Err(EngineError::Store(m)) => assert!(m.contains("embed_dim 8"), "{m}"),
+            Err(other) => panic!("cold_open {cold_open}: expected a Store error, got {other}"),
+            Ok(_) => panic!("cold_open {cold_open}: 8-wide segments opened"),
+        }
+    }
+    let log = tmp.subdir("log");
+    copy_dir(&wide_dir, &log);
+    std::fs::copy(
+        narrow_dir.join(&manifest.wal_file),
+        log.join(&manifest.wal_file),
+    )
+    .unwrap();
+    match DurableEngine::open(&log, opts()) {
+        Err(EngineError::Wal(m)) => assert!(m.contains("embed_dim 8"), "{m}"),
+        Err(other) => panic!("log: expected a Wal error, got {other}"),
+        Ok(_) => panic!("log: an 8-wide insert replayed under a 16-wide model"),
     }
 }

@@ -1,15 +1,17 @@
 //! One on-disk vocabulary, checked by bytes: an engine snapshot is a
 //! container of exactly the pieces a store writes (`meta.seg` payload +
-//! one `LCDDSEG2` image per shard), whichever tier the state lives in; and
-//! those pieces are byte-for-byte what the store wrote before snapshots
-//! joined them — a store directory written by the previous release (the
-//! `pr17-store` fixture) opens eagerly and cold, replays its WAL without
-//! re-encoding, and re-serializes to the identical files.
+//! one `LCDDSEG2` image per shard), whichever tier the state lives in, and
+//! a WAL insert record carries one more such image. Checkpoint files are
+//! byte-for-byte what the store wrote before snapshots joined them (the
+//! `pr17-store` fixture); a store written by this release (`pr37-store`)
+//! opens eagerly and cold, replays its WAL without re-encoding, and
+//! re-serializes to the identical files; and the retired version-1 log
+//! is refused with a typed error that names the way out.
 
 use std::path::{Path, PathBuf};
 
 use lcdd_engine::persist::{assemble_engine, EncodedTableBatch};
-use lcdd_engine::{frame, Engine, IndexStrategy, Query, SearchOptions};
+use lcdd_engine::{frame, Engine, EngineError, IndexStrategy, Query, SearchOptions};
 use lcdd_store::wal::{self, WalOp, WalWriter};
 use lcdd_store::{latest_manifest, DurableEngine, StoreOptions, WAL_HEADER_LEN};
 use lcdd_testkit::crash::{copy_dir, encode_gate, SnapshotLayout, TempDir};
@@ -117,22 +119,50 @@ fn live_eager_and_cold_states_snapshot_to_the_same_bytes() {
     }
 }
 
-fn fixture() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/pr17-store")
+/// The committed store directories. Both were written with one recipe:
+/// `corpus(&CorpusSpec::sized(0xf1c5, 5))`, `DurableEngine::create` over
+/// `tiny_engine(tables[..4], 2)` (four tables in two shards, the
+/// checkpoint), then `insert_tables(vec![tables[4]])` and
+/// `remove_tables(&[1])`, which only the WAL holds — `sync_writes` off,
+/// both checkpoint triggers at 0.
+///
+/// * `pr17-store` — written by commit 037a1da: a version-1 WAL, whose
+///   insert record is in the retired batch codec.
+/// * `pr37-store` — written by the release that made insert records
+///   `LCDDSEG2` images (WAL version 2). Its checkpoint files equal
+///   `pr17-store`'s byte for byte; only the log differs.
+fn fixture(name: &str) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures")
+        .join(name)
 }
 
-/// The fixture was written by the commit before snapshots became
-/// containers: `create` over four tables in two shards, then one insert
-/// and one remove that only the WAL holds.
 #[test]
-fn a_store_written_by_the_previous_release_opens_with_identical_answers() {
+fn a_store_with_a_version_1_log_is_refused_with_the_migration_path() {
+    let tmp = TempDir::new("one-format-v1");
+    for cold_open in [false, true] {
+        let dir = tmp.subdir(&format!("open-{cold_open}"));
+        copy_dir(&fixture("pr17-store"), &dir);
+        match DurableEngine::open(&dir, opts(cold_open)) {
+            Err(EngineError::Wal(m)) => assert!(
+                m.contains("retired WAL version 1") && m.contains("DurableEngine::save"),
+                "cold_open {cold_open}: {m}"
+            ),
+            Err(e) => panic!("cold_open {cold_open}: expected a WAL error, got {e:?}"),
+            Ok(_) => panic!("cold_open {cold_open}: a version-1 log opened"),
+        }
+    }
+}
+
+#[test]
+fn a_store_written_by_this_release_opens_with_identical_answers() {
     let _gate = encode_gate();
     let tmp = TempDir::new("one-format-fixture");
     let encodes = lcdd_fcm::table_encode_count();
     let mut opened = Vec::new();
     for cold_open in [false, true] {
         let dir = tmp.subdir(&format!("open-{cold_open}"));
-        copy_dir(&fixture(), &dir);
+        copy_dir(&fixture("pr37-store"), &dir);
         let (store, report) = DurableEngine::open(&dir, opts(cold_open)).unwrap();
         assert_eq!((report.checkpoint_epoch, report.replayed_ops), (0, 2));
         assert!(report.truncated_tail.is_none() && !report.fallback);
@@ -164,7 +194,8 @@ fn a_store_written_by_the_previous_release_opens_with_identical_answers() {
 #[test]
 fn the_previous_release_s_files_are_rewritten_byte_for_byte() {
     let _gate = encode_gate();
-    let fixture = fixture();
+    let pr37 = fixture("pr37-store");
+    let fixture = fixture("pr17-store");
     let (man_path, manifest) = latest_manifest(&fixture).unwrap().unwrap();
 
     // Checkpoint files: decode the fixture's checkpoint, write a fresh
@@ -192,21 +223,33 @@ fn the_previous_release_s_files_are_rewritten_byte_for_byte() {
             std::fs::read(dir.join(name)).unwrap() == std::fs::read(fixture.join(name)).unwrap(),
             "{name} differs from the fixture's"
         );
+        assert!(
+            std::fs::read(fixture.join(name)).unwrap() == std::fs::read(pr37.join(name)).unwrap(),
+            "{name}: the two releases wrote different checkpoint files"
+        );
     }
+}
 
-    // The WAL: re-append its records, and round-trip the insert batch
-    // through the engine's batch codec.
+#[test]
+fn this_release_s_log_is_rewritten_byte_for_byte() {
+    // Re-append the log's records, and check the insert body is the
+    // `LCDDSEG2` image of its own decoded slots.
+    let fixture = fixture("pr37-store");
+    let (_, manifest) = latest_manifest(&fixture).unwrap().unwrap();
+    let embed_dim = lcdd_fcm::FcmConfig::tiny().embed_dim;
     let log = fixture.join(&manifest.wal_file);
     let scan = wal::scan(&log, WAL_HEADER_LEN).unwrap();
     assert_eq!(scan.records.len(), 2);
+    let tmp = TempDir::new("one-format-wal");
     let copy = tmp.subdir("rewritten.log");
     let mut writer = WalWriter::create(&copy, false).unwrap();
     for (_, record) in &scan.records {
         writer.append(record).unwrap();
         if let WalOp::Insert { batch } = &record.op {
-            let decoded = EncodedTableBatch::from_bytes(batch).unwrap();
-            assert_eq!(decoded.len(), 1);
-            assert!(decoded.to_bytes().unwrap() == *batch, "insert batch codec");
+            assert!(batch.starts_with(b"LCDDSEG2"), "insert body is an image");
+            let decoded = EncodedTableBatch::from_bytes(batch, embed_dim).unwrap();
+            assert_eq!(decoded.table_ids(), [4]);
+            assert!(decoded.to_bytes().unwrap() == *batch, "insert image codec");
         }
     }
     drop(writer);
