@@ -268,7 +268,7 @@ fn main() {
         let ev = model.encode_query_values(&query);
         let scorer = QueryScorer::new(&model, &ev);
         let ids: Vec<usize> = (0..repo.len()).collect();
-        let parts = |&i: &usize| (&repo.tables[i], &repo.encodings[i][..]);
+        let parts = |&i: &usize| (&repo.tables[i].column_ranges[..], &repo.encodings[i][..]);
         let mut scratch = ScoreScratch::default();
         let mut out = vec![0.0f32; ids.len()];
         let center = &repo.pooled_mean;

@@ -6,8 +6,7 @@
 use lcdd_baselines::{DiscoveryMethod, QueryInput};
 use lcdd_engine::{Engine, EngineBuilder, EngineError, SearchOptions};
 use lcdd_fcm::{
-    process_query, train_with_callback, EncodedRepository, FcmModel, TrainConfig, TrainExample,
-    TrainReport,
+    process_query, train_with_callback, FcmModel, TrainConfig, TrainExample, TrainReport,
 };
 use lcdd_index::{HybridConfig, IndexStrategy};
 use lcdd_table::RepoEntry;
@@ -59,14 +58,6 @@ impl FcmMethod {
     /// reshards it in place between measurement rows).
     pub fn engine_mut(&mut self) -> Option<&mut Engine> {
         self.engine.as_mut()
-    }
-
-    /// The cached encoded repository slices, one per engine shard (after
-    /// `prepare`; a freshly prepared engine has a single shard).
-    pub fn repositories(&self) -> Option<Vec<&EncodedRepository>> {
-        self.engine
-            .as_ref()
-            .map(|e| e.shards().iter().map(|s| s.repository()).collect())
     }
 
     /// Candidate set produced by the current strategy for a query (exposed

@@ -50,7 +50,7 @@ use std::ops::Deref;
 use lcdd_tensor::kernels::{grow, rows_matmul};
 use lcdd_tensor::{pool, Matrix};
 
-use crate::input::{kept_columns, ProcessedQuery, ProcessedTable};
+use crate::input::{kept_columns, ProcessedQuery};
 use crate::model::FcmModel;
 use crate::scoring::EncodedRepository;
 
@@ -298,26 +298,26 @@ impl<'a> QueryScorer<'a> {
             pooled_mean,
             &mut ScoreScratch::default(),
             &mut out,
-            |&i| (&repo.tables[i], &repo.encodings[i][..]),
+            |&i| (&repo.tables[i].column_ranges[..], &repo.encodings[i][..]),
         );
         out[0]
     }
 
     /// Scores every item of `items` — fanned out over the work pool, one
     /// chunk and one [`ScoreScratch`] per worker — and returns the scores
-    /// in order. `parts` maps an item to the candidate's processed table
-    /// and column encodings; it may materialize them (the cold tier does),
-    /// since each candidate is dropped as soon as it is staged.
-    pub fn score_all<T, P, E>(
+    /// in order. `parts` maps an item to the candidate's column value
+    /// ranges and column encodings; it may materialize the encodings (the
+    /// cold tier does), since each candidate is dropped as soon as it is
+    /// staged.
+    pub fn score_all<'r, T, E>(
         &self,
         items: &[T],
         query: &ProcessedQuery,
         center: &Matrix,
-        parts: impl Fn(&T) -> (P, E) + Sync,
+        parts: impl Fn(&T) -> (&'r [(f64, f64)], E) + Sync,
     ) -> Vec<f32>
     where
         T: Sync,
-        P: Deref<Target = ProcessedTable>,
         E: Deref<Target = [Matrix]>,
     {
         pool::par_chunks(items, |_, chunk| {
@@ -341,16 +341,15 @@ impl<'a> QueryScorer<'a> {
     /// `FcmModel::match_cached_centered(ev, filtered columns,
     /// Some(center))` to float tolerance, and each score's bits depend only
     /// on the query, that candidate and `center`.
-    pub fn score_into<T, P, E>(
+    pub fn score_into<'r, T, E>(
         &self,
         items: &[T],
         query: &ProcessedQuery,
         center: &Matrix,
         scratch: &mut ScoreScratch,
         out: &mut [f32],
-        parts: impl Fn(&T) -> (P, E),
+        parts: impl Fn(&T) -> (&'r [(f64, f64)], E),
     ) where
-        P: Deref<Target = ProcessedTable>,
         E: Deref<Target = [Matrix]>,
     {
         assert_eq!(items.len(), out.len(), "score_into: one output per item");
@@ -362,8 +361,8 @@ impl<'a> QueryScorer<'a> {
             scratch.vt.clear();
             scratch.t_pooled.clear();
             for item in block {
-                let (pt, enc) = parts(item);
-                self.stage(&pt, &enc, query, scratch);
+                let (ranges, enc) = parts(item);
+                self.stage(ranges, &enc, query, scratch);
             }
             self.finish_block(center, scratch, out);
         }
@@ -375,7 +374,7 @@ impl<'a> QueryScorer<'a> {
     /// (ablation), appending them to the block in `sc`.
     fn stage(
         &self,
-        pt: &ProcessedTable,
+        ranges: &[(f64, f64)],
         enc: &[Matrix],
         query: &ProcessedQuery,
         sc: &mut ScoreScratch,
@@ -383,8 +382,11 @@ impl<'a> QueryScorer<'a> {
         let model = self.model;
         let k = model.config.embed_dim;
         sc.cols.clear();
-        sc.cols
-            .extend(kept_columns(pt, query.y_range, model.config.range_slack));
+        sc.cols.extend(kept_columns(
+            ranges,
+            query.y_range,
+            model.config.range_slack,
+        ));
         if sc.cols.is_empty() {
             sc.staged.push(None);
             return;
@@ -665,13 +667,9 @@ mod tests {
             .collect()
     }
 
-    /// A candidate whose columns all pass the range filter.
-    fn table(n_cols: usize) -> ProcessedTable {
-        ProcessedTable {
-            table_id: 0,
-            column_segments: vec![Matrix::zeros(1, 1); n_cols],
-            column_ranges: vec![(0.0, 1.0); n_cols],
-        }
+    /// Column ranges that all pass the range filter.
+    fn ranges(n_cols: usize) -> Vec<(f64, f64)> {
+        vec![(0.0, 1.0); n_cols]
     }
 
     fn no_range() -> ProcessedQuery {
@@ -682,7 +680,7 @@ mod tests {
     }
 
     fn fast_score(scorer: &QueryScorer<'_>, et: &[Matrix], center: &Matrix) -> f32 {
-        let pt = table(et.len());
+        let ranges = ranges(et.len());
         let mut out = [0.0];
         scorer.score_into(
             &[()],
@@ -690,7 +688,7 @@ mod tests {
             center,
             &mut ScoreScratch::default(),
             &mut out,
-            |_| (&pt, et),
+            |_| (&ranges[..], et),
         );
         out[0]
     }

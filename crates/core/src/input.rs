@@ -17,8 +17,10 @@ pub struct ProcessedQuery {
 }
 
 /// A table preprocessed for the dataset encoder: one segment matrix per
-/// column (`N2 x P2`, min-max normalised) plus raw column ranges for the
-/// y-tick filter.
+/// column (`N2 x P2`, z-normalised) plus raw column ranges for the y-tick
+/// filter. Encoder input only: ingest and the trainer build one, encode
+/// it, and keep the ranges; no engine structure holds one, since search
+/// never reads the segments.
 #[derive(Clone, Debug)]
 pub struct ProcessedTable {
     pub table_id: u64,
@@ -146,13 +148,14 @@ pub fn filter_columns(
     y_range: Option<(f64, f64)>,
     slack: f64,
 ) -> Vec<usize> {
-    kept_columns(processed, y_range, slack).collect()
+    kept_columns(&processed.column_ranges, y_range, slack).collect()
 }
 
-/// [`filter_columns`] as an iterator, for the scorer's allocation-free
-/// candidate loop.
+/// [`filter_columns`] over a table's column ranges as an iterator, for the
+/// scorer's allocation-free candidate loop. A table has one column per
+/// range.
 pub(crate) fn kept_columns(
-    processed: &ProcessedTable,
+    ranges: &[(f64, f64)],
     y_range: Option<(f64, f64)>,
     slack: f64,
 ) -> impl Iterator<Item = usize> + '_ {
@@ -162,15 +165,12 @@ pub(crate) fn kept_columns(
     });
     let hit = move |i: usize| {
         window.is_some_and(|(qlo, qhi)| {
-            processed
-                .column_ranges
-                .get(i)
-                .is_some_and(|&(cmin, cmax)| cmin <= qhi && cmax >= qlo)
+            let (cmin, cmax) = ranges[i];
+            cmin <= qhi && cmax >= qlo
         })
     };
-    let n = processed.column_segments.len();
-    let filtering = (0..processed.column_ranges.len()).any(hit);
-    (0..n).filter(move |&i| !filtering || hit(i))
+    let filtering = (0..ranges.len()).any(hit);
+    (0..ranges.len()).filter(move |&i| !filtering || hit(i))
 }
 
 #[cfg(test)]

@@ -52,7 +52,8 @@ pub use model::{table_encode_count, EncodeScratch, FcmModel};
 pub use negatives::NegativeStrategy;
 pub use quant::QuantizedVec;
 pub use scoring::{
-    encode_repository, encode_tables, pooled_mean_of, search_top_k, EncodedRepository,
+    column_embedding, encode_repository, encode_tables, pooled_mean_of, search_top_k,
+    EncodedRepository,
 };
 pub use trainer::{
     train, train_step, train_with_callback, StepStats, TrainConfig, TrainExample, TrainReport,

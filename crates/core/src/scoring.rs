@@ -24,44 +24,6 @@ pub struct EncodedRepository {
 }
 
 impl EncodedRepository {
-    /// Mean-pooled column embedding (`K` floats) — what the LSH index hashes
-    /// (Sec. VI-A: "derive its representation EC by averaging all
-    /// representations of segments belonging to that column").
-    pub fn column_embedding(&self, table: usize, column: usize) -> Vec<f32> {
-        let m = &self.encodings[table][column];
-        let (rows, cols) = m.shape();
-        let mut out = vec![0.0f32; cols];
-        // A zero-row encoding has no segments to average; dividing by
-        // `rows as f32 == 0.0` would hand NaNs to the LSH index, whose
-        // signature bits then poison every bucket they touch.
-        if rows == 0 {
-            return out;
-        }
-        for r in 0..rows {
-            for (o, &v) in out.iter_mut().zip(m.row(r)) {
-                *o += v;
-            }
-        }
-        for o in &mut out {
-            *o /= rows as f32;
-        }
-        out
-    }
-
-    /// All pooled column embeddings, `[table][column] -> K floats` — the
-    /// exact shape the LSH index ingests. Index construction and snapshot
-    /// restore both derive embeddings through here, so a rebuilt index
-    /// always hashes the same vectors a freshly built one does.
-    pub fn column_embeddings(&self) -> Vec<Vec<Vec<f32>>> {
-        (0..self.len())
-            .map(|t| {
-                (0..self.encodings[t].len())
-                    .map(|c| self.column_embedding(t, c))
-                    .collect()
-            })
-            .collect()
-    }
-
     /// Number of tables.
     pub fn len(&self) -> usize {
         self.tables.len()
@@ -71,6 +33,31 @@ impl EncodedRepository {
     pub fn is_empty(&self) -> bool {
         self.tables.is_empty()
     }
+}
+
+/// Mean-pooled column embedding of one `N2 x K` encoding (`K` floats) —
+/// what the LSH index hashes (Sec. VI-A: "derive its representation EC by
+/// averaging all representations of segments belonging to that column").
+/// Index builds and segment-image writers both derive it here, so an
+/// index rebuilt from an image hashes the vectors a fresh build does.
+pub fn column_embedding(m: &Matrix) -> Vec<f32> {
+    let (rows, cols) = m.shape();
+    let mut out = vec![0.0f32; cols];
+    // A zero-row encoding has no segments to average; dividing by
+    // `rows as f32 == 0.0` would hand NaNs to the LSH index, whose
+    // signature bits then poison every bucket they touch.
+    if rows == 0 {
+        return out;
+    }
+    for r in 0..rows {
+        for (o, &v) in out.iter_mut().zip(m.row(r)) {
+            *o += v;
+        }
+    }
+    for o in &mut out {
+        *o /= rows as f32;
+    }
+    out
 }
 
 /// Preprocesses and encodes a batch of tables in parallel (the model is
@@ -204,7 +191,7 @@ pub fn search_top_k(
     // center), so the fan-out is thread-count invariant.
     let scorer = QueryScorer::new(model, &ev);
     let scores = scorer.score_all(&indices, query, &repo.pooled_mean, |&ti| {
-        (&repo.tables[ti], &repo.encodings[ti][..])
+        (&repo.tables[ti].column_ranges[..], &repo.encodings[ti][..])
     });
     let mut scored: Vec<(usize, f32)> = indices.into_iter().zip(scores).collect();
     scored.sort_by(|a, b| b.1.total_cmp(&a.1));
@@ -261,7 +248,7 @@ mod tests {
     fn column_embedding_is_segment_mean() {
         let (model, tables, _) = world();
         let repo = encode_repository(&model, &tables);
-        let emb = repo.column_embedding(0, 0);
+        let emb = column_embedding(&repo.encodings[0][0]);
         assert_eq!(emb.len(), model.config.embed_dim);
         let m = &repo.encodings[0][0];
         let expect: f32 = (0..m.rows()).map(|r| m.get(r, 0)).sum::<f32>() / m.rows() as f32;
@@ -272,12 +259,7 @@ mod tests {
     fn zero_row_encoding_yields_finite_zero_embedding() {
         // Regression: a column with no segment rows used to divide by zero
         // and feed NaNs into the LSH index.
-        let repo = EncodedRepository {
-            tables: Vec::new(),
-            encodings: vec![vec![Matrix::zeros(0, 8)]],
-            pooled_mean: Matrix::zeros(1, 8),
-        };
-        let emb = repo.column_embedding(0, 0);
+        let emb = column_embedding(&Matrix::zeros(0, 8));
         assert_eq!(emb, vec![0.0; 8]);
         assert!(emb.iter().all(|v| v.is_finite()));
     }

@@ -33,9 +33,9 @@ fn a_candidates_bits_do_not_depend_on_its_block_or_the_thread_count() {
     // Candidate `repo.len()` is the empty one.
     let parts = |&i: &usize| {
         if i < repo.len() {
-            (&repo.tables[i], &repo.encodings[i][..])
+            (&repo.tables[i].column_ranges[..], &repo.encodings[i][..])
         } else {
-            (&empty, &no_encodings[..])
+            (&empty.column_ranges[..], &no_encodings[..])
         }
     };
     let ids: Vec<usize> = (0..=repo.len()).collect();

@@ -67,7 +67,7 @@ fn scoring_blocks_through_a_warm_scratch_allocates_nothing() {
         cfg.hcman_enabled = hcman;
         let model = FcmModel::new(cfg);
         let (tables, repo) = common::corpus(&model, 64, 31);
-        let parts = |&i: &usize| (&repo.tables[i], &repo.encodings[i][..]);
+        let parts = |&i: &usize| (&repo.tables[i].column_ranges[..], &repo.encodings[i][..]);
         let widest = (0..repo.len())
             .max_by_key(|&i| repo.tables[i].column_segments.len())
             .expect("non-empty corpus");

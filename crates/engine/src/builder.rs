@@ -106,7 +106,7 @@ impl EngineBuilder {
         {
             let target = i % self.n_shards;
             order.push((target as u32, per_shard[target].len() as u32));
-            per_shard[target].push(SlotData::from_encoded(table, pt, enc));
+            per_shard[target].push(SlotData::from_encoded(table, pt.column_ranges, enc));
         }
         let embed_dim = self.model.config.embed_dim;
         let shards: Vec<EngineShard> = per_shard

@@ -52,7 +52,6 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use lcdd_chart::ChartStyle;
-use lcdd_fcm::input::ProcessedTable;
 use lcdd_fcm::{encode_tables, EngineError, FcmConfig, FcmModel};
 use lcdd_index::HybridConfig;
 use lcdd_table::Table;
@@ -285,7 +284,7 @@ pub fn encode_batch(model: &FcmModel, tables: &[Table]) -> EncodedTableBatch {
             .iter()
             .zip(processed)
             .zip(encodings)
-            .map(|((table, pt), enc)| SlotData::from_encoded(table, pt, enc))
+            .map(|((table, pt), enc)| SlotData::from_encoded(table, pt.column_ranges, enc))
             .collect(),
     }
 }
@@ -334,7 +333,8 @@ pub fn segment_bytes_into(
 pub struct EncodedSlot {
     pub id: u64,
     pub name: String,
-    pub table: ProcessedTable,
+    /// Per column `(min, max)` value range, for the y-tick filter.
+    pub ranges: Vec<(f64, f64)>,
     pub encodings: Vec<Matrix>,
     /// `[lo, hi]` index intervals of the table's columns.
     pub intervals: Vec<(f64, f64)>,
@@ -347,7 +347,7 @@ impl EncodedSlot {
                 id: self.id,
                 name: self.name,
             },
-            table: self.table,
+            ranges: self.ranges,
             encodings: self.encodings,
             intervals: self.intervals,
         }

@@ -2,10 +2,11 @@
 //! encodings and hybrid index.
 //!
 //! A shard owns *slots*. Each slot holds one ingested table (identity,
-//! preprocessed segments, cached encodings, and the index intervals its
-//! columns contribute). Slots are append-only between compactions: removal
-//! tombstones a slot in the shard's [`HybridIndex`], and compaction
-//! (driven by [`crate::Engine::compact`]) reclaims dead slots by
+//! column value ranges, cached encodings, and the index intervals its
+//! columns contribute) — what search reads, not the encoder's input.
+//! Slots are append-only between compactions: removal tombstones a slot
+//! in the shard's [`HybridIndex`], and compaction (driven by
+//! [`crate::Engine::compact`]) reclaims dead slots by
 //! rebuilding the shard's vectors and index over the live survivors —
 //! after which the shard is bit-identical to one freshly built from those
 //! tables.
@@ -26,8 +27,7 @@
 use std::borrow::Cow;
 use std::sync::Arc;
 
-use lcdd_fcm::input::ProcessedTable;
-use lcdd_fcm::{EncodedRepository, QuantizedVec};
+use lcdd_fcm::{column_embedding, QuantizedVec};
 use lcdd_index::{HybridConfig, HybridIndex, Interval};
 use lcdd_tensor::Matrix;
 
@@ -78,27 +78,6 @@ impl PooledStat {
     }
 }
 
-/// Mean-pooled column embedding of one encoding matrix — the same
-/// computation as [`EncodedRepository::column_embedding`], lifted off the
-/// repository so segment-image writers can derive the vector the LSH
-/// index will hash without assembling a repository first.
-pub(crate) fn column_embedding_of(m: &Matrix) -> Vec<f32> {
-    let (rows, cols) = m.shape();
-    let mut out = vec![0.0f32; cols];
-    if rows == 0 {
-        return out;
-    }
-    for r in 0..rows {
-        for (o, &v) in out.iter_mut().zip(m.row(r)) {
-            *o += v;
-        }
-    }
-    for o in &mut out {
-        *o /= rows as f32;
-    }
-    out
-}
-
 /// The cold half of a tiered shard: slots `< n_mapped` live in a mapped
 /// checkpoint segment and materialize on demand; slots appended after
 /// the cold open are ordinary resident slots.
@@ -112,7 +91,9 @@ pub(crate) struct ColdTier {
 #[derive(Clone)]
 pub(crate) struct SlotData {
     pub meta: TableMeta,
-    pub table: ProcessedTable,
+    /// Per column `(min, max)` value range, read by the y-tick filter
+    /// (Sec. IV-C).
+    pub ranges: Vec<(f64, f64)>,
     pub encodings: Vec<Matrix>,
     /// `[lo, hi]` index intervals of the table's columns (the
     /// `[min(C), sum(C)]` ranges of Sec. VI-A).
@@ -122,10 +103,11 @@ pub(crate) struct SlotData {
 impl SlotData {
     /// The one place a raw table + its encoder outputs become a slot —
     /// batch build and live insert must assemble slots identically or the
-    /// incremental path diverges from the batch path.
+    /// incremental path diverges from the batch path. The encoder's input
+    /// is not kept: search reads only `ranges` and `encodings`.
     pub(crate) fn from_encoded(
         table: &lcdd_table::Table,
-        processed: ProcessedTable,
+        ranges: Vec<(f64, f64)>,
         encodings: Vec<Matrix>,
     ) -> Self {
         SlotData {
@@ -133,7 +115,7 @@ impl SlotData {
                 id: table.id,
                 name: table.name.clone(),
             },
-            table: processed,
+            ranges,
             encodings,
             intervals: table
                 .columns
@@ -147,12 +129,11 @@ impl SlotData {
 /// One shard: a slot-indexed slice of the corpus plus its index structures.
 #[derive(Clone)]
 pub struct EngineShard {
-    /// Slot-indexed repository slice. Its `pooled_mean` is intentionally
-    /// left at zero: the matcher's centering reference is a *corpus-wide*
-    /// statistic owned by [`crate::EngineState`] and passed to the scorer
-    /// explicitly, so shard bytes stay layout- and epoch-independent.
-    pub(crate) repo: EncodedRepository,
     pub(crate) meta: Vec<TableMeta>,
+    /// Column ranges and `N2 x K` column encodings of the resident slots,
+    /// slot `n_mapped + i` at `i`; a cold slot answers from its segment.
+    pub(crate) ranges: Vec<Vec<(f64, f64)>>,
+    pub(crate) encodings: Vec<Vec<Matrix>>,
     pub(crate) slot_intervals: Vec<Vec<(f64, f64)>>,
     /// Local index over slot ids; tombstones live here.
     pub(crate) index: HybridIndex,
@@ -172,7 +153,7 @@ impl EngineShard {
     /// all come through here).
     pub(crate) fn from_slots(slots: Vec<SlotData>, embed_dim: usize, cfg: HybridConfig) -> Self {
         let mut meta = Vec::with_capacity(slots.len());
-        let mut tables = Vec::with_capacity(slots.len());
+        let mut ranges = Vec::with_capacity(slots.len());
         let mut encodings = Vec::with_capacity(slots.len());
         let mut slot_intervals = Vec::with_capacity(slots.len());
         let mut pooled = Vec::with_capacity(slots.len());
@@ -182,19 +163,20 @@ impl EngineShard {
             let p = PooledStat::of(&s.encodings, embed_dim);
             quant.push(QuantizedVec::quantize(&p.t_mean(embed_dim)));
             pooled.push(p);
-            tables.push(s.table);
+            ranges.push(s.ranges);
             encodings.push(s.encodings);
             slot_intervals.push(s.intervals);
         }
-        let repo = EncodedRepository {
-            tables,
-            encodings,
-            pooled_mean: Matrix::zeros(1, embed_dim),
-        };
-        let index = Self::build_index(&repo, &slot_intervals, embed_dim, cfg);
+        let index = Self::build_index(
+            &slot_intervals,
+            &column_embeddings(&encodings),
+            embed_dim,
+            cfg,
+        );
         EngineShard {
-            repo,
             meta,
+            ranges,
+            encodings,
             slot_intervals,
             index,
             pooled,
@@ -205,20 +187,15 @@ impl EngineShard {
     }
 
     /// Assembles a shard served from a mapped checkpoint segment: every
-    /// derived structure (identity, ranges, index intervals, pooled
-    /// embeddings for LSH, pooled stats, quantized proxies) comes
-    /// from the segment *summary*; the f32 blob stays cold. The
-    /// repository holds shape-correct placeholders (real `column_ranges`
-    /// plus `n_cols` empty matrices) so column filtering — which reads
-    /// only ranges and column count — works unchanged, and anything that
-    /// needs real matrices goes through [`Self::slot_table`] /
+    /// derived structure (identity, index intervals, pooled embeddings
+    /// for LSH, pooled stats, quantized proxies) comes from the segment
+    /// *summary*; the f32 blob stays cold, and scoring reads a slot's
+    /// ranges and encodings through [`Self::slot_ranges`] /
     /// [`Self::slot_encodings`].
     pub(crate) fn from_mapped(seg: Arc<MappedSegment>, cfg: HybridConfig) -> Self {
         let embed_dim = seg.embed_dim();
         let n = seg.n_slots();
         let mut meta = Vec::with_capacity(n);
-        let mut tables = Vec::with_capacity(n);
-        let mut encodings = Vec::with_capacity(n);
         let mut slot_intervals = Vec::with_capacity(n);
         let mut pooled = Vec::with_capacity(n);
         let mut quant = Vec::with_capacity(n);
@@ -226,36 +203,16 @@ impl EngineShard {
         for slot in 0..n {
             let s = seg.summary(slot);
             meta.push(s.meta.clone());
-            tables.push(ProcessedTable {
-                table_id: s.meta.id,
-                column_segments: s.seg_dims.iter().map(|_| Matrix::zeros(0, 0)).collect(),
-                column_ranges: s.ranges.clone(),
-            });
-            encodings.push(s.enc_dims.iter().map(|_| Matrix::zeros(0, 0)).collect());
             slot_intervals.push(s.intervals.clone());
             quant.push(QuantizedVec::quantize(&s.pooled.t_mean(embed_dim)));
             pooled.push(s.pooled.clone());
             embeddings.push(s.col_embeddings.clone());
         }
-        let flat: Vec<Interval> = slot_intervals
-            .iter()
-            .enumerate()
-            .flat_map(|(slot, ivs)| {
-                ivs.iter().map(move |&(lo, hi)| Interval {
-                    lo,
-                    hi,
-                    dataset_id: slot,
-                })
-            })
-            .collect();
-        let index = HybridIndex::from_parts(flat, &embeddings, embed_dim, n, cfg);
+        let index = Self::build_index(&slot_intervals, &embeddings, embed_dim, cfg);
         EngineShard {
-            repo: EncodedRepository {
-                tables,
-                encodings,
-                pooled_mean: Matrix::zeros(1, embed_dim),
-            },
             meta,
+            ranges: Vec::new(),
+            encodings: Vec::new(),
             slot_intervals,
             index,
             pooled,
@@ -265,47 +222,58 @@ impl EngineShard {
         }
     }
 
+    /// Number of leading slots served from the cold tier.
+    fn n_mapped(&self) -> usize {
+        self.cold.as_ref().map_or(0, |c| c.n_mapped)
+    }
+
+    /// The mapped segment serving `slot`, if the slot is cold.
+    fn cold_seg(&self, slot: usize) -> Option<&MappedSegment> {
+        self.cold
+            .as_ref()
+            .filter(|c| slot < c.n_mapped)
+            .map(|c| &*c.seg)
+    }
+
     /// Decodes every cold slot into the resident vectors and drops the
     /// mapping — the escape hatch for operations that restructure the
     /// shard (compaction, reshard extraction).
     pub(crate) fn materialize_all(&mut self) {
         if let Some(cold) = self.cold.take() {
-            for slot in 0..cold.n_mapped {
-                self.repo.tables[slot] = cold.seg.materialize_table(slot);
-                self.repo.encodings[slot] = cold.seg.materialize_encodings(slot);
-            }
+            let n = cold.n_mapped;
+            let ranges = (0..n).map(|slot| cold.seg.summary(slot).ranges.clone());
+            self.ranges.splice(0..0, ranges);
+            let encodings = (0..n).map(|slot| cold.seg.materialize_encodings(slot));
+            self.encodings.splice(0..0, encodings);
         }
     }
 
-    /// The preprocessed table of one slot, materializing it out of the
-    /// mapped segment when cold.
-    pub(crate) fn slot_table(&self, slot: usize) -> Cow<'_, ProcessedTable> {
-        match &self.cold {
-            Some(c) if slot < c.n_mapped => Cow::Owned(c.seg.materialize_table(slot)),
-            _ => Cow::Borrowed(&self.repo.tables[slot]),
+    /// The column value ranges of one slot; a cold slot's come from its
+    /// segment summary, so they cost no copy.
+    pub(crate) fn slot_ranges(&self, slot: usize) -> &[(f64, f64)] {
+        match self.cold_seg(slot) {
+            Some(seg) => &seg.summary(slot).ranges,
+            None => &self.ranges[slot - self.n_mapped()],
         }
     }
 
     /// The cached encoding matrices of one slot, materializing them out
     /// of the mapped segment when cold.
     pub(crate) fn slot_encodings(&self, slot: usize) -> Cow<'_, [Matrix]> {
-        match &self.cold {
-            Some(c) if slot < c.n_mapped => Cow::Owned(c.seg.materialize_encodings(slot)),
-            _ => Cow::Borrowed(&self.repo.encodings[slot]),
+        match self.cold_seg(slot) {
+            Some(seg) => Cow::Owned(seg.materialize_encodings(slot)),
+            None => Cow::Borrowed(&self.encodings[slot - self.n_mapped()]),
         }
     }
 
     /// A full copy of one slot's data, decoding from the mapped segment
     /// when cold.
     pub(crate) fn clone_slot(&self, slot: usize) -> SlotData {
-        match &self.cold {
-            Some(c) if slot < c.n_mapped => c.seg.materialize_slot(slot),
-            _ => SlotData {
-                meta: self.meta[slot].clone(),
-                table: self.repo.tables[slot].clone(),
-                encodings: self.repo.encodings[slot].clone(),
-                intervals: self.slot_intervals[slot].clone(),
-            },
+        SlotData {
+            meta: self.meta[slot].clone(),
+            ranges: self.slot_ranges(slot).to_vec(),
+            encodings: self.slot_encodings(slot).into_owned(),
+            intervals: self.slot_intervals[slot].clone(),
         }
     }
 
@@ -316,12 +284,12 @@ impl EngineShard {
         self.materialize_all();
         self.meta
             .into_iter()
-            .zip(self.repo.tables)
-            .zip(self.repo.encodings)
+            .zip(self.ranges)
+            .zip(self.encodings)
             .zip(self.slot_intervals)
-            .map(|(((meta, table), encodings), intervals)| SlotData {
+            .map(|(((meta, ranges), encodings), intervals)| SlotData {
                 meta,
-                table,
+                ranges,
                 encodings,
                 intervals,
             })
@@ -335,9 +303,11 @@ impl EngineShard {
         (0..self.meta.len()).map(|l| self.clone_slot(l)).collect()
     }
 
+    /// The index over `slot_intervals` and the per-slot pooled column
+    /// embeddings the LSH half hashes.
     fn build_index(
-        repo: &EncodedRepository,
         slot_intervals: &[Vec<(f64, f64)>],
+        embeddings: &[Vec<Vec<f32>>],
         embed_dim: usize,
         cfg: HybridConfig,
     ) -> HybridIndex {
@@ -352,7 +322,7 @@ impl EngineShard {
                 })
             })
             .collect();
-        HybridIndex::from_parts(flat, &repo.column_embeddings(), embed_dim, repo.len(), cfg)
+        HybridIndex::from_parts(flat, embeddings, embed_dim, slot_intervals.len(), cfg)
     }
 
     /// Number of slots, including tombstoned ones.
@@ -394,13 +364,6 @@ impl EngineShard {
         &self.meta[slot]
     }
 
-    /// The shard's slice of cached encodings. Note its `pooled_mean` is
-    /// zero by design — the corpus-wide centering reference lives on
-    /// [`crate::EngineState::pooled_mean`].
-    pub fn repository(&self) -> &EncodedRepository {
-        &self.repo
-    }
-
     /// The shard's local hybrid index.
     pub fn index(&self) -> &HybridIndex {
         &self.index
@@ -409,7 +372,7 @@ impl EngineShard {
     /// `(resident tables, mapped tables)` in this shard, dead slots
     /// included (they occupy their tier until compaction).
     pub(crate) fn tier_tables(&self) -> (u64, u64) {
-        let mapped = self.cold.as_ref().map_or(0, |c| c.n_mapped) as u64;
+        let mapped = self.n_mapped() as u64;
         (self.meta.len() as u64 - mapped, mapped)
     }
 
@@ -417,14 +380,9 @@ impl EngineShard {
     /// resident counts f32 matrix storage plus the always-resident
     /// quantized proxies; mapped counts the cold blob backing the shard.
     pub(crate) fn tier_bytes(&self) -> (u64, u64) {
-        let n_mapped = self.cold.as_ref().map_or(0, |c| c.n_mapped);
         let mut resident: u64 = self.quant.iter().map(|q| q.byte_size() as u64).sum();
-        for slot in n_mapped..self.meta.len() {
-            let mats = self.repo.tables[slot]
-                .column_segments
-                .iter()
-                .chain(self.repo.encodings[slot].iter());
-            resident += mats.map(|m| m.len() as u64 * 4).sum::<u64>();
+        for m in self.encodings.iter().flatten() {
+            resident += m.len() as u64 * 4;
         }
         let mapped = self.cold.as_ref().map_or(0, |c| c.seg.blob_bytes());
         (resident, mapped)
@@ -432,18 +390,17 @@ impl EngineShard {
 
     /// Pooled column embeddings of one slot (what its LSH entries hash).
     /// Cold slots answer from the segment summary — the writer derived
-    /// those vectors with the same loop the repository uses, so
-    /// tombstoning a cold slot evicts the exact LSH entries its insert
-    /// created, without decoding the blob.
+    /// those vectors with [`column_embedding`] too, so tombstoning a cold
+    /// slot evicts the exact LSH entries its insert created, without
+    /// decoding the blob.
     fn slot_embeddings(&self, slot: usize) -> Vec<Vec<f32>> {
-        if let Some(c) = &self.cold {
-            if slot < c.n_mapped {
-                return c.seg.summary(slot).col_embeddings.clone();
-            }
+        match self.cold_seg(slot) {
+            Some(seg) => seg.summary(slot).col_embeddings.clone(),
+            None => self.encodings[slot - self.n_mapped()]
+                .iter()
+                .map(column_embedding)
+                .collect(),
         }
-        (0..self.repo.encodings[slot].len())
-            .map(|c| self.repo.column_embedding(slot, c))
-            .collect()
     }
 
     /// Appends one table as a new live slot, updating the index
@@ -455,8 +412,8 @@ impl EngineShard {
         self.quant
             .push(QuantizedVec::quantize(&p.t_mean(self.embed_dim)));
         self.pooled.push(p);
-        self.repo.tables.push(slot.table);
-        self.repo.encodings.push(slot.encodings);
+        self.ranges.push(slot.ranges);
+        self.encodings.push(slot.encodings);
         self.slot_intervals.push(slot.intervals);
         let embeddings = self.slot_embeddings(id);
         let assigned = self
@@ -498,21 +455,30 @@ impl EngineShard {
         }
         let live = |slot: usize| remap[slot].is_some();
         retain_indexed(&mut self.meta, live);
-        retain_indexed(&mut self.repo.tables, live);
-        retain_indexed(&mut self.repo.encodings, live);
+        retain_indexed(&mut self.ranges, live);
+        retain_indexed(&mut self.encodings, live);
         retain_indexed(&mut self.slot_intervals, live);
         // Pooled stats and quantized proxies are per-slot pure values —
         // surviving slots keep theirs verbatim.
         retain_indexed(&mut self.pooled, live);
         retain_indexed(&mut self.quant, live);
         self.index = Self::build_index(
-            &self.repo,
             &self.slot_intervals,
+            &column_embeddings(&self.encodings),
             embed_dim,
             self.index.config().clone(),
         );
         Some(remap)
     }
+}
+
+/// Pooled column embeddings of every slot, `[slot][column] -> K floats` —
+/// the shape the LSH index ingests.
+fn column_embeddings(encodings: &[Vec<Matrix>]) -> Vec<Vec<Vec<f32>>> {
+    encodings
+        .iter()
+        .map(|cols| cols.iter().map(column_embedding).collect())
+        .collect()
 }
 
 /// `Vec::retain` keyed by index instead of value.

@@ -197,7 +197,7 @@ impl EngineState {
             .iter()
             .zip(processed)
             .zip(encodings)
-            .map(|((table, pt), enc)| SlotData::from_encoded(table, pt, enc))
+            .map(|((table, pt), enc)| SlotData::from_encoded(table, pt.column_ranges, enc))
             .collect();
         self.insert_slots(slots, model.config.embed_dim)
     }
@@ -570,7 +570,7 @@ impl EngineState {
         let pages_before = trace_ctx.map(|_| self.tier_stats().slots_paged_in);
         let scored = scorer.score_all(&flat, &pq, &self.pooled_mean, |&(s, l)| {
             let sh = &self.shards[s as usize];
-            (sh.slot_table(l as usize), sh.slot_encodings(l as usize))
+            (sh.slot_ranges(l as usize), sh.slot_encodings(l as usize))
         });
         let exact_d = exact_start.elapsed();
         let merge_start = Instant::now();

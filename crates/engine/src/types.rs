@@ -143,15 +143,15 @@ pub struct TierStats {
     pub resident_tables: u64,
     /// Tables served from mapped segments, dead slots included.
     pub mapped_tables: u64,
-    /// Bytes of decoded matrix payload plus always-resident quantized
-    /// proxies.
+    /// Bytes of resident encoding matrices plus always-resident
+    /// quantized proxies.
     pub resident_bytes: u64,
     /// Bytes of cold blob backing the mapped slots.
     pub mapped_bytes: u64,
-    /// Slot materializations (table or encodings) served from mapped
-    /// segments since they were opened.
+    /// Slot encodings decoded from mapped segments since they were
+    /// opened, one per decode.
     pub slots_paged_in: u64,
-    /// Blob bytes decoded from mapped segments since they were opened.
+    /// Encoding bytes decoded from mapped segments since they were opened.
     pub bytes_paged_in: u64,
 }
 

@@ -430,7 +430,7 @@ mod tests {
         r#""jobs":{"enqueued":205,"answered":212},"#,
         r#""coalescing":{"batches":4,"requests":31,"deduped":219,"mean_batch":7.75,"p95_batch":17,"max_batch":17},"#,
         r#""cache":{"hits":1,"misses":2,"evictions":0,"len":2},"#,
-        r#""tier":{"resident_tables":8,"mapped_tables":0,"resident_bytes":4544,"mapped_bytes":0,"slots_paged_in":0,"bytes_paged_in":0,"quant_scanned":226,"reranked":233},"#,
+        r#""tier":{"resident_tables":8,"mapped_tables":0,"resident_bytes":2496,"mapped_bytes":0,"slots_paged_in":0,"bytes_paged_in":0,"quant_scanned":226,"reranked":233},"#,
         r#""trace":{"spans_recorded":7,"spans_dropped":0,"ring_capacity":4096}}"#,
     );
 
@@ -565,7 +565,7 @@ lcdd_engine_resident_tables 8
 lcdd_engine_mapped_tables 0
 # HELP lcdd_engine_resident_bytes Hot-tier resident bytes.
 # TYPE lcdd_engine_resident_bytes gauge
-lcdd_engine_resident_bytes 4544
+lcdd_engine_resident_bytes 2496
 # HELP lcdd_engine_mapped_bytes Cold-tier mapped bytes.
 # TYPE lcdd_engine_mapped_bytes gauge
 lcdd_engine_mapped_bytes 0

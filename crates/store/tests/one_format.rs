@@ -1,12 +1,13 @@
 //! One on-disk vocabulary, checked by bytes: an engine snapshot is a
 //! container of exactly the pieces a store writes (`meta.seg` payload +
 //! one `LCDDSEG2` image per shard), whichever tier the state lives in, and
-//! a WAL insert record carries one more such image. Checkpoint files are
-//! byte-for-byte what the store wrote before snapshots joined them (the
-//! `pr17-store` fixture); a store written by this release (`pr37-store`)
-//! opens eagerly and cold, replays its WAL without re-encoding, and
-//! re-serializes to the identical files; and the retired version-1 log
-//! is refused with a typed error that names the way out.
+//! a WAL insert record carries one more such image. A store written by
+//! the previous release (`pr37-store`, format-1 images that still carry
+//! the raw segment matrices) opens eagerly and cold, replays its WAL
+//! without re-encoding, and its checkpoint and insert image, decoded and
+//! written again, are byte for byte this release's (`pr38-store`); this
+//! release's log re-serializes to the identical bytes; and the retired
+//! version-1 log is refused with a typed error that names the way out.
 
 use std::path::{Path, PathBuf};
 
@@ -119,7 +120,7 @@ fn live_eager_and_cold_states_snapshot_to_the_same_bytes() {
     }
 }
 
-/// The committed store directories. Both were written with one recipe:
+/// The committed store directories. All were written with one recipe:
 /// `corpus(&CorpusSpec::sized(0xf1c5, 5))`, `DurableEngine::create` over
 /// `tiny_engine(tables[..4], 2)` (four tables in two shards, the
 /// checkpoint), then `insert_tables(vec![tables[4]])` and
@@ -131,6 +132,8 @@ fn live_eager_and_cold_states_snapshot_to_the_same_bytes() {
 /// * `pr37-store` — written by the release that made insert records
 ///   `LCDDSEG2` images (WAL version 2). Its checkpoint files equal
 ///   `pr17-store`'s byte for byte; only the log differs.
+/// * `pr38-store` — written by the release whose images (format 2) keep
+///   only what search reads: no raw segment matrices.
 fn fixture(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests/fixtures")
@@ -191,50 +194,68 @@ fn a_store_written_by_this_release_opens_with_identical_answers() {
     }
 }
 
-#[test]
-fn the_previous_release_s_files_are_rewritten_byte_for_byte() {
-    let _gate = encode_gate();
-    let pr37 = fixture("pr37-store");
-    let fixture = fixture("pr17-store");
-    let (man_path, manifest) = latest_manifest(&fixture).unwrap().unwrap();
+/// The body of a fixture log's one insert record.
+fn insert_image(dir: &Path) -> Vec<u8> {
+    let (_, manifest) = latest_manifest(dir).unwrap().unwrap();
+    let scan = wal::scan(&dir.join(&manifest.wal_file), WAL_HEADER_LEN).unwrap();
+    let mut inserts = scan.records.into_iter().filter_map(|(_, r)| match r.op {
+        WalOp::Insert { batch } => Some(batch),
+        _ => None,
+    });
+    let image = inserts.next().expect("the fixture log holds an insert");
+    assert!(inserts.next().is_none(), "one insert record");
+    image
+}
 
-    // Checkpoint files: decode the fixture's checkpoint, write a fresh
-    // store from it, compare meta, every segment and the manifest.
-    let segments: Vec<Vec<u8>> = manifest
-        .segments
-        .iter()
-        .map(|name| payload(&fixture.join(name)))
-        .collect();
-    let engine = assemble_engine(
-        &payload(&fixture.join(&manifest.meta_file)),
-        manifest.order.clone(),
-        &segments,
-        manifest.epoch,
-    )
-    .unwrap();
-    let tmp = TempDir::new("one-format-rewrite");
-    let dir = tmp.subdir("store");
-    drop(DurableEngine::create(&dir, engine, opts(false)).unwrap());
+#[test]
+fn the_previous_release_s_files_rewrite_to_this_release_s_bytes() {
+    // Format-1 images decoded and written again are the format-2 images
+    // this release writes for the same state: the segments, and only
+    // they, are gone.
+    let _gate = encode_gate();
+    let pr38 = fixture("pr38-store");
+    let (man_path, manifest) = latest_manifest(&pr38).unwrap().unwrap();
     let mut names = manifest.segments.clone();
     names.push(manifest.meta_file.clone());
     names.push(man_path.file_name().unwrap().to_str().unwrap().to_string());
-    for name in &names {
-        assert!(
-            std::fs::read(dir.join(name)).unwrap() == std::fs::read(fixture.join(name)).unwrap(),
-            "{name} differs from the fixture's"
-        );
-        assert!(
-            std::fs::read(fixture.join(name)).unwrap() == std::fs::read(pr37.join(name)).unwrap(),
-            "{name}: the two releases wrote different checkpoint files"
-        );
+    let tmp = TempDir::new("one-format-rewrite");
+    for old in ["pr17-store", "pr37-store"] {
+        let old_dir = fixture(old);
+        let (_, old_manifest) = latest_manifest(&old_dir).unwrap().unwrap();
+        let segments: Vec<Vec<u8>> = old_manifest
+            .segments
+            .iter()
+            .map(|name| payload(&old_dir.join(name)))
+            .collect();
+        let engine = assemble_engine(
+            &payload(&old_dir.join(&old_manifest.meta_file)),
+            old_manifest.order.clone(),
+            &segments,
+            old_manifest.epoch,
+        )
+        .unwrap();
+        let dir = tmp.subdir(old);
+        drop(DurableEngine::create(&dir, engine, opts(false)).unwrap());
+        for name in &names {
+            assert!(
+                std::fs::read(dir.join(name)).unwrap() == std::fs::read(pr38.join(name)).unwrap(),
+                "{old}: rewritten {name} differs from pr38-store's"
+            );
+        }
     }
+    let embed_dim = lcdd_fcm::FcmConfig::tiny().embed_dim;
+    let old = EncodedTableBatch::from_bytes(&insert_image(&fixture("pr37-store")), embed_dim);
+    assert!(
+        old.unwrap().to_bytes().unwrap() == insert_image(&pr38),
+        "pr37-store's insert image, written again, differs from pr38-store's"
+    );
 }
 
 #[test]
 fn this_release_s_log_is_rewritten_byte_for_byte() {
     // Re-append the log's records, and check the insert body is the
     // `LCDDSEG2` image of its own decoded slots.
-    let fixture = fixture("pr37-store");
+    let fixture = fixture("pr38-store");
     let (_, manifest) = latest_manifest(&fixture).unwrap().unwrap();
     let embed_dim = lcdd_fcm::FcmConfig::tiny().embed_dim;
     let log = fixture.join(&manifest.wal_file);

@@ -19,9 +19,7 @@
 //!   measurement rather than noise;
 //! * column value ranges straddle the query ranges (with per-table
 //!   jitter), so the range filter keeps most columns and candidate sets
-//!   stay non-trivial for every `IndexStrategy`;
-//! * tiny per-column segment matrices keep the `LCDDSEG2` blob exercising
-//!   both matrix families without bloating million-table images.
+//!   stay non-trivial for every `IndexStrategy`.
 //!
 //! Slot `i` is independent of every other slot (one splitmix64 stream per
 //! index), so generation order, shard assignment and corpus size never
@@ -29,7 +27,6 @@
 //! slots across runs, machines and shard layouts.
 
 use lcdd_engine::{EncodedSlot, Query};
-use lcdd_fcm::input::ProcessedTable;
 use lcdd_tensor::Matrix;
 
 /// Shape of a synthetic scale corpus. Everything is derived from `seed`;
@@ -138,8 +135,7 @@ pub fn slot(spec: &ScaleSpec, i: u64) -> EncodedSlot {
     }
     normalize(&mut dir);
 
-    let mut column_segments = Vec::with_capacity(n_cols);
-    let mut column_ranges = Vec::with_capacity(n_cols);
+    let mut ranges = Vec::with_capacity(n_cols);
     let mut encodings = Vec::with_capacity(n_cols);
     let mut intervals = Vec::with_capacity(n_cols);
     for _ in 0..n_cols {
@@ -156,22 +152,14 @@ pub fn slot(spec: &ScaleSpec, i: u64) -> EncodedSlot {
         // so the range filter keeps columns without being a no-op.
         let lo = -1.2 - f64::from(unit_f32(&mut s));
         let hi = 1.2 + f64::from(unit_f32(&mut s));
-        column_ranges.push((lo, hi));
+        ranges.push((lo, hi));
         intervals.push((lo, hi));
-        // A small real segment matrix so segment images carry both matrix
-        // families (blob layout: segments first, then encodings).
-        let seg: Vec<f32> = (0..8).map(|_| sym_f32(&mut s)).collect();
-        column_segments.push(Matrix::from_vec(2, 4, seg));
     }
 
     EncodedSlot {
         id: i,
         name: format!("scale-{i}"),
-        table: ProcessedTable {
-            table_id: i,
-            column_segments,
-            column_ranges,
-        },
+        ranges,
         encodings,
         intervals,
     }
@@ -217,7 +205,7 @@ mod tests {
             assert_eq!(a.id, b.id);
             assert_eq!(a.name, b.name);
             assert_eq!(a.intervals, b.intervals);
-            assert_eq!(a.table.column_ranges, b.table.column_ranges);
+            assert_eq!(a.ranges, b.ranges);
             assert_eq!(a.encodings.len(), b.encodings.len());
             for (ma, mb) in a.encodings.iter().zip(&b.encodings) {
                 assert_eq!(ma.as_slice(), mb.as_slice());
@@ -239,13 +227,12 @@ mod tests {
             let sl = slot(&spec, i);
             let n_cols = sl.encodings.len();
             assert!((1..=spec.max_cols).contains(&n_cols));
-            assert_eq!(sl.table.column_segments.len(), n_cols);
-            assert_eq!(sl.table.column_ranges.len(), n_cols);
+            assert_eq!(sl.ranges.len(), n_cols);
             assert_eq!(sl.intervals.len(), n_cols);
             for m in &sl.encodings {
                 assert_eq!(m.shape(), (spec.rows_per_col, spec.embed_dim));
             }
-            for &(lo, hi) in &sl.table.column_ranges {
+            for &(lo, hi) in &sl.ranges {
                 assert!(lo < -1.0 && hi > 1.0, "ranges must straddle queries");
             }
         }

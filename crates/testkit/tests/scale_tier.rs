@@ -129,6 +129,34 @@ fn cold_open_is_lazy_until_queried() {
 }
 
 #[test]
+fn a_cold_rerank_pages_in_exactly_the_encodings_it_scores() {
+    let spec = ScaleSpec::tiny(0x9A6E, 40);
+    let tmp = TempDir::new("tier-pagein");
+    fabricate(tmp.path(), &spec, 2);
+    let (engine, _) = DurableEngine::open(tmp.path(), opts(true)).expect("cold open");
+
+    // k = R: every re-ranked slot comes back as a hit.
+    let o = SearchOptions::top_k(6)
+        .with_strategy(IndexStrategy::NoIndex)
+        .with_rerank(6);
+    let resp = engine.search(&scale::query(&spec, 2), &o).expect("search");
+    assert_eq!(resp.counts.reranked, Some(6));
+    assert_eq!(resp.hits.len(), 6);
+    let encoding_bytes: u64 = resp
+        .hits
+        .iter()
+        .flat_map(|h| scale::slot(&spec, h.table_id).encodings)
+        .map(|m| 4 * (m.rows() * m.cols()) as u64)
+        .sum();
+    let stats = engine.snapshot().tier_stats();
+    assert_eq!(stats.slots_paged_in, 6, "each re-ranked slot pages in once");
+    assert_eq!(
+        stats.bytes_paged_in, encoding_bytes,
+        "page-in bytes are the re-ranked slots' encodings, nothing else"
+    );
+}
+
+#[test]
 fn cold_equals_eager_bitwise_across_layouts() {
     for n_shards in [1usize, 2, 5] {
         let spec = ScaleSpec::tiny(0xBEEF ^ n_shards as u64, 48);
