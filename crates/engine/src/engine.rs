@@ -50,7 +50,7 @@ pub const DEFAULT_COMPACTION_THRESHOLD: f64 = 0.3;
 /// [`Engine::search_batch`] fans a batch across the shared work pool.
 /// Corpus mutation goes through [`Engine::insert_tables`] /
 /// [`Engine::remove_tables`], which touch only the affected shards and
-/// never re-encode resident tables. For lock-free serving *during*
+/// never re-encode resident tables. For concurrent serving *during*
 /// mutation, wrap the engine in a [`crate::ServingEngine`].
 pub struct Engine {
     /// Shared with every reader of a [`crate::ServingEngine`] built from

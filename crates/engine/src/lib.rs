@@ -41,15 +41,17 @@
 //!
 //! **Concurrent serving** wraps the same machinery in a
 //! [`ServingEngine`]: the corpus lives in an immutable, epoch-versioned
-//! [`EngineState`] behind a lock-free atomic-swap handle
-//! ([`swap::ArcSwapCell`]), so `search` / `search_batch` take `&self`,
-//! never block on mutation, and always see exactly one published epoch,
-//! while a single writer applies insert / remove / compact / reshard by
-//! building the next state from the cached encodings (copy-on-write at
-//! shard granularity — no re-encode, no stop-the-world) and publishing it
-//! atomically, all inside one critical section
-//! ([`ServingEngine::write`]). An epoch-tagged query-result LRU ([`cache::QueryCache`])
-//! memoizes repeat queries and is invalidated by each publish.
+//! [`EngineState`] published through one `RwLock<Arc<EngineState>>`.
+//! Reads go through [`ReadHalf`], which every leader flavor derefs to:
+//! `search` / `search_batch` take `&self`, hold the read lock only to
+//! clone the `Arc`, never wait for a write to apply, and always see
+//! exactly one published epoch. A single writer applies insert / remove /
+//! compact / reshard by building the next state from the cached
+//! encodings (copy-on-write at shard granularity — no re-encode, no
+//! stop-the-world) and swapping it in, all inside one critical section
+//! ([`ServingEngine::write`]). An epoch-tagged query-result LRU
+//! ([`cache::QueryCache`]) memoizes repeat queries and is invalidated by
+//! each publish.
 //!
 //! Errors are surfaced as [`EngineError`] values — no panics on bad
 //! configs, corrupt snapshots, empty or degenerate queries (blank images,
@@ -69,7 +71,6 @@ pub mod persist;
 pub mod serving;
 pub mod shard;
 pub mod state;
-pub mod swap;
 pub mod types;
 
 pub use builder::{entries_from_tables, EngineBuilder};
@@ -78,7 +79,7 @@ pub use engine::{Engine, TableMeta, DEFAULT_COMPACTION_THRESHOLD};
 pub use lcdd_fcm::EngineError;
 pub use lcdd_index::{CandidateSet, HybridConfig, IndexStrategy};
 pub use persist::{EncodedSlot, EncodedTableBatch};
-pub use serving::ServingEngine;
+pub use serving::{ReadHalf, ServingEngine};
 pub use shard::EngineShard;
 pub use state::{EngineShared, EngineState};
 pub use types::{

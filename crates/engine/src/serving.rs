@@ -1,13 +1,15 @@
-//! Lock-free concurrent serving: many readers, one logical writer, zero
+//! Concurrent serving: many readers, one logical writer, zero
 //! stop-the-world.
 //!
 //! [`ServingEngine`] wraps the same model/state machinery as [`Engine`]
-//! behind an epoch-versioned atomic-swap handle:
+//! behind one epoch-versioned publication point, a
+//! `RwLock<Arc<EngineState>>`:
 //!
-//! * **Readers** ([`ServingEngine::search`] / `search_batch`) take `&self`,
-//!   snapshot the current [`EngineState`] through the lock-free
-//!   [`crate::swap::ArcSwapCell`], and run the whole query against that
-//!   immutable snapshot. They never block on mutation, never observe a
+//! * **Readers** go through the [`ReadHalf`] every leader flavor derefs
+//!   to ([`ReadHalf::search`] / `search_batch` take `&self`). A search pins
+//!   the current [`EngineState`] — a read lock held only for an `Arc`
+//!   clone — and runs the whole query against that immutable snapshot.
+//!   Readers never wait for a write to apply, never observe a
 //!   half-applied write, and every response reports the exact `epoch` it
 //!   was served from.
 //! * **The writer** is one [`Engine`] behind one mutex — the writer copy.
@@ -15,11 +17,11 @@
 //!   critical section: it runs the write on the writer copy (copy-on-write
 //!   at shard granularity — resident tables are never re-encoded and
 //!   untouched shards are shared by pointer with older epochs), publishes
-//!   the result atomically if the epoch moved, and on `Err` restores the
-//!   writer copy from the published snapshot. `insert_tables` /
-//!   `remove_tables` / `compact` / `reshard` are one-line calls of it, and
-//!   the durable store logs inside it. In-flight queries keep serving
-//!   from the epoch they started on.
+//!   the result if the epoch moved — the write lock is held only to swap
+//!   one `Arc` — and on `Err` restores the writer copy from the published
+//!   snapshot. `insert_tables` / `remove_tables` / `compact` / `reshard`
+//!   are one-line calls of it, and the durable store logs inside it.
+//!   In-flight queries keep serving from the epoch they started on.
 //! * **The query cache** memoizes successful responses keyed by a 128-bit
 //!   content fingerprint and tagged with the serving epoch; a publish
 //!   invalidates it wholesale (logically at once, physically pruned by the
@@ -50,7 +52,8 @@
 //! ```
 
 use std::convert::Infallible;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::ops::Deref;
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
 use lcdd_fcm::{EngineError, FcmModel};
 use lcdd_index::{CandidateSet, IndexStrategy};
@@ -61,56 +64,29 @@ use lcdd_vision::ExtractedChart;
 use crate::cache::{query_fingerprint, CacheStats, QueryCache, DEFAULT_CACHE_CAPACITY};
 use crate::engine::Engine;
 use crate::state::{EngineShared, EngineState};
-use crate::swap::ArcSwapCell;
 use crate::types::{Query, SearchOptions, SearchResponse};
 
-/// A concurrently servable engine: lock-free `&self` search over
-/// atomically published, epoch-versioned state snapshots, with a single
-/// serialized writer applying corpus mutations.
-pub struct ServingEngine {
-    /// The writer copy's configuration, shared with every reader.
+/// The read API of every leader flavor: the published corpus state, the
+/// configuration every reader shares and the query cache. Both
+/// [`ServingEngine`] and the durable store's engine deref to it. It has
+/// no write method: only the flavor that owns it publishes.
+pub struct ReadHalf {
     shared: Arc<EngineShared>,
-    cell: ArcSwapCell<EngineState>,
-    /// The writer copy. Readers never touch it; they see only what
-    /// [`ServingEngine::write`] published into the cell. Between writes
-    /// its state equals the published snapshot.
-    writer: Mutex<Engine>,
+    /// The publication point. Readers hold the read lock only to clone
+    /// the `Arc`; [`ServingEngine::write`] holds the write lock only to
+    /// swap it. Poisoning is ignored: the one update is a single
+    /// `mem::replace`, so the value is valid at every step.
+    published: RwLock<Arc<EngineState>>,
     cache: QueryCache,
 }
 
-impl ServingEngine {
-    /// Wraps an engine for concurrent serving with the default query-cache
-    /// capacity.
-    pub fn new(engine: Engine) -> Self {
-        Self::with_cache_capacity(engine, DEFAULT_CACHE_CAPACITY)
-    }
-
-    /// Wraps an engine, bounding the query-result cache at `capacity`
-    /// entries (0 disables caching).
-    pub fn with_cache_capacity(engine: Engine, capacity: usize) -> Self {
-        ServingEngine {
-            shared: Arc::clone(&engine.shared),
-            cell: ArcSwapCell::new(Arc::new(engine.state.clone())),
-            writer: Mutex::new(engine),
-            cache: QueryCache::new(capacity),
-        }
-    }
-
-    /// Tears the serving wrapper back down to a plain [`Engine`] (e.g. to
-    /// snapshot with [`Engine::save`] or hand to single-threaded code).
-    pub fn into_engine(self) -> Engine {
-        self.writer
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-
-    // ---- read side -------------------------------------------------------
-
+impl ReadHalf {
     /// Snapshots the current corpus state. The snapshot is immutable and
     /// keeps serving consistently (same epoch, same results) no matter how
     /// many mutations land after this call.
     pub fn snapshot(&self) -> Arc<EngineState> {
-        self.cell.load()
+        let published = self.published.read();
+        Arc::clone(&published.unwrap_or_else(PoisonError::into_inner))
     }
 
     /// The epoch of the currently published state.
@@ -138,10 +114,9 @@ impl ServingEngine {
         self.cache.stats()
     }
 
-    /// Answers one typed query against the current snapshot. Lock-free
-    /// with respect to the writer: holds no lock across extraction,
-    /// encoding or scoring (the query cache takes its mutex only for O(1)
-    /// map probes).
+    /// Answers one typed query against the current snapshot. Holds no
+    /// lock across extraction, encoding or scoring (the query cache takes
+    /// its mutex only for O(1) map probes).
     pub fn search(
         &self,
         query: &Query,
@@ -163,7 +138,7 @@ impl ServingEngine {
 
     /// Answers a batch of queries against an explicitly pinned snapshot,
     /// fanned across the shared work pool and served **through the query
-    /// cache** (unlike [`ServingEngine::search_at`], which bypasses it).
+    /// cache** (unlike [`ReadHalf::search_at`], which bypasses it).
     /// The network gateway uses this to serve one coalesced wire batch
     /// from exactly one epoch *after* it has checked per-request staleness
     /// contracts against that same snapshot's epoch. Cache entries tagged
@@ -218,7 +193,7 @@ impl ServingEngine {
     }
 
     /// Answers a query against a **pinned** snapshot (from
-    /// [`ServingEngine::snapshot`]), regardless of how many epochs have
+    /// [`ReadHalf::snapshot`]), regardless of how many epochs have
     /// been published since. Bypasses the query cache (which only serves
     /// the live epoch) — useful for repeatable reads, pagination over a
     /// frozen corpus view, or the concurrency test harness.
@@ -237,12 +212,79 @@ impl ServingEngine {
             .candidates(&self.shared.model, extracted, strategy)
     }
 
-    // ---- write side ------------------------------------------------------
+    /// Writes the published state to a snapshot file (readable by
+    /// [`Engine::load`]), atomically like [`Engine::save`] and without
+    /// pausing readers or the writer.
+    pub fn save(&self, path: impl AsRef<std::path::Path>) -> Result<(), EngineError> {
+        crate::persist::save_snapshot(&self.shared, &self.snapshot(), path.as_ref())
+    }
+
+    /// Writes `state` — a snapshot pinned from this engine by
+    /// [`ReadHalf::snapshot`] — to a writer as one snapshot frame
+    /// (readable by [`Engine::load_from`]). The state is immutable, so
+    /// neither readers nor the writer wait for this.
+    pub fn save_state_to<W: std::io::Write>(
+        &self,
+        state: &EngineState,
+        w: W,
+    ) -> Result<(), EngineError> {
+        crate::persist::write_snapshot(&self.shared, state, w)
+    }
+}
+
+/// A concurrently servable engine: `&self` search (through [`ReadHalf`])
+/// over published, epoch-versioned state snapshots, with a single
+/// serialized writer applying corpus mutations.
+pub struct ServingEngine {
+    reads: ReadHalf,
+    /// The writer copy. Readers never touch it; they see only what
+    /// [`ServingEngine::write`] published. Between writes its state
+    /// equals the published snapshot.
+    writer: Mutex<Engine>,
+}
+
+impl Deref for ServingEngine {
+    type Target = ReadHalf;
+
+    fn deref(&self) -> &ReadHalf {
+        &self.reads
+    }
+}
+
+impl ServingEngine {
+    /// Wraps an engine for concurrent serving with the default query-cache
+    /// capacity.
+    pub fn new(engine: Engine) -> Self {
+        Self::with_cache_capacity(engine, DEFAULT_CACHE_CAPACITY)
+    }
+
+    /// Wraps an engine, bounding the query-result cache at `capacity`
+    /// entries (0 disables caching).
+    pub fn with_cache_capacity(engine: Engine, capacity: usize) -> Self {
+        ServingEngine {
+            reads: ReadHalf {
+                shared: Arc::clone(&engine.shared),
+                published: RwLock::new(Arc::new(engine.state.clone())),
+                cache: QueryCache::new(capacity),
+            },
+            writer: Mutex::new(engine),
+        }
+    }
+
+    /// Tears the serving wrapper back down to a plain [`Engine`] (e.g. to
+    /// snapshot with [`Engine::save`] or hand to single-threaded code).
+    pub fn into_engine(self) -> Engine {
+        self.writer
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
 
     /// The one corpus write: runs `f` on the writer copy under the writer
-    /// lock, then publishes the copy atomically if its epoch moved —
-    /// readers switch on their next snapshot and the query cache is
-    /// invalidated (logically by the epoch tag, physically pruned here).
+    /// lock, then publishes the copy if its epoch moved — readers switch
+    /// on their next snapshot and the query cache is invalidated
+    /// (logically by the epoch tag, physically pruned here). The
+    /// publication lock is held only to swap one `Arc`: never while `f`
+    /// runs, so `f` may read [`ReadHalf::epoch`] or pin a snapshot.
     /// If `f` returns `Err`, nothing is published and the writer copy is
     /// restored from the published snapshot, so a failed write leaves no
     /// trace: not in the corpus, not in the compaction threshold.
@@ -257,10 +299,19 @@ impl ServingEngine {
         let threshold_before = engine.compaction_threshold;
         let out = f(&mut engine);
         if out.is_err() {
-            engine.state = EngineState::clone(&self.cell.load());
+            engine.state = EngineState::clone(&self.snapshot());
             engine.compaction_threshold = threshold_before;
         } else if engine.epoch() != epoch_before {
-            self.cell.store(Arc::new(engine.state.clone()));
+            let next = Arc::new(engine.state.clone());
+            let mut published = self
+                .published
+                .write()
+                .unwrap_or_else(PoisonError::into_inner);
+            let superseded = std::mem::replace(&mut *published, next);
+            // Unlock first: a last-reference drop of the superseded state
+            // never runs under the lock.
+            drop(published);
+            drop(superseded);
             self.cache.prune_stale(engine.epoch());
         }
         out
@@ -300,24 +351,5 @@ impl ServingEngine {
     /// `[0, 1]`; see [`Engine::set_compaction_threshold`]).
     pub fn set_compaction_threshold(&self, frac: f64) {
         self.apply(|e| e.set_compaction_threshold(frac))
-    }
-
-    /// Writes the published state to a snapshot file (readable by
-    /// [`Engine::load`]), atomically like [`Engine::save`] and without
-    /// pausing readers or the writer.
-    pub fn save(&self, path: impl AsRef<std::path::Path>) -> Result<(), EngineError> {
-        crate::persist::save_snapshot(&self.shared, &self.snapshot(), path.as_ref())
-    }
-
-    /// Writes `state` — a snapshot pinned from this engine by
-    /// [`ServingEngine::snapshot`] — to a writer as one snapshot frame
-    /// (readable by [`Engine::load_from`]). The state is immutable, so
-    /// neither readers nor the writer wait for this.
-    pub fn save_state_to<W: std::io::Write>(
-        &self,
-        state: &EngineState,
-        w: W,
-    ) -> Result<(), EngineError> {
-        crate::persist::write_snapshot(&self.shared, state, w)
     }
 }

@@ -475,15 +475,10 @@ impl EngineState {
 
         // Candidate generation fans out across shards on the work pool.
         let t = Instant::now();
-        let cands: Vec<CandidateSet> = pool::par_map(&self.shards, |sh| {
-            sh.index()
-                .candidates_with_stats(opts.strategy, pq.y_range, &line_embs)
-        });
-        let flat: Vec<(u32, u32)> = cands
-            .iter()
-            .enumerate()
-            .flat_map(|(si, c)| c.ids.iter().map(move |&l| (si as u32, l as u32)))
-            .collect();
+        let (flat, after_interval, after_lsh) =
+            self.shard_candidates(opts.strategy, pq.y_range, &line_embs, |si, l| {
+                (si as u32, l as u32)
+            });
         let prune_d = t.elapsed();
         let prune_s = prune_d.as_secs_f64();
         if let Some(ctx) = trace_ctx {
@@ -650,18 +645,12 @@ impl EngineState {
             );
         }
 
-        let sum_stage = |f: fn(&CandidateSet) -> Option<usize>| -> Option<usize> {
-            cands
-                .iter()
-                .map(f)
-                .try_fold(0usize, |acc, v| v.map(|n| acc + n))
-        };
         Ok(SearchResponse {
             hits,
             counts: StageCounts {
                 total: self.len(),
-                after_interval: sum_stage(|c| c.after_interval),
-                after_lsh: sum_stage(|c| c.after_lsh),
+                after_interval,
+                after_lsh,
                 quant_scanned,
                 reranked,
                 scored: flat.len(),
@@ -693,27 +682,49 @@ impl EngineState {
         } else {
             mean_pooled(&model.encode_query_values(&pq))
         };
+        let (mut ids, after_interval, after_lsh) =
+            self.shard_candidates(strategy, pq.y_range, &line_embs, |si, l| {
+                self.positions[si][l]
+            });
+        ids.sort_unstable();
+        CandidateSet {
+            after_interval,
+            after_lsh,
+            ids,
+        }
+    }
+
+    /// Candidate generation fanned across the shards on the work pool:
+    /// every shard's candidates flattened through `id(shard, local)`, plus
+    /// the interval and LSH stage counts summed over shards (`None` when
+    /// the strategy skips a stage).
+    fn shard_candidates<T>(
+        &self,
+        strategy: IndexStrategy,
+        y_range: Option<(f64, f64)>,
+        line_embs: &[Vec<f32>],
+        id: impl Fn(usize, usize) -> T + Copy,
+    ) -> (Vec<T>, Option<usize>, Option<usize>) {
         let per_shard: Vec<CandidateSet> = pool::par_map(&self.shards, |sh| {
             sh.index()
-                .candidates_with_stats(strategy, pq.y_range, &line_embs)
+                .candidates_with_stats(strategy, y_range, line_embs)
         });
-        let mut ids: Vec<usize> = per_shard
+        let flat = per_shard
             .iter()
             .enumerate()
-            .flat_map(|(si, c)| c.ids.iter().map(move |&l| self.positions[si][l]))
+            .flat_map(|(si, c)| c.ids.iter().map(move |&l| id(si, l)))
             .collect();
-        ids.sort_unstable();
         let sum_stage = |f: fn(&CandidateSet) -> Option<usize>| -> Option<usize> {
             per_shard
                 .iter()
                 .map(f)
                 .try_fold(0usize, |acc, v| v.map(|n| acc + n))
         };
-        CandidateSet {
-            after_interval: sum_stage(|c| c.after_interval),
-            after_lsh: sum_stage(|c| c.after_lsh),
-            ids,
-        }
+        (
+            flat,
+            sum_stage(|c| c.after_interval),
+            sum_stage(|c| c.after_lsh),
+        )
     }
 }
 

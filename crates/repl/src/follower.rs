@@ -231,8 +231,8 @@ impl Follower {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// The replica's store (reads are lock-free on the engine inside;
-    /// the outer lock only guards the generation swap).
+    /// The replica's store (reads pin the engine's published state; the
+    /// outer lock only guards the generation swap).
     pub fn store(&self) -> Arc<DurableEngine> {
         self.state().store.clone()
     }

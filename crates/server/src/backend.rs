@@ -9,12 +9,14 @@
 //! which is what makes the gateway's single-epoch-per-batch guarantee a
 //! structural property rather than a timing accident. The corpus facts
 //! `/healthz` and `/metrics` report (epoch, tables, shards, tier) are read
-//! from one pin the same way, so no document mixes two publishes.
+//! from one pin the same way, so no document mixes two publishes. Both
+//! leader variants read through the one [`ReadHalf`] they deref to.
 
 use std::sync::Arc;
 
 use lcdd_engine::{
-    CacheStats, EngineError, EngineState, Query, SearchOptions, SearchResponse, ServingEngine,
+    CacheStats, EngineError, EngineState, Query, ReadHalf, SearchOptions, SearchResponse,
+    ServingEngine,
 };
 use lcdd_repl::{Follower, ReadConsistency};
 use lcdd_store::DurableEngine;
@@ -55,28 +57,30 @@ impl Backend {
         }
     }
 
-    /// Captures the current published snapshot (lock-free on all
-    /// variants; the replica clones its store handle under a short
+    /// The leader's read half, or the follower for a replica (whose
+    /// reads go through the store it serves at the moment).
+    fn leader(&self) -> Result<&ReadHalf, &Follower> {
+        match self {
+            Backend::Serving(s) => Ok(s),
+            Backend::Durable(d) => Ok(d),
+            Backend::Replica(f) => Err(f),
+        }
+    }
+
+    /// Captures the current published snapshot (a read lock held for one
+    /// `Arc` clone; the replica also clones its store handle under a short
     /// generation lock).
     pub fn pin(&self) -> PinnedView {
-        match self {
-            Backend::Serving(s) => {
-                let state = s.snapshot();
+        match self.leader() {
+            Ok(reads) => {
+                let state = reads.snapshot();
                 PinnedView {
                     leader_epoch: state.epoch(),
                     state,
                     replica_store: None,
                 }
             }
-            Backend::Durable(d) => {
-                let state = d.snapshot();
-                PinnedView {
-                    leader_epoch: state.epoch(),
-                    state,
-                    replica_store: None,
-                }
-            }
-            Backend::Replica(f) => {
+            Err(f) => {
                 let store = f.store();
                 PinnedView {
                     state: store.snapshot(),
@@ -115,24 +119,20 @@ impl Backend {
         queries: &[Query],
         opts: &SearchOptions,
     ) -> Vec<Result<SearchResponse, EngineError>> {
-        match self {
-            Backend::Serving(s) => s.search_batch_at(&pin.state, queries, opts),
-            Backend::Durable(d) => d.search_batch_at(&pin.state, queries, opts),
-            Backend::Replica(f) => match &pin.replica_store {
-                Some(store) => store.search_batch_at(&pin.state, queries, opts),
-                // A replica pin always carries its store; fall back to the
-                // live one rather than failing the batch.
-                None => f.store().search_batch_at(&pin.state, queries, opts),
-            },
+        match (self.leader(), &pin.replica_store) {
+            (Ok(reads), _) => reads.search_batch_at(&pin.state, queries, opts),
+            (Err(_), Some(store)) => store.search_batch_at(&pin.state, queries, opts),
+            // A replica pin always carries its store; fall back to the
+            // live one rather than failing the batch.
+            (Err(f), None) => f.store().search_batch_at(&pin.state, queries, opts),
         }
     }
 
-    /// Query-cache counters (lock-free).
+    /// Query-cache counters.
     pub fn cache_stats(&self) -> CacheStats {
-        match self {
-            Backend::Serving(s) => s.cache_stats(),
-            Backend::Durable(d) => d.cache_stats(),
-            Backend::Replica(f) => f.store().cache_stats(),
+        match self.leader() {
+            Ok(reads) => reads.cache_stats(),
+            Err(f) => f.store().cache_stats(),
         }
     }
 

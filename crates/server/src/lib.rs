@@ -4,7 +4,7 @@
 //! constraint rules out async runtimes) whose core is a
 //! **request-coalescing batcher**: concurrent in-flight `/search`
 //! requests are queued, deduplicated by query fingerprint, and merged
-//! into single [`ServingEngine::search_batch`] calls — every response in
+//! into single [`ReadHalf::search_batch_at`] calls — every response in
 //! a coalesced batch is served from **one** pinned epoch snapshot, so a
 //! shared `x-lcdd-batch-id` implies a shared `epoch`.
 //!
@@ -29,7 +29,7 @@
 //! # }
 //! ```
 //!
-//! [`ServingEngine::search_batch`]: lcdd_engine::ServingEngine::search_batch
+//! [`ReadHalf::search_batch_at`]: lcdd_engine::ReadHalf::search_batch_at
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 

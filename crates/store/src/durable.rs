@@ -9,9 +9,9 @@
 //! exact corpus from {latest checkpoint segments + WAL tail}, without
 //! re-running the encoder on a single resident table.
 //!
-//! The lock-free read path is untouched: [`DurableEngine::search`] /
-//! `search_batch_at` delegate straight to the serving engine's epoch
-//! snapshot machinery and never take the store lock or the serving
+//! The read path is untouched: a `DurableEngine` derefs to the serving
+//! engine's [`ReadHalf`], so [`ReadHalf::search`] / `search_batch_at` pin
+//! a published snapshot and never take the store lock or the serving
 //! writer lock.
 //!
 //! ## Write path
@@ -38,8 +38,8 @@
 //! engine's epoch numbering exactly.
 //!
 //! Lock order: follower state (`lcdd_repl`) → store → serving writer. The
-//! serving writer lock is held across the WAL fsync; readers are
-//! lock-free and never wait for it.
+//! serving writer lock is held across the WAL fsync; readers never
+//! take it.
 //!
 //! ## Checkpoints
 //!
@@ -79,6 +79,7 @@
 //! [`EngineError::Snapshot`] values — never a panic.
 
 use std::collections::HashSet;
+use std::ops::Deref;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
@@ -89,8 +90,8 @@ use lcdd_engine::persist::{
     EncodedTableBatch, SegmentImage,
 };
 use lcdd_engine::{
-    CacheStats, Engine, EngineError, EngineShard, EngineState, Query, SearchOptions,
-    SearchResponse, ServingEngine, DEFAULT_COMPACTION_THRESHOLD,
+    Engine, EngineError, EngineShard, EngineState, ReadHalf, ServingEngine,
+    DEFAULT_COMPACTION_THRESHOLD,
 };
 use lcdd_obs::trace;
 use lcdd_table::Table;
@@ -583,15 +584,24 @@ impl StoreShared {
 /// before publication, checkpointed incrementally in the background,
 /// crash-recoverable via [`DurableEngine::open`].
 ///
-/// All mutation must go through this handle (the wrapped serving engine is
-/// deliberately not exposed — a direct mutation would bypass the log and
-/// silently void the recovery guarantee). Reads are lock-free exactly as
-/// on [`ServingEngine`].
+/// Reads go through the [`ReadHalf`] it derefs to, exactly as on
+/// [`ServingEngine`]; `ReadHalf` has no write method. Writes go only
+/// through this handle's methods, which log before they publish (the
+/// wrapped serving engine is not exposed — a direct mutation would bypass
+/// the log and silently void the recovery guarantee).
 pub struct DurableEngine {
     serving: ServingEngine,
     shared: Arc<StoreShared>,
     /// Dropped with the engine: joins the checkpointer thread.
     checkpointer: Checkpointer,
+}
+
+impl Deref for DurableEngine {
+    type Target = ReadHalf;
+
+    fn deref(&self) -> &ReadHalf {
+        &self.serving
+    }
 }
 
 impl DurableEngine {
@@ -809,79 +819,11 @@ impl DurableEngine {
         serving
     }
 
-    // ---- read side (lock-free, delegating to the serving engine) --------
-
-    /// Answers one typed query against the current published snapshot.
-    pub fn search(
-        &self,
-        query: &Query,
-        opts: &SearchOptions,
-    ) -> Result<SearchResponse, EngineError> {
-        self.serving.search(query, opts)
-    }
-
-    /// Pins the current corpus snapshot (see [`ServingEngine::snapshot`]).
-    pub fn snapshot(&self) -> Arc<EngineState> {
-        self.serving.snapshot()
-    }
-
-    /// Answers a query against a pinned snapshot (see
-    /// [`ServingEngine::search_at`]).
-    pub fn search_at(
-        &self,
-        state: &EngineState,
-        query: &Query,
-        opts: &SearchOptions,
-    ) -> Result<SearchResponse, EngineError> {
-        self.serving.search_at(state, query, opts)
-    }
-
-    /// Answers a batch against a pinned snapshot, through the query cache
-    /// (see [`ServingEngine::search_batch_at`] — the gateway's coalesced
-    /// single-epoch batch path).
-    pub fn search_batch_at(
-        &self,
-        state: &Arc<EngineState>,
-        queries: &[Query],
-        opts: &SearchOptions,
-    ) -> Vec<Result<SearchResponse, EngineError>> {
-        self.serving.search_batch_at(state, queries, opts)
-    }
-
-    /// Query-cache counters of the underlying serving engine (lock-free
-    /// atomics — the gateway's `/metrics` path reads them on every scrape).
-    pub fn cache_stats(&self) -> CacheStats {
-        self.serving.cache_stats()
-    }
-
-    /// The currently published epoch.
-    pub fn epoch(&self) -> u64 {
-        self.serving.epoch()
-    }
-
-    /// Number of live tables in the published state.
-    pub fn len(&self) -> usize {
-        self.serving.len()
-    }
-
-    /// True when the published state holds no live tables.
-    pub fn is_empty(&self) -> bool {
-        self.serving.is_empty()
-    }
-
     /// Current length of the live WAL file in bytes (including the file
     /// header). Drops back to the header length whenever a checkpoint
     /// hand-off rotates the log.
     pub fn wal_len(&self) -> u64 {
         self.lock().wal.len()
-    }
-
-    /// Exports the published state as an engine snapshot file (readable by
-    /// [`lcdd_engine::Engine::load`] — a portable backup, independent of
-    /// the store directory, holding the same meta and segment payloads).
-    /// Atomic: a failed export leaves a previous backup at `path` intact.
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), EngineError> {
-        self.serving.save(path)
     }
 
     /// The store directory.
@@ -1111,7 +1053,7 @@ impl DurableEngine {
     // resume-from-offset or a snapshot transfer, never a panic.
 
     /// The cursor one past the last durable record — where a freshly
-    /// attached follower that is already at [`DurableEngine::epoch`]
+    /// attached follower that is already at [`ReadHalf::epoch`]
     /// starts tailing.
     pub fn wal_tail_cursor(&self) -> WalCursor {
         self.lock().tail(self.serving.epoch())

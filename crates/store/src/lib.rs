@@ -33,14 +33,15 @@
 //!   is published; when the checkpoint policy (ops/bytes since the last
 //!   hand-off) fires, the write only rotates the log and hands the pinned
 //!   state to the store's checkpointer thread, which rewrites the shards
-//!   dirtied since the previous checkpoint off the write path. The
-//!   lock-free read path of [`lcdd_engine::ServingEngine`] is untouched.
+//!   dirtied since the previous checkpoint off the write path. Reads go
+//!   through the same [`lcdd_engine::ReadHalf`] a `ServingEngine` serves
+//!   from, untouched by the log.
 //!
 //! The codecs live in [`lcdd_engine::persist`]; the frame every file but
 //! the WAL is wrapped in, and the `Put` / `Cursor` pair every byte of
 //! every file — WAL included — is written and read with, live in
 //! [`lcdd_engine::frame`]; an engine
-//! snapshot ([`DurableEngine::save`]) is a container of the same meta and
+//! snapshot ([`lcdd_engine::ReadHalf::save`]) is a container of the same meta and
 //! segment payloads. Segments carry the memory-mappable `LCDDSEG2` image
 //! (summary + aligned f32 blob), so they
 //! restore bit-identically whether decoded eagerly or served as a mapped

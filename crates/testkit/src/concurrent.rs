@@ -1,8 +1,9 @@
-//! Concurrent reader/writer harness for the serving engine.
+//! Concurrent reader/writer harness for the serving engines.
 //!
 //! The harness runs N reader threads in a tight search loop against a
-//! [`ServingEngine`] while one writer thread applies a scripted mutation
-//! sequence. Along the way it checks the serving contract:
+//! [`ReadHalf`] — a [`ServingEngine`]'s or a durable store's — while one
+//! writer thread applies a scripted mutation sequence through the
+//! engine's own write path. Along the way it checks the serving contract:
 //!
 //! * **per-response internal consistency** — every response must be
 //!   self-consistent with exactly one published epoch: its `counts.total`
@@ -25,7 +26,7 @@ use std::convert::Infallible;
 use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
 use std::sync::Mutex;
 
-use lcdd_engine::{Engine, EngineError, Query, SearchOptions, ServingEngine};
+use lcdd_engine::{Engine, EngineError, Query, ReadHalf, SearchOptions, ServingEngine};
 
 use crate::crash::{apply_serial, ScriptedOp};
 
@@ -42,16 +43,38 @@ pub struct SessionReport {
     pub cached_responses: usize,
 }
 
-/// Drives `n_readers` query loops concurrently with a writer applying
-/// `ops` in order, validating every response against the epoch ledger.
-/// Returns what was observed; panics (inside a reader/writer thread, which
-/// propagates) on any contract violation.
+/// [`run_concurrent_session_with`] over a [`ServingEngine`], whose writer
+/// applies each op inside [`ServingEngine::write`].
+pub fn run_concurrent_session(
+    serving: &ServingEngine,
+    ops: &[ScriptedOp],
+    queries: &[Query],
+    opts: &SearchOptions,
+    n_readers: usize,
+    min_queries_per_reader: usize,
+) -> SessionReport {
+    let apply = |op: &ScriptedOp| {
+        let Ok(()) = serving.write(|e| {
+            apply_serial(e, op);
+            Ok::<_, Infallible>(())
+        });
+    };
+    let min = min_queries_per_reader;
+    run_concurrent_session_with(serving, apply, ops, queries, opts, n_readers, min)
+}
+
+/// Drives `n_readers` query loops on `reads` concurrently with a writer
+/// passing `ops` in order to `apply` (which must write through the engine
+/// `reads` belongs to), validating every response against the epoch
+/// ledger. Returns what was observed; panics (inside a reader/writer
+/// thread, which propagates) on any contract violation.
 ///
 /// Readers keep querying until the writer finishes *and* each has issued
 /// at least `min_queries_per_reader` searches, so short op scripts still
 /// exercise cross-epoch interleavings.
-pub fn run_concurrent_session(
-    serving: &ServingEngine,
+pub fn run_concurrent_session_with(
+    reads: &ReadHalf,
+    mut apply: impl FnMut(&ScriptedOp),
     ops: &[ScriptedOp],
     queries: &[Query],
     opts: &SearchOptions,
@@ -65,7 +88,7 @@ pub fn run_concurrent_session(
     // happens inside the op), so they buffer observations and the ledger
     // is checked after the join, when it is complete.
     let ledger: Mutex<HashMap<u64, usize>> =
-        Mutex::new(HashMap::from([(serving.epoch(), serving.len())]));
+        Mutex::new(HashMap::from([(reads.epoch(), reads.len())]));
     let writer_done = AtomicBool::new(false);
     let observations: Mutex<Vec<(u64, usize)>> = Mutex::new(Vec::new());
     let report: Mutex<SessionReport> = Mutex::new(SessionReport::default());
@@ -83,7 +106,7 @@ pub fn run_concurrent_session(
                 while !writer_done.load(SeqCst) || issued < min_queries_per_reader {
                     let q = &queries[(reader + issued) % queries.len()];
                     issued += 1;
-                    match serving.search(q, opts) {
+                    match reads.search(q, opts) {
                         Ok(resp) => {
                             assert!(
                                 resp.epoch >= last_epoch,
@@ -140,14 +163,11 @@ pub fn run_concurrent_session(
 
         // The single writer.
         for op in ops {
-            let Ok(()) = serving.write(|engine| {
-                apply_serial(engine, op);
-                Ok::<_, Infallible>(())
-            });
+            apply(op);
             ledger
                 .lock()
                 .expect("harness mutex")
-                .insert(serving.epoch(), serving.len());
+                .insert(reads.epoch(), reads.len());
         }
         writer_done.store(true, SeqCst);
     });

@@ -4,7 +4,7 @@
 //! (insert/remove without re-encoding the resident tables), snapshot it
 //! (one `LCDDSEG2` image per shard), serve from the restored engine — then
 //! wrap it in a `ServingEngine` and query from threads *while* a writer
-//! keeps ingesting (lock-free, epoch-versioned serving). Finally, the
+//! keeps ingesting (epoch-versioned serving). Finally, the
 //! kill-and-recover walkthrough: run the corpus under a durable store
 //! (`lcdd_store::DurableEngine`), kill the "process" mid-append (torn WAL
 //! record included), and recover the exact corpus from
@@ -185,7 +185,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 9. Concurrent serving: wrap the engine in a ServingEngine and let
     //    reader threads hammer it while this thread keeps ingesting.
-    //    `search` takes &self (lock-free snapshot of the current epoch);
+    //    `search` takes &self (a pinned snapshot of the current epoch);
     //    the writer publishes each mutation atomically, and repeat queries
     //    within an epoch come from the query cache.
     let serving = ServingEngine::new(engine);

@@ -13,7 +13,6 @@ cd "$(dirname "${BASH_SOURCE[0]}")/.."
 
 declare -A pinned=(
   [crates/engine/src/mapped.rs]=12        # mmap/munmap/madvise syscalls and the aligned owned buffer
-  [crates/engine/src/swap.rs]=4           # ArcSwapCell: Send/Sync and the slot reads/writes
   [crates/engine/src/frame.rs]=1          # align_to::<f32> over a 64-aligned payload
   [crates/bench/src/bin/bench_kernels.rs]=5 # the counting #[global_allocator]; a bench binary, linked by nothing
 )
